@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT = 2.998e8
-"""Propagation speed used for wavelength conversions, m/s."""
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -49,8 +46,6 @@ class ArrayConfig:
         Total signal bandwidth W in Hz.
     num_subcarriers : int
         Number of OFDM subcarriers K across the bandwidth.
-    speed_of_light : float
-        Propagation speed in m/s, kept for unit conversions.
     """
 
     num_antennas: int
@@ -58,7 +53,6 @@ class ArrayConfig:
     carrier_freq: float
     bandwidth: float
     num_subcarriers: int
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.num_antennas < 1:
@@ -222,20 +216,10 @@ def gain_profile(theta: float, freqs: np.ndarray, v_rows: np.ndarray, cfg: Array
     return np.abs(np.sum(np.conj(a) * v_rows, axis=1)) ** 2
 
 
-def pattern_heatmap(weights, theta_grid: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Gain map over (angle, subcarrier), shape (len(theta_grid), K).
-
-    ``weights`` is either :class:`AnalogWeights` or an explicit (K, N) complex
-    matrix of per-subcarrier weight vectors (used for the fully digital
-    reference design).
-    """
+def pattern_heatmap(weights: AnalogWeights, theta_grid: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Gain map over (angle, subcarrier), shape (len(theta_grid), K)."""
     freqs = cfg.subcarrier_centers()
-    if isinstance(weights, AnalogWeights):
-        v_rows = awv_matrix(weights, freqs, cfg)
-    else:
-        v_rows = np.asarray(weights)
-        if v_rows.shape != (cfg.num_subcarriers, cfg.num_antennas):
-            raise ValueError("per-subcarrier weight matrix must be (K, N)")
+    v_rows = awv_matrix(weights, freqs, cfg)
     theta_grid = np.asarray(theta_grid, dtype=float)
     out = np.empty((theta_grid.size, cfg.num_subcarriers))
     for i, theta in enumerate(theta_grid):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import TWO_PI, AnalogWeights, ArrayConfig, awv_matrix, response_matrix, wrap_phase
-from .jpta import SolverOptions, TargetProfile, jpta_solve
+from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve
 from .mobility import AnchorSpec, FrameTiming, anchor_selection
 
 BEAM_KINDS = ("slanted", "stepped", "rainbow", "qpd", "stepped_genie", "digital_genie")
@@ -23,13 +23,12 @@ ANALOG_KINDS = ("slanted", "stepped", "rainbow", "qpd")
 @dataclass(frozen=True)
 class BeamDesign:
     """A realized analog design: kind label, phase/delay bank, and (for the
-    solver-based kinds) the anchors and final objective behind it."""
+    solver-based kinds) the anchors and solver report behind it."""
 
     kind: str
     weights: AnalogWeights
     anchor: AnchorSpec = None
-    objective: float = None
-    objective_trace: np.ndarray = field(default=None, repr=False)
+    report: SolverReport = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in BEAM_KINDS:
@@ -47,8 +46,8 @@ class BeamDesign:
                 "range_deg": float(np.rad2deg(self.anchor.aod_range)),
                 "assignment": [int(b) for b in self.anchor.assignment],
             }
-        if self.objective is not None:
-            doc["solver_objective"] = float(self.objective)
+        if self.report is not None:
+            doc["solver_objective"] = self.report.objective
         return doc
 
 
@@ -83,21 +82,7 @@ def target_directions(anchor: AnchorSpec, cfg: ArrayConfig) -> TargetProfile:
 def _solve_anchor(anchor: AnchorSpec, cfg: ArrayConfig, opts: SolverOptions, kind: str) -> BeamDesign:
     profile = target_directions(anchor, cfg)
     report = jpta_solve(profile, opts)
-    return BeamDesign(
-        kind=kind,
-        weights=report.weights,
-        anchor=anchor,
-        objective=report.objective,
-        objective_trace=report.objective_trace,
-    )
-
-
-def _resolve_assignment(num_users, assignment, rng):
-    if assignment is not None:
-        return np.asarray(assignment, dtype=int)
-    if rng is not None:
-        return rng.permutation(num_users)
-    return np.arange(num_users)
+    return BeamDesign(kind=kind, weights=report.weights, anchor=anchor, report=report)
 
 
 def design_slanted(
@@ -107,22 +92,21 @@ def design_slanted(
     timing: FrameTiming,
     opts: SolverOptions = None,
     assignment=None,
-    rng: np.random.Generator = None,
     range_override: float = None,
 ) -> BeamDesign:
     """Slanted beams: anchor selection over the predicted coverage intervals,
     then joint phase/delay solving of the linear per-sub-band profile.
 
-    The user -> sub-band assignment is drawn uniformly from ``rng`` unless
-    given explicitly; ``range_override`` (radians) replaces the selected
-    shared range r while keeping the per-user centers.
+    The user -> sub-band assignment defaults to the identity;
+    ``range_override`` (radians) replaces the selected shared range r while
+    keeping the per-user centers.
     """
     base = anchor_selection(estimates, p, timing)
     r = base.aod_range if range_override is None else float(range_override)
     anchor = AnchorSpec(
         centers=base.centers,
         aod_range=r,
-        assignment=_resolve_assignment(base.num_users, assignment, rng),
+        assignment=assignment,
     )
     return _solve_anchor(anchor, cfg, opts or SolverOptions(), "slanted")
 
@@ -137,16 +121,10 @@ def design_stepped(
     cfg: ArrayConfig,
     opts: SolverOptions = None,
     assignment=None,
-    rng: np.random.Generator = None,
 ) -> BeamDesign:
     """Stepped beams: constant direction per sub-band at the estimated AoDs
     (a slanted design with the range forced to zero)."""
-    centers = np.atleast_1d(np.asarray(aod_estimates, dtype=float))
-    anchor = AnchorSpec(
-        centers=centers,
-        aod_range=0.0,
-        assignment=_resolve_assignment(centers.size, assignment, rng),
-    )
+    anchor = AnchorSpec(centers=aod_estimates, aod_range=0.0, assignment=assignment)
     return _solve_anchor(anchor, cfg, opts or SolverOptions(), "stepped")
 
 
@@ -184,13 +162,6 @@ def design_qpd(theta_first: float, peak_phase: float, cfg: ArrayConfig) -> BeamD
     return BeamDesign(kind="qpd", weights=AnalogWeights(phases, np.zeros(cfg.num_antennas)))
 
 
-def stepped_targets(aods, assignment, cfg: ArrayConfig) -> TargetProfile:
-    """Constant per-sub-band profile at the given directions."""
-    centers = np.atleast_1d(np.asarray(aods, dtype=float))
-    anchor = AnchorSpec(centers=centers, aod_range=0.0, assignment=assignment)
-    return target_directions(anchor, cfg)
-
-
 def genie_stepped(aods_per_step, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None):
     """Re-pointed stepped designs from the true AoDs at each step.
 
@@ -201,31 +172,20 @@ def genie_stepped(aods_per_step, cfg: ArrayConfig, opts: SolverOptions = None, a
     opts = opts or SolverOptions()
     designs = []
     for row in aods_per_step:
-        anchor = AnchorSpec(
-            centers=row,
-            aod_range=0.0,
-            assignment=_resolve_assignment(row.size, assignment, None),
-        )
+        anchor = AnchorSpec(centers=row, aod_range=0.0, assignment=assignment)
         designs.append(_solve_anchor(anchor, cfg, opts, "stepped_genie"))
     return designs
 
 
-def genie_digital(theta: float, k: int, cfg: ArrayConfig) -> np.ndarray:
-    """Fully digital matched vector a(theta, f_k)/sqrt(N) for subcarrier k (0-based)."""
-    freqs = cfg.subcarrier_centers()
-    if not 0 <= k < cfg.num_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    a = response_matrix(theta, freqs[k : k + 1], cfg)[0]
-    return a / np.sqrt(cfg.num_antennas)
-
-
 class FixedBeamPolicy:
     """Evaluation policy for a frozen analog design: the same per-subcarrier
-    weight rows regardless of where the users actually are."""
+    weight rows regardless of where the users actually are.  ``assignment``
+    is the design's anchor assignment (None for the anchor-free kinds)."""
 
     def __init__(self, design: BeamDesign, cfg: ArrayConfig):
         self.kind = design.kind
         self.design = design
+        self.assignment = design.anchor.assignment if design.anchor is not None else None
         self._rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
 
     def subcarrier_weights(self, angles) -> np.ndarray:
@@ -266,7 +226,7 @@ class DigitalGeniePolicy:
         if cfg.num_subcarriers % u_cnt != 0:
             raise ValueError("num_subcarriers not divisible by num_users")
         per = cfg.num_subcarriers // u_cnt
-        assignment = _resolve_assignment(u_cnt, self.assignment, None)
+        assignment = np.arange(u_cnt) if self.assignment is None else self.assignment
         freqs = cfg.subcarrier_centers()
         rows = np.empty((cfg.num_subcarriers, cfg.num_antennas), dtype=complex)
         root = np.sqrt(cfg.num_antennas)

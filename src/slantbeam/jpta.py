@@ -160,20 +160,15 @@ def _golden_stage(g_eval, lo, hi, iters):
     return lo, hi
 
 
-def jpta_solve(
-    profile: TargetProfile,
-    opts: SolverOptions = None,
-    initial: AnalogWeights = None,
-) -> SolverReport:
+def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverReport:
     """Alternating maximization of the per-subcarrier alignment objective.
+
+    Phases start at zero and delays at the line-fit profile.
 
     Parameters
     ----------
     profile : TargetProfile
     opts : SolverOptions, optional
-    initial : AnalogWeights, optional
-        Warm-start weights; by default phases start at zero and delays at the
-        line-fit profile.
 
     Returns
     -------
@@ -187,17 +182,10 @@ def jpta_solve(
 
     freqs = cfg.subcarrier_centers()
     fb = freqs - cfg.carrier_freq
-    n_ant = cfg.num_antennas
     u0 = _target_steering(profile)  # (K, N)
 
-    if initial is not None:
-        if initial.num_antennas != n_ant:
-            raise ValueError("initial weights sized for a different array")
-        phases = initial.phases.copy()
-        delays = np.clip(initial.delays, 0.0, tau_max)
-    else:
-        phases = np.zeros(n_ant)
-        delays = line_fit_delays(profile, tau_max)
+    phases = np.zeros(cfg.num_antennas)
+    delays = line_fit_delays(profile, tau_max)
 
     grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
     e_grid = np.exp(1j * TWO_PI * np.outer(grid, fb))  # (G, K)

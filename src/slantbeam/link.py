@@ -3,11 +3,9 @@
 The downlink splits the K subcarriers into U contiguous sub-bands of equal
 size. A user scheduled on sub-band b accumulates Shannon capacity over that
 band only, each subcarrier weighted by its spacing W/K. The per-subcarrier
-SNR is the transmit SNR scaled by the beamforming gain toward the user's
-true direction.
+SNR is the transmit SNR scaled by the user's squared channel magnitude and
+by the beamforming gain toward the user's true direction.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -18,41 +16,17 @@ from .arrays import ArrayConfig, db_to_linear, gain_profile
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit SNR in dB plus a flat squared channel magnitude."""
+    """Transmit SNR in dB, common to all users."""
 
     snr_db: float = -10.0
-    channel_gain: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
-        if not (self.channel_gain > 0):
-            raise ValueError(f"channel_gain must be positive, got {self.channel_gain}")
 
     @property
     def snr_linear(self) -> float:
         return db_to_linear(self.snr_db)
-
-
-class PowerAllocation:
-    """Per-subcarrier power scale, normalized so uniform means all ones."""
-
-    def __init__(self, scale):
-        scale = np.asarray(scale, dtype=float)
-        if scale.ndim != 1 or scale.size == 0:
-            raise ValueError("scale must be a non-empty 1-D array")
-        if not np.all(np.isfinite(scale)) or np.any(scale <= 0):
-            raise ValueError("scale entries must be finite and positive")
-        scale = scale.copy()
-        scale.setflags(write=False)
-        self.scale = scale
-
-    @classmethod
-    def uniform(cls, num_subcarriers: int) -> "PowerAllocation":
-        return cls(np.ones(int(num_subcarriers)))
-
-    def __len__(self):
-        return self.scale.size
 
 
 def subband_indices(band: int, num_users: int, num_subcarriers: int) -> np.ndarray:
@@ -70,22 +44,20 @@ def subband_indices(band: int, num_users: int, num_subcarriers: int) -> np.ndarr
     return np.arange(band * per, (band + 1) * per)
 
 
-def subcarrier_snr(gains, budget: LinkBudget, scale=None) -> np.ndarray:
-    """Post-beamforming SNR per subcarrier."""
+def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.ndarray:
+    """Post-beamforming SNR per subcarrier for a user with squared channel
+    magnitude ``channel_gain``."""
 
     gains = np.asarray(gains, dtype=float)
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
-    zeta = budget.snr_linear * budget.channel_gain * gains
-    if scale is not None:
-        zeta = zeta * np.asarray(scale, dtype=float)
-    return zeta
+    return budget.snr_linear * channel_gain * gains
 
 
-def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, scale=None) -> float:
+def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, channel_gain: float = 1.0) -> float:
     """Capacity in bit/s accumulated over the given own-band gains."""
 
-    zeta = subcarrier_snr(gains, budget, scale)
+    zeta = subcarrier_snr(gains, budget, channel_gain)
     return float(cfg.subcarrier_spacing * np.sum(np.log2(1.0 + zeta)))
 
 
@@ -130,18 +102,10 @@ class CapacityRecord:
 
 
 def _resolve_assignment(policy, num_users, assignment):
-    if assignment is not None:
-        arr = np.asarray(assignment, dtype=int)
-    else:
-        arr = getattr(policy, "assignment", None)
-        if arr is None:
-            design = getattr(policy, "design", None)
-            anchor = getattr(design, "anchor", None)
-            if anchor is not None and anchor.assignment is not None:
-                arr = anchor.assignment
-        if arr is None:
-            arr = np.arange(num_users)
-        arr = np.asarray(arr, dtype=int)
+    """The explicit assignment, else the policy's, else the identity."""
+    if assignment is None:
+        assignment = getattr(policy, "assignment", None)
+    arr = np.arange(num_users) if assignment is None else np.asarray(assignment, dtype=int)
     if sorted(arr.tolist()) != list(range(num_users)):
         raise ValueError(f"assignment {arr} is not a permutation of 0..{num_users - 1}")
     return arr
@@ -153,7 +117,6 @@ def min_capacity(
     cfg: ArrayConfig,
     budget: LinkBudget,
     assignment=None,
-    allocation: PowerAllocation | None = None,
     channel_gains=None,
 ) -> CapacityRecord:
     """Evaluate a beam policy against true directions.
@@ -163,16 +126,14 @@ def min_capacity(
     designs return the same rows every time, genie policies re-aim). Each
     user's capacity is accumulated over the sub-band its assignment maps it
     to, and the record keeps the full (P, U) table. ``channel_gains`` gives
-    per-user squared channel magnitudes on top of the budget's common one
-    (length U, or length 1 to broadcast).
+    the per-user squared channel magnitudes (length U, or length 1 to
+    broadcast; all ones by default); ``budget`` holds the transmit SNR
+    common to all users.
     """
 
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
     num_points, num_users = true_aods.shape
     assign = _resolve_assignment(policy, num_users, assignment)
-    scale = allocation.scale if allocation is not None else None
-    if scale is not None and len(scale) != cfg.num_subcarriers:
-        raise ValueError("allocation length does not match subcarrier count")
     if channel_gains is None:
         h2 = np.ones(num_users)
     else:
@@ -181,9 +142,6 @@ def min_capacity(
             h2 = np.full(num_users, h2.item())
         if h2.shape != (num_users,) or np.any(h2 <= 0):
             raise ValueError("channel_gains must be positive, one per user")
-    budgets = [
-        LinkBudget(budget.snr_db, budget.channel_gain * h2[u]) for u in range(num_users)
-    ]
 
     freqs = cfg.subcarrier_centers()
     caps = np.empty((num_points, num_users))
@@ -192,6 +150,5 @@ def min_capacity(
         for u in range(num_users):
             idx = subband_indices(int(assign[u]), num_users, cfg.num_subcarriers)
             gains = gain_profile(true_aods[p, u], freqs[idx], rows[idx], cfg)
-            band_scale = scale[idx] if scale is not None else None
-            caps[p, u] = user_capacity(gains, cfg, budgets[u], band_scale)
+            caps[p, u] = user_capacity(gains, cfg, budget, h2[u])
     return CapacityRecord(caps, kind=getattr(policy, "kind", ""))

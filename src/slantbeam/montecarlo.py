@@ -24,6 +24,7 @@ import numpy as np
 from .arrays import ArrayConfig
 from .designs import (
     BEAM_KINDS,
+    BeamDesign,
     DigitalGeniePolicy,
     FixedBeamPolicy,
     SteppedGeniePolicy,
@@ -135,46 +136,51 @@ def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _theta_hat(estimates) -> np.ndarray:
+    return np.array([est.theta0 for est in estimates])
+
+
+def _build_slanted(config: TrialConfig, estimates, assignment) -> BeamDesign:
+    """Offset mode anchors at the estimates with the predicted coverage width
+    (or the override); trajectory mode runs the full anchor selection."""
+    if config.plan.mode != "offset":
+        return design_slanted(estimates, config.coverage_p, config.array, config.timing,
+                              config.solver, assignment=assignment,
+                              range_override=config.range_override)
+    r = config.range_override
+    if r is None:
+        r = 2.0 * coverage_halfwidth(config.coverage_p) * np.sqrt(config.scenario.var_theta)
+    anchor = AnchorSpec(centers=_theta_hat(estimates), aod_range=r, assignment=assignment)
+    return design_slanted_at(anchor, config.array, config.solver)
+
+
+# kind -> builder(config, estimates, assignment), returning a BeamDesign or a
+# policy; every name is looked up in this module when the builder runs.
+POLICY_BUILDERS = {
+    "slanted": _build_slanted,
+    "stepped": lambda config, estimates, assignment: design_stepped(
+        _theta_hat(estimates), config.array, config.solver, assignment=assignment),
+    "rainbow": lambda config, estimates, assignment: design_rainbow(config.array),
+    "qpd": lambda config, estimates, assignment: design_qpd(
+        _theta_hat(estimates)[0], config.qpd_peak, config.array),
+    "stepped_genie": lambda config, estimates, assignment: SteppedGeniePolicy(
+        config.array, config.solver, assignment=assignment),
+    "digital_genie": lambda config, estimates, assignment: DigitalGeniePolicy(
+        config.array, assignment=assignment),
+}
+
+
 def _build_policies(config: TrialConfig, estimates, assignment):
-    """Instantiate the requested beam policies for one trial's scenario."""
-    arr = config.array
-    theta_hat = np.array([est.theta0 for est in estimates])
+    """Instantiate the requested beam policies for one trial's scenario;
+    analog designs are also returned by kind."""
     policies = {}
     designs = {}
     for kind in config.beams:
-        if kind == "slanted":
-            if config.plan.mode == "offset":
-                if config.range_override is not None:
-                    r = config.range_override
-                else:
-                    ell = coverage_halfwidth(config.coverage_p)
-                    r = 2.0 * ell * np.sqrt(config.scenario.var_theta)
-                anchor = AnchorSpec(centers=theta_hat, aod_range=r, assignment=assignment)
-                design = design_slanted_at(anchor, arr, config.solver)
-            else:
-                design = design_slanted(
-                    estimates,
-                    config.coverage_p,
-                    arr,
-                    config.timing,
-                    config.solver,
-                    assignment=assignment,
-                    range_override=config.range_override,
-                )
-        elif kind == "stepped":
-            design = design_stepped(theta_hat, arr, config.solver, assignment=assignment)
-        elif kind == "rainbow":
-            design = design_rainbow(arr)
-        elif kind == "qpd":
-            design = design_qpd(theta_hat[0], config.qpd_peak, arr)
-        elif kind == "stepped_genie":
-            policies[kind] = SteppedGeniePolicy(arr, config.solver, assignment=assignment)
-            continue
-        else:
-            policies[kind] = DigitalGeniePolicy(arr, assignment=assignment)
-            continue
-        designs[kind] = design
-        policies[kind] = FixedBeamPolicy(design, arr)
+        built = POLICY_BUILDERS[kind](config, estimates, assignment)
+        if isinstance(built, BeamDesign):
+            designs[kind] = built
+            built = FixedBeamPolicy(built, config.array)
+        policies[kind] = built
     return policies, designs
 
 
@@ -225,6 +231,10 @@ class SweepConfig:
             raise ValueError("values must be non-empty")
         if list(values) != sorted(values):
             raise ValueError("values must be sorted ascending")
+        if self.axis in ("num_antennas", "num_users"):
+            bad = [v for v in values if not v.is_integer()]
+            if bad:
+                raise ValueError(f"sweep axis {self.axis} takes whole numbers, got {bad[0]!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "values", values)

@@ -197,13 +197,6 @@ class TestPatternHeatmap:
                 v = awv(w, freqs[k], cfg)
                 assert heat[i, k] == pytest.approx(gain(grid[i], freqs[k], v, cfg), rel=1e-12)
 
-    def test_explicit_weight_matrix_accepted(self):
-        cfg = ArrayConfig(4, 0.5, 60e9, 2e9, 8)
-        freqs = cfg.subcarrier_centers()
-        rows = np.stack([array_response(0.2, f, cfg) / 2.0 for f in freqs])
-        heat = pattern_heatmap(rows, np.array([0.2]), cfg)
-        np.testing.assert_allclose(heat[0], 4.0, rtol=1e-12)
-
     def test_gain_profile_row_convention(self):
         cfg = ArrayConfig(4, 0.5, 60e9, 2e9, 8)
         freqs = cfg.subcarrier_centers()

@@ -110,6 +110,15 @@ class TestSweepCommand:
         assert (out_a / "sweep_offset_range.csv").read_bytes() == \
                (out_b / "sweep_offset_range.csv").read_bytes()
 
+    @pytest.mark.parametrize("axis, value", [("num_users", "2.7"), ("num_antennas", "8.9")])
+    def test_fractional_count_axis_rejected(self, tmp_path, capsys, axis, value):
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1",
+                     "--axis", axis, "--values", value, "--beams", "stepped", *TINY])
+        assert code != 0
+        assert not (tmp_path / f"sweep_{axis}.csv").exists()
+        err = capsys.readouterr().err
+        assert axis in err and value in err
+
     def test_bad_set_key(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path), "--seed", "0",
                      "--set", "array.warp=1", *TINY])

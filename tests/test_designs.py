@@ -11,10 +11,8 @@ from slantbeam.designs import (
     design_rainbow,
     design_slanted,
     design_stepped,
-    genie_digital,
     genie_stepped,
     qpd_phase_profile,
-    stepped_targets,
     target_directions,
 )
 from slantbeam.jpta import SolverOptions
@@ -106,17 +104,21 @@ class TestSlantedDesign:
         assert peaks[-1] - peaks[0] == pytest.approx(10.0 * (1 - 1 / 48), abs=1.0)
 
     def test_assignment_drawn_from_stream_is_reproducible(self):
+        # callers draw the assignment from their own stream and pass it in
         ests = [static_estimate(-20.0), static_estimate(0.0), static_estimate(20.0)]
         cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 48)
-        a = design_slanted(ests, 0.97, cfg, TIMING, rng=np.random.default_rng(5))
-        b = design_slanted(ests, 0.97, cfg, TIMING, rng=np.random.default_rng(5))
+        a = design_slanted(ests, 0.97, cfg, TIMING,
+                           assignment=np.random.default_rng(5).permutation(3))
+        b = design_slanted(ests, 0.97, cfg, TIMING,
+                           assignment=np.random.default_rng(5).permutation(3))
         np.testing.assert_array_equal(a.anchor.assignment, b.anchor.assignment)
         np.testing.assert_array_equal(a.weights.delays, b.weights.delays)
 
     def test_solver_trace_attached(self):
         design = design_slanted([static_estimate(5.0)], 0.97, CFG48, TIMING)
-        assert design.objective is not None
-        assert design.objective_trace[-1] == pytest.approx(design.objective)
+        assert design.report is not None
+        assert design.report.objective_trace[-1] == pytest.approx(design.report.objective)
+        assert design.report.weights is design.weights
 
 
 class TestSteppedDesign:
@@ -218,15 +220,11 @@ class TestQpdDesign:
 class TestGenies:
     def test_digital_genie_is_matched(self):
         theta = -23 * DEG
-        v = genie_digital(theta, 7, CFG48)
+        v = DigitalGeniePolicy(CFG48).subcarrier_weights([theta])[7]
         f = CFG48.subcarrier_centers()[7]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(v), 1 / np.sqrt(32), atol=1e-12)
         assert gain(theta, f, v, CFG48) == pytest.approx(32.0, rel=1e-12)
-
-    def test_digital_genie_index_validated(self):
-        with pytest.raises(ValueError):
-            genie_digital(0.0, 48, CFG48)
 
     def test_stepped_genie_matches_design_stepped_when_static(self):
         angles = np.array([-10.0, 15.0, 40.0]) * DEG
@@ -317,6 +315,7 @@ class TestBeamDesignContainer:
         assert doc["solver_objective"] > 0
 
     def test_stepped_targets_helper(self):
-        prof = stepped_targets(np.array([-10.0, 0.0, 10.0]) * DEG, None, CFG48)
+        anchor = AnchorSpec(np.array([-10.0, 0.0, 10.0]) * DEG, 0.0)
+        prof = target_directions(anchor, CFG48)
         np.testing.assert_allclose(prof.directions[0:16], -10 * DEG, atol=1e-12)
         np.testing.assert_allclose(prof.directions[32:48], 10 * DEG, atol=1e-12)

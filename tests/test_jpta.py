@@ -153,17 +153,6 @@ class TestSolver:
         assert report.objective >= 0.75 * 64
         assert np.all(np.diff(report.objective_trace) >= -1e-9)
 
-    def test_warm_start_accepted_and_monotone(self):
-        profile = TargetProfile(np.linspace(-0.2, 0.2, 64), CFG64)
-        first = jpta_solve(profile)
-        again = jpta_solve(profile, initial=first.weights)
-        assert again.objective >= first.objective - 1e-9
-
-    def test_warm_start_size_mismatch_rejected(self):
-        profile = TargetProfile(np.zeros(64), CFG64)
-        with pytest.raises(ValueError):
-            jpta_solve(profile, initial=AnalogWeights(np.zeros(8), np.zeros(8)))
-
     def test_iteration_budget_respected(self):
         steps = np.repeat(np.deg2rad([-40.0, 0.0, 40.0, 10.0]), 16)
         opts = SolverOptions(max_iters=1, objective_tolerance=1e-15)

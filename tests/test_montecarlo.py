@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slantbeam import montecarlo
 from slantbeam.arrays import ArrayConfig
+from slantbeam.designs import BEAM_KINDS
 from slantbeam.link import LinkBudget
 from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
+    POLICY_BUILDERS,
     CdfSeries,
     EvalPlan,
     SweepConfig,
@@ -134,6 +137,33 @@ class TestRunTrial:
             EvalPlan(offset_count=0)
 
 
+class TestPolicyBuilders:
+    def test_every_beam_kind_has_a_builder(self):
+        assert set(POLICY_BUILDERS) == set(BEAM_KINDS)
+
+    def test_builders_resolve_names_when_called(self, monkeypatch):
+        # a name patched in montecarlo after import is the one a builder uses
+        calls = []
+        original = montecarlo.design_stepped
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["assignment"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "design_stepped", spy)
+        res = run_trial(dataclasses.replace(SMALL, beams=("stepped",)), 3, 0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], res.assignment)
+
+    def test_analog_designs_carry_trial_assignment_and_report(self):
+        res = run_trial(SMALL, 5, 1)
+        assert set(res.designs) == {"slanted", "stepped", "rainbow", "qpd"}
+        for kind in ("slanted", "stepped"):
+            design = res.designs[kind]
+            np.testing.assert_array_equal(design.anchor.assignment, res.assignment)
+            assert design.report.weights is design.weights
+
+
 class TestApplyAxis:
     def test_offset_range(self):
         cfg = apply_axis(SMALL, "offset_range", 5 * DEG)
@@ -237,6 +267,12 @@ class TestRunSweep:
             SweepConfig(axis="offset_range", values=(2.0, 1.0))
         with pytest.raises(ValueError):
             SweepConfig(axis="offset_range", values=(1.0,), trials=0)
+
+    @pytest.mark.parametrize("axis, value", [("num_users", 2.7), ("num_antennas", 8.9)])
+    def test_count_axis_rejects_fractions(self, axis, value):
+        with pytest.raises(ValueError, match=f"{axis}.*{value}"):
+            SweepConfig(axis=axis, values=(2.0, value))
+        assert SweepConfig(axis=axis, values=(2, 3.0)).values == (2.0, 3.0)
 
 
 class TestCapacityCdf:
