@@ -86,10 +86,12 @@ class ArrayConfig:
         return self.num_antennas / self.bandwidth
 
 
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not np.isfinite(theta) or abs(theta) > np.pi / 2:
-        raise ValueError(f"angle of departure {theta!r} outside [-pi/2, pi/2]")
+def _check_angle(theta) -> np.ndarray:
+    """Angles of departure (scalar or array) as floats inside [-pi/2, pi/2]."""
+    theta = np.asarray(theta, dtype=float)
+    bad = theta[~(np.abs(theta) <= np.pi / 2)]
+    if bad.size:
+        raise ValueError(f"angle of departure {float(bad[0])!r} outside [-pi/2, pi/2]")
     return theta
 
 
@@ -129,13 +131,14 @@ def array_response(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def response_matrix(theta: float, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Steering vectors for one angle across many frequencies, shape (F, N)."""
+def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Steering vectors across frequencies, shape (F, N), toward one angle or
+    toward one angle per frequency (``theta`` of shape (F,))."""
     theta = _check_angle(theta)
     freqs = np.asarray(freqs, dtype=float)
     n = np.arange(cfg.num_antennas)
     phase = TWO_PI * cfg.spacing * np.sin(theta) / cfg.carrier_freq
-    return np.exp(1j * phase * np.outer(freqs, n))
+    return np.exp(1j * np.reshape(phase, (-1, 1)) * np.outer(freqs, n))
 
 
 @dataclass(frozen=True)
@@ -206,11 +209,12 @@ def gain(theta: float, f: float, v: np.ndarray, cfg: ArrayConfig) -> float:
     return float(np.abs(np.vdot(a, v)) ** 2)
 
 
-def gain_profile(theta: float, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Per-frequency gains |a(theta, f_k)^H v_k|^2 for row-matched weights.
+def gain_profile(theta, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Per-frequency gains |a(theta_k, f_k)^H v_k|^2 for row-matched weights.
 
-    ``v_rows`` holds one weight vector per frequency (shape (F, N)); this is
-    the workhorse used by pattern and capacity evaluation.
+    ``v_rows`` holds one weight vector per frequency (shape (F, N)) and
+    ``theta`` one angle or one angle per frequency; this is the workhorse
+    used by pattern and capacity evaluation.
     """
     a = response_matrix(theta, freqs, cfg)
     return np.abs(np.sum(np.conj(a) * v_rows, axis=1)) ** 2

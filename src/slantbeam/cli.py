@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .arrays import pattern_heatmap
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
-from .designs import ANALOG_KINDS, BEAM_KINDS
+from .designs import ANALOG_KINDS
 from .montecarlo import (
     SWEEP_AXES,
     capacity_cdf,
@@ -115,29 +115,27 @@ def write_manifest(path, command, seed, cfg: RunConfig, artifacts):
         fh.write("\n")
 
 
-def _parse_beams(arg, allowed, what):
+def _parse_beams(arg):
+    """The ``--beams`` list of design/pattern runs, analog kinds only."""
     if arg is None:
-        return None
+        return ANALOG_KINDS
     beams = tuple(b.strip() for b in arg.split(",") if b.strip())
-    bad = [b for b in beams if b not in allowed]
+    bad = [b for b in beams if b not in ANALOG_KINDS]
     if bad:
-        raise ConfigError(f"--beams: unknown {what} beam kinds {bad}; valid: {allowed}")
+        raise ConfigError(f"--beams: unknown analog beam kinds {bad}; valid: {ANALOG_KINDS}")
     if not beams:
         raise ConfigError("--beams: empty list")
     return beams
 
 
-def _parse_values(arg):
-    if arg is None:
-        return None
-    try:
-        return tuple(float(v) for v in arg.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"--values: cannot parse {arg!r} as floats") from None
-
-
 def _load_config(args) -> RunConfig:
-    return parse_config(path=args.config, overrides=args.sets, desk=not args.full)
+    """Layered config; a sweep/cdf run's ``--axis/--values/--beams`` become
+    ``sweep.*`` overrides, so the manifest and the hash record them."""
+    sets = list(args.sets)
+    if args.command in ("sweep", "cdf"):
+        sets += [f"sweep.{key}={getattr(args, key)}" for key in ("axis", "values", "beams")
+                 if getattr(args, key) is not None]
+    return parse_config(path=args.config, overrides=sets, desk=not args.full)
 
 
 def _analog_designs(cfg: RunConfig, beams, seed):
@@ -149,7 +147,7 @@ def _analog_designs(cfg: RunConfig, beams, seed):
 
 def cmd_design(args) -> int:
     cfg = _load_config(args)
-    beams = _parse_beams(args.beams, ANALOG_KINDS, "analog") or ANALOG_KINDS
+    beams = _parse_beams(args.beams)
     seed = args.seed if args.seed is not None else 0
     _, result = _analog_designs(cfg, beams, seed)
     h = config_hash(cfg)
@@ -165,7 +163,7 @@ def cmd_design(args) -> int:
 
 def cmd_pattern(args) -> int:
     cfg = _load_config(args)
-    beams = _parse_beams(args.beams, ANALOG_KINDS, "analog") or ANALOG_KINDS
+    beams = _parse_beams(args.beams)
     seed = args.seed if args.seed is not None else 0
     base, result = _analog_designs(cfg, beams, seed)
     arr = base.array
@@ -184,22 +182,14 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def _sweep_inputs(args, cfg: RunConfig):
-    beams = _parse_beams(args.beams, BEAM_KINDS, "known")
-    values = _parse_values(args.values)
-    sweep = cfg.sweep(master_seed=args.seed, axis=args.axis, values=values, beams=beams)
-    display = values if values is not None else cfg.get("sweep", "values")
-    return sweep, tuple(float(v) for v in display)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    sweep, display = _sweep_inputs(args, cfg)
+    sweep = cfg.sweep(master_seed=args.seed)
     base = cfg.base_trial()
     result = sweep_from_results(sweep, run_cells(sweep, base, workers=args.workers))
     h = config_hash(cfg)
     path = os.path.join(args.out, f"sweep_{sweep.axis}.csv")
-    write_sweep_csv(path, args.seed, h, result, display)
+    write_sweep_csv(path, args.seed, h, result, cfg.get("sweep", "values"))
     print(f"wrote {path}")
     write_manifest(
         os.path.join(args.out, "run_manifest.json"), "sweep", args.seed, cfg,
@@ -210,12 +200,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_cdf(args) -> int:
     cfg = _load_config(args)
-    sweep, display = _sweep_inputs(args, cfg)
+    sweep = cfg.sweep(master_seed=args.seed)
     base = cfg.base_trial()
     cells = run_cells(sweep, base, workers=args.workers)
     result = sweep_from_results(sweep, cells)
     series = capacity_cdf(result)
-    display_of = dict(zip(result.values, display))
+    display_of = dict(zip(result.values, cfg.get("sweep", "values")))
     h = config_hash(cfg)
     artifacts = []
     path = os.path.join(args.out, f"cdf_{sweep.axis}.csv")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .arrays import TWO_PI, AnalogWeights, ArrayConfig, awv_matrix, response_matrix, wrap_phase
 from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve
+from .link import subband_users
 from .mobility import AnchorSpec, FrameTiming, anchor_selection
 
 BEAM_KINDS = ("slanted", "stepped", "rainbow", "qpd", "stepped_genie", "digital_genie")
@@ -60,22 +61,12 @@ def target_directions(anchor: AnchorSpec, cfg: ArrayConfig) -> TargetProfile:
     slope in subcarrier index.  Directions are clipped to the visible
     half-plane.
     """
-    u_cnt = anchor.num_users
-    k_total = cfg.num_subcarriers
-    if k_total % u_cnt != 0:
-        raise ValueError(
-            f"num_subcarriers {k_total} is not divisible by num_users {u_cnt}"
-        )
-    per = k_total // u_cnt
+    users = subband_users(anchor.assignment, cfg.num_subcarriers, anchor.num_users)
+    band = anchor.assignment[users]
     r = anchor.aod_range
-    slope = r * u_cnt / k_total
-    g = np.empty(k_total)
-    for u in range(u_cnt):
-        band = int(anchor.assignment[u])
-        k_one_based = np.arange(band * per + 1, (band + 1) * per + 1)
-        g[band * per : (band + 1) * per] = (
-            anchor.centers[u] + r / 2 - r * (band + 1) + slope * k_one_based
-        )
+    slope = r * anchor.num_users / cfg.num_subcarriers
+    k_one_based = np.arange(1, cfg.num_subcarriers + 1)
+    g = anchor.centers[users] + r / 2 - r * (band + 1) + slope * k_one_based
     return TargetProfile(np.clip(g, -np.pi / 2, np.pi / 2), cfg)
 
 
@@ -221,17 +212,7 @@ class DigitalGeniePolicy:
 
     def subcarrier_weights(self, angles) -> np.ndarray:
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        u_cnt = angles.size
         cfg = self.cfg
-        if cfg.num_subcarriers % u_cnt != 0:
-            raise ValueError("num_subcarriers not divisible by num_users")
-        per = cfg.num_subcarriers // u_cnt
-        assignment = np.arange(u_cnt) if self.assignment is None else self.assignment
-        freqs = cfg.subcarrier_centers()
-        rows = np.empty((cfg.num_subcarriers, cfg.num_antennas), dtype=complex)
-        root = np.sqrt(cfg.num_antennas)
-        for u in range(u_cnt):
-            band = int(assignment[u])
-            sl = slice(band * per, (band + 1) * per)
-            rows[sl] = response_matrix(angles[u], freqs[sl], cfg) / root
-        return rows
+        users = subband_users(self.assignment, cfg.num_subcarriers, angles.size)
+        rows = response_matrix(angles[users], cfg.subcarrier_centers(), cfg)
+        return rows / np.sqrt(cfg.num_antennas)

@@ -1,10 +1,11 @@
 """Link budget and capacity evaluation for sub-band scheduled users.
 
 The downlink splits the K subcarriers into U contiguous sub-bands of equal
-size. A user scheduled on sub-band b accumulates Shannon capacity over that
-band only, each subcarrier weighted by its spacing W/K. The per-subcarrier
-SNR is the transmit SNR scaled by the user's squared channel magnitude and
-by the beamforming gain toward the user's true direction.
+size, and ``subband_users`` is the one place that maps users to them. A user
+scheduled on sub-band b accumulates Shannon capacity over that band only,
+each subcarrier weighted by its spacing W/K. The per-subcarrier SNR is the
+transmit SNR scaled by the user's squared channel magnitude and by the
+beamforming gain toward the user's true direction.
 """
 
 from dataclasses import dataclass
@@ -29,19 +30,21 @@ class LinkBudget:
         return db_to_linear(self.snr_db)
 
 
-def subband_indices(band: int, num_users: int, num_subcarriers: int) -> np.ndarray:
-    """0-based subcarrier indices of sub-band ``band`` (also 0-based)."""
+def subband_users(assignment, num_subcarriers: int, num_users: int) -> np.ndarray:
+    """User served on each of the K subcarriers, shape (K,).
 
-    if num_users < 1:
-        raise ValueError("num_users must be at least 1")
-    if num_subcarriers % num_users != 0:
+    The K subcarriers split into U = ``num_users`` equal contiguous sub-bands
+    and user u transmits on sub-band ``assignment[u]``; the assignment must
+    be a permutation of 0..U-1, and None stands for the identity.
+    """
+    arr = np.arange(num_users) if assignment is None else np.asarray(assignment, dtype=int)
+    if sorted(arr.tolist()) != list(range(num_users)):
+        raise ValueError(f"assignment {arr} is not a permutation of 0..{num_users - 1}")
+    if num_users < 1 or num_subcarriers % num_users != 0:
         raise ValueError(
             f"num_subcarriers={num_subcarriers} not divisible by num_users={num_users}"
         )
-    if not (0 <= band < num_users):
-        raise ValueError(f"band {band} out of range for {num_users} sub-bands")
-    per = num_subcarriers // num_users
-    return np.arange(band * per, (band + 1) * per)
+    return np.repeat(np.argsort(arr), num_subcarriers // num_users)
 
 
 def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.ndarray:
@@ -101,16 +104,6 @@ class CapacityRecord:
         return self.capacities.shape[1]
 
 
-def _resolve_assignment(policy, num_users, assignment):
-    """The explicit assignment, else the policy's, else the identity."""
-    if assignment is None:
-        assignment = getattr(policy, "assignment", None)
-    arr = np.arange(num_users) if assignment is None else np.asarray(assignment, dtype=int)
-    if sorted(arr.tolist()) != list(range(num_users)):
-        raise ValueError(f"assignment {arr} is not a permutation of 0..{num_users - 1}")
-    return arr
-
-
 def min_capacity(
     policy,
     true_aods,
@@ -124,16 +117,20 @@ def min_capacity(
     ``true_aods`` has shape (P, U): P evaluation points, U users. The policy
     is asked for its subcarrier weight rows at each evaluation point (fixed
     designs return the same rows every time, genie policies re-aim). Each
-    user's capacity is accumulated over the sub-band its assignment maps it
-    to, and the record keeps the full (P, U) table. ``channel_gains`` gives
-    the per-user squared channel magnitudes (length U, or length 1 to
-    broadcast; all ones by default); ``budget`` holds the transmit SNR
-    common to all users.
+    user's capacity is accumulated over the sub-band its assignment (the
+    explicit one, else the policy's, else the identity) maps it to, and the
+    record keeps the full (P, U) table. ``channel_gains`` gives the per-user
+    squared channel magnitudes (length U, or length 1 to broadcast; all ones
+    by default); ``budget`` holds the transmit SNR common to all users. A
+    failure at one evaluation point is re-raised with the beam kind and the
+    point's index in front.
     """
 
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
     num_points, num_users = true_aods.shape
-    assign = _resolve_assignment(policy, num_users, assignment)
+    if assignment is None:
+        assignment = getattr(policy, "assignment", None)
+    users = subband_users(assignment, cfg.num_subcarriers, num_users)
     if channel_gains is None:
         h2 = np.ones(num_users)
     else:
@@ -143,12 +140,15 @@ def min_capacity(
         if h2.shape != (num_users,) or np.any(h2 <= 0):
             raise ValueError("channel_gains must be positive, one per user")
 
+    kind = getattr(policy, "kind", "")
     freqs = cfg.subcarrier_centers()
     caps = np.empty((num_points, num_users))
     for p in range(num_points):
-        rows = policy.subcarrier_weights(true_aods[p])
+        try:
+            rows = policy.subcarrier_weights(true_aods[p])
+            gains = gain_profile(true_aods[p, users], freqs, rows, cfg)
+        except ValueError as exc:
+            raise ValueError(f"beam {kind}, eval index {p}: {exc}") from exc
         for u in range(num_users):
-            idx = subband_indices(int(assign[u]), num_users, cfg.num_subcarriers)
-            gains = gain_profile(true_aods[p, u], freqs[idx], rows[idx], cfg)
-            caps[p, u] = user_capacity(gains, cfg, budget, h2[u])
-    return CapacityRecord(caps, kind=getattr(policy, "kind", ""))
+            caps[p, u] = user_capacity(gains[users == u], cfg, budget, h2[u])
+    return CapacityRecord(caps, kind=kind)

@@ -197,11 +197,14 @@ def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResu
 
     true_aods = _evaluation_points(config, kins, estimates)
     policies, designs = _build_policies(config, estimates, assignment)
-    records = {
-        kind: min_capacity(policies[kind], true_aods, config.array, config.budget,
-                           assignment=assignment, channel_gains=config.channel_gains)
-        for kind in config.beams
-    }
+    try:
+        records = {
+            kind: min_capacity(policies[kind], true_aods, config.array, config.budget,
+                               assignment=assignment, channel_gains=config.channel_gains)
+            for kind in config.beams
+        }
+    except ValueError as exc:
+        raise ValueError(f"trial {trial_id}: {exc}") from exc
     return TrialResult(
         trial_id=trial_id,
         assignment=assignment,

@@ -12,6 +12,7 @@ from slantbeam.arrays import (
     gain,
     gain_profile,
     pattern_heatmap,
+    response_matrix,
     wrap_phase,
 )
 
@@ -93,6 +94,24 @@ class TestArrayResponse:
     def test_angle_outside_half_plane_rejected(self):
         with pytest.raises(ValueError):
             array_response(1.8, 60e9, TABLE_CFG)
+
+    def test_one_angle_per_frequency_matches_scalar_rows(self):
+        freqs = TABLE_CFG.subcarrier_centers()[::100]
+        thetas = np.linspace(-1.2, 1.4, freqs.size)
+        rows = response_matrix(thetas, freqs, TABLE_CFG)
+        assert rows.shape == (freqs.size, 32)
+        for k in range(freqs.size):
+            np.testing.assert_array_equal(
+                rows[k], response_matrix(thetas[k], freqs[k : k + 1], TABLE_CFG)[0]
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.6, -np.inf])
+    def test_angle_vector_outside_half_plane_rejected(self, bad):
+        freqs = TABLE_CFG.subcarrier_centers()[:4]
+        with pytest.raises(ValueError, match=r"angle of departure .* outside \[-pi/2, pi/2\]"):
+            response_matrix(np.array([0.1, bad, 0.2, 0.3]), freqs, TABLE_CFG)
+        with pytest.raises(ValueError, match=r"angle of departure .* outside \[-pi/2, pi/2\]"):
+            array_response(bad, 60e9, TABLE_CFG)
 
 
 class TestAnalogWeights:
@@ -205,6 +224,15 @@ class TestPatternHeatmap:
         prof = gain_profile(0.1, freqs, rows, cfg)
         assert prof.shape == (8,)
         assert prof[3] == pytest.approx(gain(0.1, freqs[3], awv(w, freqs[3], cfg), cfg), rel=1e-12)
+
+    def test_gain_profile_one_angle_per_frequency(self):
+        cfg = ArrayConfig(4, 0.5, 60e9, 2e9, 8)
+        freqs = cfg.subcarrier_centers()
+        rows = awv_matrix(AnalogWeights(np.zeros(4), np.linspace(0, 1e-9, 4)), freqs, cfg)
+        thetas = np.repeat([0.3, -0.2], 4)
+        prof = gain_profile(thetas, freqs, rows, cfg)
+        np.testing.assert_array_equal(prof[:4], gain_profile(0.3, freqs[:4], rows[:4], cfg))
+        np.testing.assert_array_equal(prof[4:], gain_profile(-0.2, freqs[4:], rows[4:], cfg))
 
 
 def test_wrap_phase_range():

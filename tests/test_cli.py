@@ -119,6 +119,28 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert axis in err and value in err
 
+    def test_axis_values_beams_recorded_in_manifest_and_hash(self, tmp_path):
+        manifests = []
+        for name, values in (("a", "2,3"), ("b", "2,4")):
+            out = tmp_path / name
+            assert main(["sweep", "--out", str(out), "--seed", "1", "--axis", "num_users",
+                         "--values", values, "--beams", "rainbow,qpd", *TINY]) == 0
+            manifests.append(json.loads((out / "run_manifest.json").read_text()))
+        assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
+        assert "axis = num_users" in manifests[0]["config"]
+        assert "values = 2.0,3.0" in manifests[0]["config"]
+        assert "beams = rainbow,qpd" in manifests[0]["config"]
+
+    def test_angle_error_names_trial_beam_and_eval_index(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1",
+                     "--set", "mobility.aod_max_deg=80", "--set", "sweep.values=0,20",
+                     "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8",
+                     "--set", "sweep.trials=4", "--set", "sweep.offset_count=3"])
+        assert code == 1
+        assert not (tmp_path / "sweep_offset_range.csv").exists()
+        err = capsys.readouterr().err
+        assert "trial 0: beam slanted, eval index 2: angle of departure" in err
+
     def test_bad_set_key(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path), "--seed", "0",
                      "--set", "array.warp=1", *TINY])

@@ -296,6 +296,12 @@ class TestPolicies:
             gains = gain_profile(angles[u], freqs[sl], rows[sl], CFG48)
             np.testing.assert_allclose(gains, 32.0, rtol=1e-9)
 
+    def test_digital_genie_rejects_assignment_of_other_length(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            DigitalGeniePolicy(CFG48, assignment=[0, 1, 2]).subcarrier_weights([0.1, 0.2])
+        with pytest.raises(ValueError, match="not a permutation"):
+            DigitalGeniePolicy(CFG48, assignment=[1, 0]).subcarrier_weights([0.1, 0.2, 0.3])
+
 
 class TestBeamDesignContainer:
     def test_unknown_kind_rejected(self):

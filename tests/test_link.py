@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from slantbeam.arrays import ArrayConfig
+from slantbeam.arrays import ArrayConfig, gain_profile
 from slantbeam.designs import DigitalGeniePolicy, FixedBeamPolicy, design_rainbow, design_stepped
 from slantbeam.link import (
     CapacityRecord,
     LinkBudget,
     min_capacity,
     offset_grid,
-    subband_indices,
+    subband_users,
     subcarrier_snr,
     user_capacity,
 )
@@ -69,21 +69,35 @@ class TestUserCapacity:
         assert user_capacity(np.zeros(5), CFG48, BUDGET) == 0.0
 
 
-class TestSubbandIndices:
+class TestSubbandUsers:
     def test_middle_band(self):
-        np.testing.assert_array_equal(subband_indices(1, 3, 48), np.arange(16, 32))
+        users = subband_users([0, 1, 2], 48, 3)
+        np.testing.assert_array_equal(np.flatnonzero(users == 1), np.arange(16, 32))
 
     def test_first_and_last(self):
-        np.testing.assert_array_equal(subband_indices(0, 4, 48), np.arange(0, 12))
-        np.testing.assert_array_equal(subband_indices(3, 4, 48), np.arange(36, 48))
+        users = subband_users(None, 48, 4)
+        np.testing.assert_array_equal(np.flatnonzero(users == 0), np.arange(0, 12))
+        np.testing.assert_array_equal(np.flatnonzero(users == 3), np.arange(36, 48))
+
+    def test_permutation_places_each_user_on_its_band(self):
+        users = subband_users([2, 0, 1], 48, 3)
+        np.testing.assert_array_equal(users, np.repeat([1, 2, 0], 16))
 
     def test_rejects_ragged_split(self):
-        with pytest.raises(ValueError):
-            subband_indices(0, 5, 48)
+        with pytest.raises(ValueError, match="not divisible"):
+            subband_users(np.arange(5), 48, 5)
 
-    def test_rejects_band_out_of_range(self):
-        with pytest.raises(ValueError):
-            subband_indices(3, 3, 48)
+    def test_rejects_non_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            subband_users([0, 0, 2], 48, 3)
+        with pytest.raises(ValueError, match="not a permutation"):
+            subband_users([0, 1, 3], 48, 3)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            subband_users([0, 1, 2], 48, 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            subband_users([1, 0], 48, 3)
 
 
 class TestOffsetGrid:
@@ -150,6 +164,34 @@ class TestMinCapacity:
         aods = np.zeros((1, 3))
         with pytest.raises(ValueError):
             min_capacity(pol, aods, CFG48, BUDGET, assignment=np.array([0, 0, 2]))
+
+    @pytest.mark.parametrize("make_policy", [
+        lambda: FixedBeamPolicy(design_rainbow(CFG48), CFG48),
+        lambda: DigitalGeniePolicy(CFG48, assignment=np.array([2, 0, 1])),
+    ], ids=["rainbow", "digital_genie"])
+    def test_matches_per_band_loop(self, make_policy):
+        # oracle: one gain_profile call per user on its band's slice, then
+        # user_capacity, exactly as capacities were once accumulated
+        pol = make_policy()
+        assignment = np.array([2, 0, 1])
+        h2 = (1.0, 0.5, 2.0)
+        aods = np.array([[-30.0, 0.0, 30.0], [-27.0, 4.0, 33.0], [-35.0, -2.0, 20.0]]) * DEG
+        rec = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
+        freqs = CFG48.subcarrier_centers()
+        expected = np.empty(aods.shape)
+        for p, row in enumerate(aods):
+            rows = pol.subcarrier_weights(row)
+            for u, band in enumerate(assignment):
+                sl = slice(band * 16, (band + 1) * 16)
+                gains = gain_profile(row[u], freqs[sl], rows[sl], CFG48)
+                expected[p, u] = user_capacity(gains, CFG48, BUDGET, h2[u])
+        np.testing.assert_array_equal(rec.capacities, expected)
+
+    def test_failure_names_beam_and_eval_index(self):
+        pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+        aods = np.array([[0.0, 0.1, 0.2], [0.0, 1.7, 0.2]])
+        with pytest.raises(ValueError, match=r"beam rainbow, eval index 1: angle of departure"):
+            min_capacity(pol, aods, CFG48, BUDGET)
 
     def test_genie_tracks_and_fixed_decays(self):
         # as the true direction drifts away, a frozen stepped beam loses
