@@ -129,12 +129,15 @@ def _parse_beams(arg):
 
 
 def _load_config(args) -> RunConfig:
-    """Layered config; a sweep/cdf run's ``--axis/--values/--beams`` become
-    ``sweep.*`` overrides, so the manifest and the hash record them."""
+    """Layered config; a sweep/cdf run's ``--axis/--values/--beams`` and the
+    analog beams of a design/pattern run become ``sweep.*`` overrides, so the
+    manifest and the hash record what ran."""
     sets = list(args.sets)
     if args.command in ("sweep", "cdf"):
         sets += [f"sweep.{key}={getattr(args, key)}" for key in ("axis", "values", "beams")
                  if getattr(args, key) is not None]
+    else:
+        sets.append("sweep.beams=" + ",".join(_parse_beams(args.beams)))
     return parse_config(path=args.config, overrides=sets, desk=not args.full)
 
 
@@ -147,7 +150,7 @@ def _analog_designs(cfg: RunConfig, beams, seed):
 
 def cmd_design(args) -> int:
     cfg = _load_config(args)
-    beams = _parse_beams(args.beams)
+    beams = cfg.get("sweep", "beams")
     seed = args.seed if args.seed is not None else 0
     _, result = _analog_designs(cfg, beams, seed)
     h = config_hash(cfg)
@@ -163,7 +166,7 @@ def cmd_design(args) -> int:
 
 def cmd_pattern(args) -> int:
     cfg = _load_config(args)
-    beams = _parse_beams(args.beams)
+    beams = cfg.get("sweep", "beams")
     seed = args.seed if args.seed is not None else 0
     base, result = _analog_designs(cfg, beams, seed)
     arr = base.array

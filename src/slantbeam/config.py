@@ -23,7 +23,7 @@ from .designs import BEAM_KINDS
 from .jpta import SolverOptions
 from .link import LinkBudget
 from .mobility import FrameTiming, ScenarioConfig
-from .montecarlo import SWEEP_AXES, EvalPlan, SweepConfig, TrialConfig
+from .montecarlo import DEGREE_AXES, SWEEP_AXES, EvalPlan, SweepConfig, TrialConfig
 
 
 class ConfigError(ValueError):
@@ -83,8 +83,6 @@ DESK_OVERLAY = {
     ("sweep", "trials"): 20,
     ("sweep", "offset_count"): 25,
 }
-
-_ANGLE_AXES = ("offset_range", "mean_velocity")
 
 
 def _parse_value(kind: str, raw, section: str, key: str):
@@ -201,20 +199,17 @@ class RunConfig:
 
     def sweep(self, master_seed: int, axis=None, values=None, beams=None) -> SweepConfig:
         s = self.sections["sweep"]
-        d = self.sections["design"]
         axis = axis if axis is not None else s["axis"]
         raw = tuple(values) if values is not None else s["values"]
-        if axis in _ANGLE_AXES:
+        if axis in DEGREE_AXES:
             converted = tuple(np.deg2rad(v) for v in raw)
         else:
             converted = raw
-        override = d["range_override_deg"]
         return SweepConfig(
             axis=axis,
             values=converted,
             trials=s["trials"],
             master_seed=master_seed,
-            range_override=np.deg2rad(override) if override is not None else None,
             beams=tuple(beams) if beams is not None else tuple(s["beams"]),
         )
 

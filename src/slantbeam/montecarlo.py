@@ -47,6 +47,10 @@ from .mobility import (
 
 SWEEP_AXES = ("offset_range", "num_antennas", "num_users", "mean_velocity")
 
+# axes whose values are angles (rad) or angular speeds (rad/s), with the unit
+# they are given and reported in
+DEGREE_AXES = {"offset_range": "deg", "mean_velocity": "deg/s"}
+
 EVAL_MODES = ("offset", "trajectory")
 
 
@@ -217,7 +221,12 @@ def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResu
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A one-axis parameter sweep: values, trial count, seed, beam set."""
+    """A one-axis parameter sweep: values, trial count, seed, beam set.
+
+    ``range_override`` (radians), when set, replaces the base trial's; config
+    runs leave it None, since ``RunConfig.base_trial`` already carries
+    ``design.range_override_deg``.
+    """
 
     axis: str
     values: tuple
@@ -291,8 +300,21 @@ class SweepResult:
         return self.minima[beam].mean(axis=1)
 
 
+def _axis_label(axis: str, value: float) -> str:
+    if axis in DEGREE_AXES:
+        return f"{axis}={np.rad2deg(value):g} {DEGREE_AXES[axis]}"
+    return f"{axis}={value:g}"
+
+
 def _cell_job(args):
-    return run_trial(*args)
+    """One cell; a failure names the cell's axis value in front of the trial."""
+    label, config, master_seed, trial_id = args
+    try:
+        return run_trial(config, master_seed, trial_id)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+    except RuntimeError as exc:
+        raise RuntimeError(f"{label}: {exc}") from exc
 
 
 def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> list:
@@ -306,10 +328,10 @@ def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> lis
     base = dataclasses.replace(base, beams=tuple(sweep.beams))
     if sweep.range_override is not None:
         base = dataclasses.replace(base, range_override=sweep.range_override)
-    configs = [apply_axis(base, sweep.axis, v) for v in sweep.values]
+    cells = [(_axis_label(sweep.axis, v), apply_axis(base, sweep.axis, v)) for v in sweep.values]
     jobs = [
-        (configs[vi], sweep.master_seed, t)
-        for vi in range(len(sweep.values))
+        (label, config, sweep.master_seed, t)
+        for label, config in cells
         for t in range(sweep.trials)
     ]
     if workers is not None and workers > 1:

@@ -41,6 +41,20 @@ class TestDesignCommand:
         assert code == 2
         assert "beam kinds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["design", "pattern"])
+    def test_beams_recorded_in_manifest_and_hash(self, tmp_path, command):
+        manifests = {}
+        for beams in ("rainbow", "stepped,rainbow", None):
+            out = tmp_path / str(beams)
+            extra = [] if beams is None else ["--beams", beams]
+            assert main([command, "--out", str(out), *extra, *TINY]) == 0
+            manifests[beams] = json.loads((out / "run_manifest.json").read_text())
+        hashes = {m["config_sha256"] for m in manifests.values()}
+        assert len(hashes) == 3
+        assert "beams = rainbow\n" in manifests["rainbow"]["config"]
+        assert "beams = stepped,rainbow\n" in manifests["stepped,rainbow"]["config"]
+        assert "beams = slanted,stepped,rainbow,qpd\n" in manifests[None]["config"]
+
     def test_seed_changes_design(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -139,7 +153,16 @@ class TestSweepCommand:
         assert code == 1
         assert not (tmp_path / "sweep_offset_range.csv").exists()
         err = capsys.readouterr().err
-        assert "trial 0: beam slanted, eval index 2: angle of departure" in err
+        assert "offset_range=20 deg: trial 0: beam slanted, eval index 2: angle of departure" in err
+
+    def test_angle_error_names_axis_value_from_worker_pool(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1", "--workers", "2",
+                     "--set", "mobility.aod_max_deg=80", "--set", "sweep.values=0,20",
+                     "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8",
+                     "--set", "sweep.trials=4", "--set", "sweep.offset_count=3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "offset_range=20 deg: trial 0: beam slanted, eval index 2: angle of departure" in err
 
     def test_bad_set_key(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path), "--seed", "0",

@@ -6,6 +6,8 @@ from slantbeam.jpta import (
     SolverOptions,
     SolverReport,
     TargetProfile,
+    _delay_sums,
+    _refine_delays,
     jpta_objective,
     jpta_solve,
     line_fit_delays,
@@ -94,6 +96,46 @@ class TestLineFitInit:
         profile = TargetProfile(np.full(64, np.deg2rad(-35.0)), CFG64)
         delays = line_fit_delays(profile, 1e-12)
         assert delays.min() == 0.0 and delays.max() <= 1e-12
+
+
+def refinement_case(num_subcarriers: int, seed: int):
+    """Random per-element coefficients c (8, K), the baseband grid fb, the
+    default delay grid and each element's coarse-grid maximum."""
+    cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
+    fb = cfg.subcarrier_centers() - cfg.carrier_freq
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(8, num_subcarriers)) + 1j * rng.normal(size=(8, num_subcarriers))
+    grid = np.linspace(0.0, cfg.default_tau_max(), 256)
+    mag = np.abs(np.exp(2j * np.pi * np.outer(grid, fb)) @ c.T)
+    return c, fb, grid, np.argmax(mag, axis=0)
+
+
+def abs_sum(c_row, fb, tau):
+    """|S(tau)| = |sum_k c_k exp(j 2 pi tau f_k)| at each tau, summed directly."""
+    return np.abs(np.exp(2j * np.pi * np.outer(tau, fb)) @ c_row)
+
+
+@pytest.mark.parametrize("num_subcarriers", [64, 240])
+@pytest.mark.parametrize("seed", [0, 1, 20])  # 20: an element whose grid maximum is at tau = 0
+class TestDelayRefinement:
+    def test_matches_dense_scan_of_bracket(self, num_subcarriers, seed):
+        c, fb, grid, best = refinement_case(num_subcarriers, seed)
+        cand, g_cand = _refine_delays(c, fb, grid, best)
+        cell = grid[1] - grid[0]
+        for n in range(c.shape[0]):
+            lo = max(grid[best[n]] - cell, 0.0)
+            hi = min(grid[best[n]] + cell, grid[-1])
+            dense = np.linspace(lo, hi, 10_001)
+            scan = abs_sum(c[n], fb, dense)
+            assert abs(cand[n] - dense[np.argmax(scan)]) <= dense[1] - dense[0]
+            assert g_cand[n] >= scan.max() * (1 - 1e-12)
+            assert g_cand[n] == pytest.approx(abs_sum(c[n], fb, cand[n:n + 1])[0], rel=1e-12)
+
+    def test_never_worse_than_grid_point(self, num_subcarriers, seed):
+        c, fb, grid, best = refinement_case(num_subcarriers, seed)
+        _, g_cand = _refine_delays(c, fb, grid, best)
+        g_grid = np.abs(_delay_sums(c, fb, grid[best])[:, 0])
+        assert np.all(g_cand >= g_grid)
 
 
 class TestSolver:
