@@ -8,8 +8,15 @@ Conventions used throughout the package:
 * the steering phase grows proportionally with the absolute subcarrier
   frequency, so wideband squint is part of the model rather than an
   afterthought.
+
+Phasors over an evenly spaced axis (antenna index, subcarrier index) come from
+``_phasor_ramp``, which factors exp(j(x0 + dx*m)) so that an (R, M) matrix
+costs about 2*sqrt(M) complex exponentials per row plus one complex product
+per entry, instead of M exponentials per row.  Arbitrary frequency arrays
+(``awv_matrix``) and the scalar forms keep plain ``np.exp``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +93,23 @@ class ArrayConfig:
         return self.num_antennas / self.bandwidth
 
 
+def _phasor_ramp(start, step, m: int) -> np.ndarray:
+    """exp(j(start_r + step_r * i)) for i = 0..m-1, shape (R, m).
+
+    ``start`` and ``step`` are scalars or length-R vectors (broadcast against
+    each other).  Writing i = a*B + b with B = ceil(sqrt(m)) takes one
+    exponential per (r, a) and one per (r, b); each entry is their product.
+    The padded tail past m is sliced off, so any m >= 1 works.
+    """
+    start, step = np.reshape(start, (-1, 1)), np.reshape(step, (-1, 1))
+    fine_len = math.isqrt(m - 1) + 1
+    coarse_len = -(-m // fine_len)
+    coarse = np.exp(1j * (start + step * (fine_len * np.arange(coarse_len))))  # (R, A)
+    fine = np.exp(1j * step * np.arange(fine_len))  # (R, B)
+    out = coarse[:, :, None] * fine[:, None, :]
+    return out.reshape(out.shape[0], -1)[:, :m]
+
+
 def _check_angle(theta) -> np.ndarray:
     """Angles of departure (scalar or array) as floats inside [-pi/2, pi/2]."""
     theta = np.asarray(theta, dtype=float)
@@ -133,12 +157,20 @@ def array_response(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
 
 def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Steering vectors across frequencies, shape (F, N), toward one angle or
-    toward one angle per frequency (``theta`` of shape (F,))."""
+    toward one angle per frequency (``theta`` of shape (F,)).
+
+    Row k is exp(j*n*phase_k) over the antenna index n, built by
+    ``_phasor_ramp`` with step phase_k = 2*pi*spacing*sin(theta_k)*f_k/f_c.
+    """
     theta = _check_angle(theta)
     freqs = np.asarray(freqs, dtype=float)
-    n = np.arange(cfg.num_antennas)
+    if theta.size not in (1, freqs.size):
+        raise ValueError(
+            f"got {theta.size} angles for {freqs.size} frequencies; "
+            f"pass one angle or one per frequency"
+        )
     phase = TWO_PI * cfg.spacing * np.sin(theta) / cfg.carrier_freq
-    return np.exp(1j * np.reshape(phase, (-1, 1)) * np.outer(freqs, n))
+    return _phasor_ramp(0.0, np.reshape(phase, -1) * np.reshape(freqs, -1), cfg.num_antennas)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,27 @@ taken only where the second derivative is negative, is clamped to one grid
 cell either side of the grid maximum (within [0, tau_max]), and the best point
 seen, the grid maximum included, is kept.  Each full iteration cannot decrease
 the objective, which the returned trace records.
+
+The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
+scan, delay sums, phase step, inner products) is a row-wise phasor ramp with
+start 2 pi tau f_0 and step 2 pi tau df, built by ``arrays._phasor_ramp`` from
+about 2*sqrt(K) exponentials per row instead of K.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import TWO_PI, AnalogWeights, ArrayConfig, awv_matrix, wrap_phase
+from .arrays import (
+    TWO_PI,
+    AnalogWeights,
+    ArrayConfig,
+    _phasor_ramp,
+    awv_matrix,
+    response_matrix,
+    wrap_phase,
+)
 
 # Newton steps per element and iteration. The default grid samples the
 # 1/bandwidth lobe of |S| about 8 times, so the grid maximum starts within one
@@ -112,23 +126,12 @@ class SolverReport:
         return self.objective_trace.size - 1
 
 
-def _target_steering(profile: TargetProfile) -> np.ndarray:
-    """Unnormalized target steering matrix U0[k, n] = exp(j*ang_kn)."""
-    cfg = profile.cfg
-    freqs = cfg.subcarrier_centers()
-    n = np.arange(cfg.num_antennas)
-    ang = TWO_PI * cfg.spacing / cfg.carrier_freq * np.outer(
-        freqs * np.sin(profile.directions), n
-    )
-    return np.exp(1j * ang)
-
-
 def jpta_objective(weights: AnalogWeights, profile: TargetProfile) -> float:
     """sum_k |v_k^H u_k| with unit-norm realized and target vectors."""
     cfg = profile.cfg
     freqs = cfg.subcarrier_centers()
     v = awv_matrix(weights, freqs, cfg)
-    u = _target_steering(profile) / np.sqrt(cfg.num_antennas)
+    u = response_matrix(profile.directions, freqs, cfg) / np.sqrt(cfg.num_antennas)
     return float(np.sum(np.abs(np.sum(np.conj(v) * u, axis=1))))
 
 
@@ -154,18 +157,33 @@ def line_fit_delays(profile: TargetProfile, tau_max: float) -> np.ndarray:
     return np.clip(raw, 0.0, tau_max)
 
 
-def _delay_sums(c_t: np.ndarray, fb: np.ndarray, tau: np.ndarray) -> np.ndarray:
+class _Baseband(NamedTuple):
+    """Baseband subcarrier axis fb_k = start + k*step (Hz), k = 0..K-1, with
+    the (K, 3) derivative weights [1, j2πfb, (j2πfb)²] of a delay sum."""
+
+    start: float
+    step: float
+    weights: np.ndarray
+
+
+def _baseband(cfg: ArrayConfig) -> _Baseband:
+    fb = cfg.subcarrier_centers() - cfg.carrier_freq
+    jw = 1j * TWO_PI * fb
+    weights = np.stack([np.ones_like(jw), jw, jw * jw], axis=1)
+    return _Baseband(fb[0], cfg.subcarrier_spacing, weights)
+
+
+def _delay_sums(c_t: np.ndarray, band: _Baseband, tau: np.ndarray) -> np.ndarray:
     """S, S' and S'' of every element's delay sum, as the columns of an (N, 3) array.
 
-    S_n(tau) = sum_k c_t[n, k] exp(j 2 pi tau_n fb_k): one (N, K) exponential
-    and one product with the (K, 3) weights [1, j2πf, (j2πf)²].
+    S_n(tau) = sum_k c_t[n, k] exp(j 2 pi tau_n fb_k): one (N, K) phasor ramp
+    and one product with the band's (K, 3) derivative weights.
     """
-    jw = 1j * TWO_PI * fb
-    rot = np.exp(tau[:, None] * jw[None, :])
-    return (rot * c_t) @ np.stack([np.ones_like(jw), jw, jw * jw], axis=1)
+    rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
+    return (rot * c_t) @ band.weights
 
 
-def _refine_delays(c_t: np.ndarray, fb: np.ndarray, grid: np.ndarray, best: np.ndarray):
+def _refine_delays(c_t: np.ndarray, band: _Baseband, grid: np.ndarray, best: np.ndarray):
     """Refine each element's grid maximum of |S(tau)| by safeguarded Newton ascent.
 
     Steps by -g'/g'' on g = |S|^2 only where g'' < 0, clamped to one grid cell
@@ -180,7 +198,7 @@ def _refine_delays(c_t: np.ndarray, fb: np.ndarray, grid: np.ndarray, best: np.n
     cand = tau
     g_cand = np.full(tau.shape, -np.inf)
     for step in range(NEWTON_STEPS + 1):
-        s0, s1, s2 = _delay_sums(c_t, fb, tau).T
+        s0, s1, s2 = _delay_sums(c_t, band, tau).T
         g = np.abs(s0)
         better = g > g_cand
         cand = np.where(better, tau, cand)
@@ -215,18 +233,22 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     tol, tau_max = opts.resolved(cfg)
 
     freqs = cfg.subcarrier_centers()
-    fb = freqs - cfg.carrier_freq
-    u0 = _target_steering(profile)  # (K, N)
+    num_k = cfg.num_subcarriers
+    band = _baseband(cfg)
+    u0 = response_matrix(profile.directions, freqs, cfg).T  # (N, K)
 
     phases = np.zeros(cfg.num_antennas)
     delays = line_fit_delays(profile, tau_max)
 
     grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
-    e_grid = np.exp(1j * TWO_PI * np.outer(grid, fb))  # (G, K)
+    e_grid = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k)  # (G, K)
+
+    def full_band_ramp(ta, ph=0.0):
+        """exp(j(2 pi ta_n f_k - ph_n)) at the full subcarrier frequencies, (N, K)."""
+        return _phasor_ramp(TWO_PI * ta * freqs[0] - ph, TWO_PI * ta * band.step, num_k)
 
     def inner_products(ph, ta):
-        rot = np.exp(1j * (TWO_PI * np.outer(freqs, ta) - ph[None, :]))
-        return np.mean(u0 * rot, axis=1)
+        return np.mean(u0 * full_band_ramp(ta, ph), axis=0)
 
     ip = inner_products(phases, delays)
     trace = [float(np.sum(np.abs(ip)))]
@@ -234,19 +256,17 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
 
     for _ in range(opts.max_iters):
         psi = -np.angle(ip)
-        c_mat = np.exp(1j * psi)[:, None] * u0  # (K, N)
-        c_t = c_mat.T  # (N, K) view for per-element sums
+        c_t = u0 * np.exp(1j * psi)  # (N, K) coefficients of the per-element sums
 
         # coarse grid: first index wins ties, i.e. the smallest delay
-        mag = np.abs(e_grid @ c_mat)  # (G, N)
-        cand, g_cand = _refine_delays(c_t, fb, grid, np.argmax(mag, axis=0))
-        g_cur = np.abs(_delay_sums(c_t, fb, delays)[:, 0])
+        mag = np.abs(e_grid @ c_t.T)  # (G, N)
+        cand, g_cand = _refine_delays(c_t, band, grid, np.argmax(mag, axis=0))
+        g_cur = np.abs(_delay_sums(c_t, band, delays)[:, 0])
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))
         delays = np.where(take, cand, delays)
 
         # aligned per-element sums at the full (not baseband) frequencies
-        rot = np.exp(1j * TWO_PI * np.outer(delays, freqs))
-        phases = wrap_phase(np.angle(np.sum(rot * c_t, axis=1)))
+        phases = wrap_phase(np.angle(np.sum(full_band_ramp(delays) * c_t, axis=1)))
 
         ip = inner_products(phases, delays)
         trace.append(float(np.sum(np.abs(ip))))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slantbeam.arrays import (
     AnalogWeights,
     ArrayConfig,
+    _phasor_ramp,
     array_response,
     awv,
     awv_matrix,
@@ -112,6 +113,48 @@ class TestArrayResponse:
             response_matrix(np.array([0.1, bad, 0.2, 0.3]), freqs, TABLE_CFG)
         with pytest.raises(ValueError, match=r"angle of departure .* outside \[-pi/2, pi/2\]"):
             array_response(bad, 60e9, TABLE_CFG)
+
+
+class TestPhasorRamp:
+    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 241, 1200])
+    def test_matches_direct_exponential(self, m):
+        # starts as large as the solver's full-frequency phase step (2 pi tau f_0
+        # is about 6e3 rad at tau = 16 ns); every argument stays below 2**13, where
+        # the rounding of both arguments bounds the difference by about 9.6e-13
+        rng = np.random.default_rng(m)
+        start = rng.uniform(5.5e3, 6.5e3, 9)
+        step = rng.uniform(-0.5, 0.5, 9)
+        ramp = _phasor_ramp(start, step, m)
+        direct = np.exp(1j * (start[:, None] + step[:, None] * np.arange(m)))
+        assert ramp.shape == (9, m)
+        assert np.max(np.abs(ramp - direct)) <= 1e-12
+
+
+class TestResponseMatrix:
+    @pytest.mark.parametrize("num_antennas", [1, 7, 32])
+    def test_matches_direct_formula(self, num_antennas):
+        cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, 48)
+        freqs = cfg.subcarrier_centers()
+        thetas = np.linspace(-1.5, 1.5, freqs.size)
+        n = np.arange(num_antennas)
+        direct = np.exp(1j * 2 * np.pi * 0.5 * np.outer(np.sin(thetas) * freqs / 60e9, n))
+        np.testing.assert_allclose(response_matrix(thetas, freqs, cfg), direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            response_matrix(0.4, freqs, cfg),
+            np.exp(1j * 2 * np.pi * 0.5 * np.sin(0.4) * np.outer(freqs / 60e9, n)),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("num_angles, num_freqs", [(5, 1), (3, 8)])
+    def test_angle_count_must_be_one_or_one_per_frequency(self, num_angles, num_freqs):
+        freqs = TABLE_CFG.subcarrier_centers()[:num_freqs]
+        thetas = np.linspace(-0.3, 0.3, num_angles)
+        message = rf"{num_angles} angles for {num_freqs} frequencies"
+        with pytest.raises(ValueError, match=message):
+            response_matrix(thetas, freqs, TABLE_CFG)
+        with pytest.raises(ValueError, match=message):
+            gain_profile(thetas, freqs, np.ones((num_freqs, 32)) / np.sqrt(32), TABLE_CFG)
 
 
 class TestAnalogWeights:

@@ -6,6 +6,7 @@ from slantbeam.jpta import (
     SolverOptions,
     SolverReport,
     TargetProfile,
+    _baseband,
     _delay_sums,
     _refine_delays,
     jpta_objective,
@@ -99,15 +100,16 @@ class TestLineFitInit:
 
 
 def refinement_case(num_subcarriers: int, seed: int):
-    """Random per-element coefficients c (8, K), the baseband grid fb, the
-    default delay grid and each element's coarse-grid maximum."""
+    """Random per-element coefficients c (8, K), the baseband grid fb and the
+    solver's axis for it, the default delay grid and each element's coarse-grid
+    maximum."""
     cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
     fb = cfg.subcarrier_centers() - cfg.carrier_freq
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(8, num_subcarriers)) + 1j * rng.normal(size=(8, num_subcarriers))
     grid = np.linspace(0.0, cfg.default_tau_max(), 256)
     mag = np.abs(np.exp(2j * np.pi * np.outer(grid, fb)) @ c.T)
-    return c, fb, grid, np.argmax(mag, axis=0)
+    return c, fb, _baseband(cfg), grid, np.argmax(mag, axis=0)
 
 
 def abs_sum(c_row, fb, tau):
@@ -119,8 +121,8 @@ def abs_sum(c_row, fb, tau):
 @pytest.mark.parametrize("seed", [0, 1, 20])  # 20: an element whose grid maximum is at tau = 0
 class TestDelayRefinement:
     def test_matches_dense_scan_of_bracket(self, num_subcarriers, seed):
-        c, fb, grid, best = refinement_case(num_subcarriers, seed)
-        cand, g_cand = _refine_delays(c, fb, grid, best)
+        c, fb, band, grid, best = refinement_case(num_subcarriers, seed)
+        cand, g_cand = _refine_delays(c, band, grid, best)
         cell = grid[1] - grid[0]
         for n in range(c.shape[0]):
             lo = max(grid[best[n]] - cell, 0.0)
@@ -132,10 +134,23 @@ class TestDelayRefinement:
             assert g_cand[n] == pytest.approx(abs_sum(c[n], fb, cand[n:n + 1])[0], rel=1e-12)
 
     def test_never_worse_than_grid_point(self, num_subcarriers, seed):
-        c, fb, grid, best = refinement_case(num_subcarriers, seed)
-        _, g_cand = _refine_delays(c, fb, grid, best)
-        g_grid = np.abs(_delay_sums(c, fb, grid[best])[:, 0])
+        c, fb, band, grid, best = refinement_case(num_subcarriers, seed)
+        _, g_cand = _refine_delays(c, band, grid, best)
+        g_grid = np.abs(_delay_sums(c, band, grid[best])[:, 0])
         assert np.all(g_cand >= g_grid)
+
+
+def test_delay_sums_match_direct_sums_with_ragged_tail():
+    # K = 241 is not a multiple of ceil(sqrt(241)) = 16, so the phasor ramp
+    # behind the delay sums pads its last block and slices it off
+    c, fb, band, grid, _ = refinement_case(241, 4)
+    tau = np.random.default_rng(5).uniform(0.0, grid[-1], c.shape[0])
+    sums = _delay_sums(c, band, tau)
+    jw = 2j * np.pi * fb
+    for n in range(c.shape[0]):
+        terms = c[n] * np.exp(jw * tau[n])
+        assert abs(sums[n, 0]) == pytest.approx(abs_sum(c[n], fb, tau[n:n + 1])[0], rel=1e-12)
+        np.testing.assert_allclose(sums[n], [terms.sum(), terms @ jw, terms @ jw**2], rtol=1e-11)
 
 
 class TestSolver:
