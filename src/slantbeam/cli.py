@@ -29,19 +29,26 @@ from .montecarlo import (
 )
 
 
-def _artifact_open(path: str, seed: int, cfg_hash: str):
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    fh.write(f"# seed={seed} config=sha256:{cfg_hash}\n")
-    return fh
+def _write_csv(path, seed, cfg_hash, header, chunks):
+    """Write a CSV artifact: the ``# seed=… config=sha256:…`` line, the header,
+    then ``chunks``, each a string of whole rows already formatted."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# seed={seed} config=sha256:{cfg_hash}\n{header}\n")
+        fh.writelines(chunks)
 
 
 def write_heatmap_csv(path, seed, cfg_hash, thetas_deg, freqs, gains):
-    """Angle-major gain map rows: theta_deg,f_hz,gain."""
-    with _artifact_open(path, seed, cfg_hash) as fh:
-        fh.write("theta_deg,f_hz,gain\n")
-        for ti, theta in enumerate(thetas_deg):
-            for ki, f in enumerate(freqs):
-                fh.write(f"{repr(float(theta))},{repr(float(f))},{repr(float(gains[ti, ki]))}\n")
+    """Angle-major gain map rows: theta_deg,f_hz,gain. f is formatted once per
+    file, theta once per angle, and gains become Python floats one row at a time."""
+    f_cols = [f",{f!r}," for f in np.asarray(freqs, dtype=float).tolist()]
+
+    def rows():
+        thetas = np.asarray(thetas_deg, dtype=float).tolist()
+        for theta, row in zip(thetas, np.asarray(gains, dtype=float), strict=True):
+            t = repr(theta)
+            yield "".join([f"{t}{fc}{g!r}\n" for fc, g in zip(f_cols, row.tolist(), strict=True)])
+
+    _write_csv(path, seed, cfg_hash, "theta_deg,f_hz,gain", rows())
 
 
 def write_design_json(path, design, seed, cfg_hash):
@@ -55,50 +62,43 @@ def write_design_json(path, design, seed, cfg_hash):
 
 def write_capacity_csv(path, seed, cfg_hash, results, beams):
     """Per-evaluation-point capacities: trial,beam,user,eval_index,capacity_bps."""
-    with _artifact_open(path, seed, cfg_hash) as fh:
-        fh.write("trial,beam,user,eval_index,capacity_bps\n")
+    def rows():
         for res in results:
             for beam in beams:
-                caps = res.records[beam].capacities
-                for p in range(caps.shape[0]):
-                    for u in range(caps.shape[1]):
-                        fh.write(f"{res.trial_id},{beam},{u},{p},{repr(float(caps[p, u]))}\n")
+                head = f"{res.trial_id},{beam},"
+                caps = res.records[beam].capacities.tolist()
+                yield "".join([f"{head}{u},{p},{c!r}\n"
+                               for p, row in enumerate(caps) for u, c in enumerate(row)])
+
+    _write_csv(path, seed, cfg_hash, "trial,beam,user,eval_index,capacity_bps", rows())
 
 
 def write_capacity_summary_csv(path, seed, cfg_hash, results, beams):
     """Per-trial minima: trial,beam,min_capacity_bps."""
-    with _artifact_open(path, seed, cfg_hash) as fh:
-        fh.write("trial,beam,min_capacity_bps\n")
-        for res in results:
-            for beam in beams:
-                fh.write(f"{res.trial_id},{beam},{repr(res.min_capacity(beam))}\n")
+    rows = (f"{res.trial_id},{beam},{res.min_capacity(beam)!r}\n"
+            for res in results for beam in beams)
+    _write_csv(path, seed, cfg_hash, "trial,beam,min_capacity_bps", rows)
 
 
 def write_sweep_csv(path, seed, cfg_hash, result, display_values):
     """Aggregated statistics: axis,axis_value,beam,statistic,value_bps."""
-    with _artifact_open(path, seed, cfg_hash) as fh:
-        fh.write("axis,axis_value,beam,statistic,value_bps\n")
-        mins = {b: result.min_over_trials(b) for b in result.beams}
-        means = {b: result.mean_of_minima(b) for b in result.beams}
-        for vi, dv in enumerate(display_values):
-            for beam in result.beams:
-                fh.write(
-                    f"{result.axis},{repr(float(dv))},{beam},min,{repr(float(mins[beam][vi]))}\n"
-                )
-                fh.write(
-                    f"{result.axis},{repr(float(dv))},{beam},mean_min,"
-                    f"{repr(float(means[beam][vi]))}\n"
-                )
+    mins = {b: result.min_over_trials(b).tolist() for b in result.beams}
+    means = {b: result.mean_of_minima(b).tolist() for b in result.beams}
+    heads = [f"{result.axis},{dv!r}," for dv in np.asarray(display_values, dtype=float).tolist()]
+    rows = (f"{head}{beam},min,{mins[beam][vi]!r}\n{head}{beam},mean_min,{means[beam][vi]!r}\n"
+            for vi, head in enumerate(heads) for beam in result.beams)
+    _write_csv(path, seed, cfg_hash, "axis,axis_value,beam,statistic,value_bps", rows)
 
 
 def write_cdf_csv(path, seed, cfg_hash, series_list, display_of):
     """Empirical CDF points: beam,axis_value,capacity_bps,cum_prob."""
-    with _artifact_open(path, seed, cfg_hash) as fh:
-        fh.write("beam,axis_value,capacity_bps,cum_prob\n")
-        for series in series_list:
-            dv = display_of[series.axis_value]
-            for x, pr in zip(series.values, series.probabilities):
-                fh.write(f"{series.beam},{repr(float(dv))},{repr(float(x))},{repr(float(pr))}\n")
+    def rows():
+        for s in series_list:
+            head = f"{s.beam},{float(display_of[s.axis_value])!r},"
+            pairs = zip(s.values.tolist(), s.probabilities.tolist())
+            yield "".join([f"{head}{x!r},{pr!r}\n" for x, pr in pairs])
+
+    _write_csv(path, seed, cfg_hash, "beam,axis_value,capacity_bps,cum_prob", rows())
 
 
 def write_manifest(path, command, seed, cfg: RunConfig, artifacts):
@@ -141,21 +141,20 @@ def _load_config(args) -> RunConfig:
     return parse_config(path=args.config, overrides=sets, desk=not args.full)
 
 
-def _analog_designs(cfg: RunConfig, beams, seed):
-    """Trial 0's analog designs under the current configuration."""
-    base = cfg.base_trial(beams=beams)
-    result = run_trial(base, seed, 0)
-    return base, result
+def _analog_designs(args):
+    """The config, the seed (default 0), the base trial and trial 0's result
+    for the analog beams of a design/pattern run."""
+    cfg = _load_config(args)
+    seed = args.seed if args.seed is not None else 0
+    base = cfg.base_trial(beams=cfg.get("sweep", "beams"))
+    return cfg, seed, base, run_trial(base, seed, 0)
 
 
 def cmd_design(args) -> int:
-    cfg = _load_config(args)
-    beams = cfg.get("sweep", "beams")
-    seed = args.seed if args.seed is not None else 0
-    _, result = _analog_designs(cfg, beams, seed)
+    cfg, seed, base, result = _analog_designs(args)
     h = config_hash(cfg)
     artifacts = []
-    for kind in beams:
+    for kind in base.beams:
         path = os.path.join(args.out, f"design_{kind}.json")
         write_design_json(path, result.designs[kind], seed, h)
         artifacts.append(os.path.basename(path))
@@ -165,17 +164,14 @@ def cmd_design(args) -> int:
 
 
 def cmd_pattern(args) -> int:
-    cfg = _load_config(args)
-    beams = cfg.get("sweep", "beams")
-    seed = args.seed if args.seed is not None else 0
-    base, result = _analog_designs(cfg, beams, seed)
+    cfg, seed, base, result = _analog_designs(args)
     arr = base.array
     thetas_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     grid = np.deg2rad(thetas_deg)
     freqs = arr.subcarrier_centers()
     h = config_hash(cfg)
     artifacts = []
-    for kind in beams:
+    for kind in base.beams:
         gains = pattern_heatmap(result.designs[kind].weights, grid, arr)
         path = os.path.join(args.out, f"pattern_{kind}.csv")
         write_heatmap_csv(path, seed, h, thetas_deg, freqs, gains)
@@ -210,10 +206,9 @@ def cmd_cdf(args) -> int:
     series = capacity_cdf(result)
     display_of = dict(zip(result.values, cfg.get("sweep", "values")))
     h = config_hash(cfg)
-    artifacts = []
     path = os.path.join(args.out, f"cdf_{sweep.axis}.csv")
     write_cdf_csv(path, args.seed, h, series, display_of)
-    artifacts.append(os.path.basename(path))
+    artifacts = [os.path.basename(path)]
     print(f"wrote {path}")
     for vi in range(len(result.values)):
         detail = os.path.join(args.out, f"capacity_detail_{vi}.csv")

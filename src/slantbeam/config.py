@@ -266,6 +266,8 @@ def _validate(values: dict):
     _check(len(s["beams"]) >= 1, "sweep", "beams", "must list at least one beam")
     bad = [b for b in s["beams"] if b not in BEAM_KINDS]
     _check(not bad, "sweep", "beams", f"unknown beam kinds {bad}; valid: {BEAM_KINDS}")
+    dup = sorted({b for b in s["beams"] if s["beams"].count(b) > 1})
+    _check(not dup, "sweep", "beams", f"duplicate beam kinds {dup}")
 
 
 def parse_config(path: str = None, overrides=None, desk: bool = False, text: str = None) -> RunConfig:

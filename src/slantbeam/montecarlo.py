@@ -98,6 +98,9 @@ class TrialConfig:
         unknown = [b for b in self.beams if b not in BEAM_KINDS]
         if unknown:
             raise ValueError(f"unknown beam kinds {unknown}; valid: {BEAM_KINDS}")
+        dup = sorted({b for b in self.beams if self.beams.count(b) > 1})
+        if dup:
+            raise ValueError(f"duplicate beam kinds {dup}")
         if not 0.0 < self.coverage_p < 1.0:
             raise ValueError("coverage_p must lie in (0, 1)")
         if self.array.num_subcarriers % self.scenario.num_users != 0:

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from slantbeam.cli import main
+from slantbeam.cli import (
+    main,
+    write_capacity_csv,
+    write_capacity_summary_csv,
+    write_cdf_csv,
+    write_heatmap_csv,
+    write_sweep_csv,
+)
+from slantbeam.link import CapacityRecord
+from slantbeam.montecarlo import CdfSeries, SweepResult, TrialResult
 
 TINY = [
     "--set", "array.num_subcarriers=48",
@@ -54,6 +63,16 @@ class TestDesignCommand:
         assert "beams = rainbow\n" in manifests["rainbow"]["config"]
         assert "beams = stepped,rainbow\n" in manifests["stepped,rainbow"]["config"]
         assert "beams = slanted,stepped,rainbow,qpd\n" in manifests[None]["config"]
+
+    @pytest.mark.parametrize("command", ["design", "pattern", "sweep"])
+    def test_duplicate_beam_kinds_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        values = ["--values", "0"] if command == "sweep" else []
+        code = main([command, "--out", str(out), "--seed", "1", "--beams", "rainbow,rainbow",
+                     *values, *TINY])
+        assert code == 2
+        assert "[sweep] beams: duplicate beam kinds ['rainbow']" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_seed_changes_design(self, tmp_path):
         out_a = tmp_path / "a"
@@ -237,3 +256,116 @@ class TestParity:
         code = main(["design", "--out", str(tmp_path), "--config", "/nonexistent.ini"])
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+# The writers' byte formats before they were batched, kept as oracles: every
+# float is ``repr(float(x))``, one row at a time.
+def _head(seed, h, header):
+    return f"# seed={seed} config=sha256:{h}\n{header}\n"
+
+
+def heatmap_oracle(seed, h, thetas_deg, freqs, gains):
+    out = [_head(seed, h, "theta_deg,f_hz,gain")]
+    for ti, theta in enumerate(thetas_deg):
+        for ki, f in enumerate(freqs):
+            out.append(f"{repr(float(theta))},{repr(float(f))},{repr(float(gains[ti, ki]))}\n")
+    return "".join(out)
+
+
+def capacity_oracle(seed, h, results, beams):
+    out = [_head(seed, h, "trial,beam,user,eval_index,capacity_bps")]
+    for res in results:
+        for beam in beams:
+            caps = res.records[beam].capacities
+            for p in range(caps.shape[0]):
+                for u in range(caps.shape[1]):
+                    out.append(f"{res.trial_id},{beam},{u},{p},{repr(float(caps[p, u]))}\n")
+    return "".join(out)
+
+
+def capacity_summary_oracle(seed, h, results, beams):
+    out = [_head(seed, h, "trial,beam,min_capacity_bps")]
+    for res in results:
+        for beam in beams:
+            out.append(f"{res.trial_id},{beam},{repr(res.min_capacity(beam))}\n")
+    return "".join(out)
+
+
+def sweep_oracle(seed, h, result, display_values):
+    out = [_head(seed, h, "axis,axis_value,beam,statistic,value_bps")]
+    mins = {b: result.min_over_trials(b) for b in result.beams}
+    means = {b: result.mean_of_minima(b) for b in result.beams}
+    for vi, dv in enumerate(display_values):
+        for beam in result.beams:
+            out.append(f"{result.axis},{repr(float(dv))},{beam},min,{repr(float(mins[beam][vi]))}\n")
+            out.append(f"{result.axis},{repr(float(dv))},{beam},mean_min,"
+                       f"{repr(float(means[beam][vi]))}\n")
+    return "".join(out)
+
+
+def cdf_oracle(seed, h, series_list, display_of):
+    out = [_head(seed, h, "beam,axis_value,capacity_bps,cum_prob")]
+    for series in series_list:
+        dv = display_of[series.axis_value]
+        for x, pr in zip(series.values, series.probabilities):
+            out.append(f"{series.beam},{repr(float(dv))},{repr(float(x))},{repr(float(pr))}\n")
+    return "".join(out)
+
+
+# Floats whose shortest round-trip text differs from str() of a float32, from
+# %g, from np.savetxt's %.18e and from any fixed number of digits.
+AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e22, 60e9, 1 / 3, 2.5e-7, 123456789.125]
+
+
+def _trial(trial_id, caps_by_beam):
+    records = {b: CapacityRecord(np.array(c), kind=b) for b, c in caps_by_beam.items()}
+    return TrialResult(trial_id, np.arange(2), (), np.zeros((2, 2)), records)
+
+
+def _heatmap_case(thetas, freqs, gains, dtype=float):
+    return (write_heatmap_csv, heatmap_oracle,
+            (np.array(thetas), np.array(freqs), np.array(gains, dtype=dtype)))
+
+
+RESULTS = [
+    _trial(0, {"stepped": [AWKWARD[:2], AWKWARD[2:4], AWKWARD[4:6]],
+               "rainbow": [AWKWARD[6:], AWKWARD[1:3], AWKWARD[3:5]]}),
+    _trial(11, {"stepped": [[60e9, 0.1 + 0.2]] * 3, "rainbow": [[1e22, 5e-324]] * 3}),
+]
+WRITER_CASES = {
+    "heatmap": _heatmap_case([-90.0, -0.0, 0.1 + 0.2], [60e9, 59.5e9, 60e9 + 1 / 3],
+                             np.reshape(AWKWARD + [7.0], (3, 3))),
+    "heatmap_float32_gains": _heatmap_case([-0.5, 0.5], [60e9, 60.1e9],
+                                           [[0.1, 1 / 3], [31.9, 2.5e-7]], np.float32),
+    "heatmap_one_row": _heatmap_case([0.1 + 0.2], AWKWARD, [AWKWARD]),
+    "heatmap_one_column": _heatmap_case(AWKWARD, [60e9], [[a] for a in AWKWARD]),
+    "capacity": (write_capacity_csv, capacity_oracle, (RESULTS, ("stepped", "rainbow"))),
+    "capacity_summary": (write_capacity_summary_csv, capacity_summary_oracle,
+                         (RESULTS, ("rainbow", "stepped"))),
+    "sweep": (write_sweep_csv, sweep_oracle, (
+        SweepResult("offset_range", (0.0, 0.1), ("stepped", "rainbow"), 4, 0, {
+            "stepped": np.reshape(AWKWARD, (2, 4)),
+            "rainbow": np.array([[0.1, 1 / 3, 31.9, 2.5e-7]] * 2, dtype=np.float32),
+        }),
+        (-0.0, 0.1 + 0.2),
+    )),
+    "cdf": (write_cdf_csv, cdf_oracle, (
+        [CdfSeries("stepped", 0.0, [5e-324, 0.1 + 0.2, 1e22], [1 / 3, 2 / 3, 1.0]),
+         CdfSeries("rainbow", 0.5, [60e9], [1.0])],
+        {0.0: -0.0, 0.5: 60e9},
+    )),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_bytes_match_per_row_oracle(self, tmp_path, case):
+        writer, oracle, args = WRITER_CASES[case]
+        path = tmp_path / "out.csv"
+        writer(str(path), 9, "ab12", *args)
+        assert path.read_bytes() == oracle(9, "ab12", *args).encode("utf-8")
+
+    def test_heatmap_shape_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_heatmap_csv(str(tmp_path / "out.csv"), 0, "ab12", np.zeros(2), np.zeros(3),
+                              np.zeros((2, 2)))

@@ -129,6 +129,12 @@ class TestRunTrial:
     def test_validation(self):
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, beams=("warp",))
+        with pytest.raises(ValueError, match=r"duplicate beam kinds \['rainbow'\]"):
+            dataclasses.replace(SMALL, beams=("rainbow", "stepped", "rainbow"))
+        sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=1,
+                            beams=("rainbow", "rainbow"))
+        with pytest.raises(ValueError, match="duplicate beam kinds"):
+            run_sweep(sweep, SMALL)
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, scenario=ScenarioConfig(num_users=5))
         with pytest.raises(ValueError):
