@@ -248,7 +248,11 @@ def gain_profile(theta, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig)
     ``theta`` one angle or one angle per frequency; this is the workhorse
     used by pattern and capacity evaluation.
     """
-    a = response_matrix(theta, freqs, cfg)
+    return _matched_gains(response_matrix(theta, freqs, cfg), v_rows)
+
+
+def _matched_gains(a: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+    """|sum_n conj(a_kn) * v_kn|^2 per row k, summed over the antenna axis."""
     return np.abs(np.sum(np.conj(a) * v_rows, axis=1)) ** 2
 
 

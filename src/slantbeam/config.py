@@ -89,23 +89,21 @@ def _parse_value(kind: str, raw, section: str, key: str):
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
+    if kind in ("str", "str_list"):
+        return text if kind == "str" else tuple(p.strip() for p in text.split(",") if p.strip())
+    if kind == "opt_float" and text.lower() in ("", "none"):
+        return None
     try:
-        if kind == "float":
-            return float(text)
         if kind == "int":
             return int(text, 10)
-        if kind == "opt_float":
-            if text == "" or text.lower() == "none":
-                return None
-            return float(text)
-        if kind == "float_list":
-            parts = [p.strip() for p in text.split(",") if p.strip()]
-            return tuple(float(p) for p in parts)
-        if kind == "str_list":
-            return tuple(p.strip() for p in text.split(",") if p.strip())
-        return text
+        parts = [p.strip() for p in text.split(",") if p.strip()] if kind == "float_list" else [text]
+        nums = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
+    bad = [v for v in nums if not np.isfinite(v)]
+    if bad:
+        raise ConfigError(f"[{section}] {key}: must be finite, got {bad[0]!r}")
+    return tuple(nums) if kind == "float_list" else nums[0]
 
 
 def _format_value(kind: str, value) -> str:
@@ -229,11 +227,12 @@ def _validate(values: dict):
         a["carrier_freq_ghz"] > a["bandwidth_ghz"] / 2,
         "array", "carrier_freq_ghz", "band must not cross zero frequency",
     )
-    li = values["link"]
-    _check(len(li["channel_gains"]) >= 1, "link", "channel_gains", "must be non-empty")
-    _check(min(li["channel_gains"]) > 0, "link", "channel_gains", "must be positive")
     m = values["mobility"]
     _check(m["num_users"] >= 1, "mobility", "num_users", "must be >= 1")
+    gains = values["link"]["channel_gains"]
+    _check(len(gains) in (1, m["num_users"]), "link", "channel_gains",
+           f"need one value or one per user ({m['num_users']}), got {len(gains)}")
+    _check(min(gains) > 0, "link", "channel_gains", "must be positive")
     _check(m["aod_min_deg"] < m["aod_max_deg"], "mobility", "aod_min_deg", "min must be below max")
     _check(m["min_spacing_deg"] >= 0, "mobility", "min_spacing_deg", "must be non-negative")
     _check(

@@ -6,13 +6,18 @@ scheduled on sub-band b accumulates Shannon capacity over that band only,
 each subcarrier weighted by its spacing W/K. The per-subcarrier SNR is the
 transmit SNR scaled by the user's squared channel magnitude and by the
 beamforming gain toward the user's true direction.
+
+``capacity_records`` scores all of a trial's beams in one pass over the
+evaluation points, building each point's steering matrix once for every beam;
+``min_capacity`` is its one-beam case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, db_to_linear, gain_profile
+from .arrays import ArrayConfig, _matched_gains, db_to_linear, response_matrix
+from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,7 @@ def subband_users(assignment, num_subcarriers: int, num_users: int) -> np.ndarra
     if sorted(arr.tolist()) != list(range(num_users)):
         raise ValueError(f"assignment {arr} is not a permutation of 0..{num_users - 1}")
     if num_users < 1 or num_subcarriers % num_users != 0:
-        raise ValueError(
-            f"num_subcarriers={num_subcarriers} not divisible by num_users={num_users}"
-        )
+        raise ValueError(f"num_subcarriers={num_subcarriers} not divisible by num_users={num_users}")
     return np.repeat(np.argsort(arr), num_subcarriers // num_users)
 
 
@@ -84,10 +87,9 @@ class CapacityRecord:
     kind: str = ""
 
     def __post_init__(self):
-        caps = np.asarray(self.capacities, dtype=float)
+        caps = np.array(self.capacities, dtype=float)
         if caps.ndim != 2:
             raise ValueError("capacities must be 2-D (eval points, users)")
-        caps = caps.copy()
         caps.setflags(write=False)
         object.__setattr__(self, "capacities", caps)
 
@@ -104,51 +106,50 @@ class CapacityRecord:
         return self.capacities.shape[1]
 
 
-def min_capacity(
-    policy,
-    true_aods,
-    cfg: ArrayConfig,
-    budget: LinkBudget,
-    assignment=None,
-    channel_gains=None,
-) -> CapacityRecord:
-    """Evaluate a beam policy against true directions.
+def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
+                     assignment=None, channel_gains=None) -> dict:
+    """Evaluate beam policies against true directions, kind -> CapacityRecord.
 
-    ``true_aods`` has shape (P, U): P evaluation points, U users. The policy
-    is asked for its subcarrier weight rows at each evaluation point (fixed
-    designs return the same rows every time, genie policies re-aim). Each
-    user's capacity is accumulated over the sub-band its assignment (the
-    explicit one, else the policy's, else the identity) maps it to, and the
-    record keeps the full (P, U) table. ``channel_gains`` gives the per-user
-    squared channel magnitudes (length U, or length 1 to broadcast; all ones
-    by default); ``budget`` holds the transmit SNR common to all users. A
-    failure at one evaluation point is re-raised with the beam kind and the
-    point's index in front.
+    ``policies`` maps kinds to policies and ``true_aods`` has shape (P, U): P
+    evaluation points, U users. At each point the steering matrix toward the
+    true directions is built once, and each policy's subcarrier weight rows
+    at that point (fixed designs return the same rows every time, genie
+    policies re-aim) are scored against it, in the order of ``policies``.
+    User u's capacity is accumulated over the sub-band ``assignment`` (None
+    for the identity) maps it to, with squared channel magnitude
+    ``channel_gains[u]`` (length U, or 1 to broadcast; all ones by default).
+    A failure is re-raised with the beam kind and the point's index in front;
+    a bad true direction names the first kind.
     """
-
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
     num_points, num_users = true_aods.shape
-    if assignment is None:
-        assignment = getattr(policy, "assignment", None)
     users = subband_users(assignment, cfg.num_subcarriers, num_users)
-    if channel_gains is None:
-        h2 = np.ones(num_users)
-    else:
-        h2 = np.asarray(channel_gains, dtype=float)
-        if h2.size == 1:
-            h2 = np.full(num_users, h2.item())
-        if h2.shape != (num_users,) or np.any(h2 <= 0):
-            raise ValueError("channel_gains must be positive, one per user")
-
-    kind = getattr(policy, "kind", "")
+    h2 = np.ones(num_users) if channel_gains is None else np.asarray(channel_gains, dtype=float)
+    if h2.size == 1:
+        h2 = np.full(num_users, h2.item())
+    if h2.shape != (num_users,) or np.any(h2 <= 0):
+        raise ValueError("channel_gains must be positive, one per user")
     freqs = cfg.subcarrier_centers()
-    caps = np.empty((num_points, num_users))
+    caps = {kind: np.empty((num_points, num_users)) for kind in policies}
     for p in range(num_points):
+        kind = next(iter(policies), "")
         try:
-            rows = policy.subcarrier_weights(true_aods[p])
-            gains = gain_profile(true_aods[p, users], freqs, rows, cfg)
+            a = response_matrix(true_aods[p, users], freqs, cfg)
+            for kind, policy in policies.items():
+                gains = _matched_gains(a, policy.subcarrier_weights(true_aods[p]))
+                for u in range(num_users):
+                    caps[kind][p, u] = user_capacity(gains[users == u], cfg, budget, h2[u])
         except ValueError as exc:
             raise ValueError(f"beam {kind}, eval index {p}: {exc}") from exc
-        for u in range(num_users):
-            caps[p, u] = user_capacity(gains[users == u], cfg, budget, h2[u])
-    return CapacityRecord(caps, kind=kind)
+    return {kind: CapacityRecord(table, kind=kind) for kind, table in caps.items()}
+
+
+def min_capacity(policy, true_aods, cfg: ArrayConfig, budget: LinkBudget, assignment=None,
+                 channel_gains=None) -> CapacityRecord:
+    """``capacity_records`` for one policy, under the explicit assignment,
+    else the policy's, else the identity."""
+    if assignment is None:
+        assignment = getattr(policy, "assignment", None)
+    kind = getattr(policy, "kind", "")
+    return capacity_records({kind: policy}, true_aods, cfg, budget, assignment,
+                            channel_gains)[kind]

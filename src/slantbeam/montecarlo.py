@@ -35,7 +35,8 @@ from .designs import (
     design_stepped,
 )
 from .jpta import SolverOptions
-from .link import LinkBudget, min_capacity, offset_grid
+from .link import LinkBudget, capacity_records, offset_grid
+from .link import min_capacity  # noqa: F401  perfbench wraps montecarlo.min_capacity
 from .mobility import (
     AnchorSpec,
     FrameTiming,
@@ -133,18 +134,16 @@ def _trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(trial_id)])
 
 
-def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
-    if config.plan.mode == "offset":
-        base = np.array([est.theta0 for est in estimates])
-        grid = offset_grid(config.plan.max_offset, config.plan.offset_count)
-        return base[None, :] + grid[:, None]
-    steps = np.arange(1, config.timing.num_steps + 1)
-    cols = [true_aod(kin, steps, config.timing) for kin in kins]
-    return np.stack(cols, axis=1)
-
-
 def _theta_hat(estimates) -> np.ndarray:
     return np.array([est.theta0 for est in estimates])
+
+
+def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
+    if config.plan.mode == "offset":
+        grid = offset_grid(config.plan.max_offset, config.plan.offset_count)
+        return _theta_hat(estimates)[None, :] + grid[:, None]
+    steps = np.arange(1, config.timing.num_steps + 1)
+    return np.stack([true_aod(kin, steps, config.timing) for kin in kins], axis=1)
 
 
 def _build_slanted(config: TrialConfig, estimates, assignment) -> BeamDesign:
@@ -205,11 +204,8 @@ def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResu
     true_aods = _evaluation_points(config, kins, estimates)
     policies, designs = _build_policies(config, estimates, assignment)
     try:
-        records = {
-            kind: min_capacity(policies[kind], true_aods, config.array, config.budget,
-                               assignment=assignment, channel_gains=config.channel_gains)
-            for kind in config.beams
-        }
+        records = capacity_records(policies, true_aods, config.array, config.budget,
+                                   assignment=assignment, channel_gains=config.channel_gains)
     except ValueError as exc:
         raise ValueError(f"trial {trial_id}: {exc}") from exc
     return TrialResult(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slantbeam.arrays import (
     AnalogWeights,
     ArrayConfig,
+    _matched_gains,
     _phasor_ramp,
     array_response,
     awv,
@@ -276,6 +277,16 @@ class TestPatternHeatmap:
         prof = gain_profile(thetas, freqs, rows, cfg)
         np.testing.assert_array_equal(prof[:4], gain_profile(0.3, freqs[:4], rows[:4], cfg))
         np.testing.assert_array_equal(prof[4:], gain_profile(-0.2, freqs[4:], rows[4:], cfg))
+
+
+@pytest.mark.parametrize("theta", [0.3, np.linspace(-1.2, 1.4, 48)])
+def test_matched_gains_is_gain_profile_bit_for_bit(theta):
+    cfg = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
+    freqs = cfg.subcarrier_centers()
+    rows = awv_matrix(AnalogWeights(np.linspace(-3, 3, 16), np.linspace(0, 2e-9, 16)), freqs, cfg)
+    a = response_matrix(theta, freqs, cfg)
+    np.testing.assert_array_equal(_matched_gains(a, rows), gain_profile(theta, freqs, rows, cfg))
+    np.testing.assert_allclose(_matched_gains(a, a / 4.0), np.full(48, 16.0), rtol=1e-12)
 
 
 def test_wrap_phase_range():

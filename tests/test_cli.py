@@ -83,6 +83,19 @@ class TestDesignCommand:
         b = json.loads((out_b / "design_stepped.json").read_text())
         assert a["anchor"]["centers_deg"] != b["anchor"]["centers_deg"]
 
+    @pytest.mark.parametrize("item, named", [
+        ("link.snr_db=nan", "[link] snr_db: must be finite, got nan"),
+        ("array.spacing_wavelengths=inf", "[array] spacing_wavelengths: must be finite, got inf"),
+        ("link.channel_gains=1,2", "[link] channel_gains: need one value or one per user (3), got 2"),
+    ])
+    def test_bad_number_exits_2_naming_key_before_any_file(self, tmp_path, capsys, item, named):
+        out = tmp_path / "out"
+        code = main(["design", "--out", str(out), "--seed", "1", "--set", item,
+                     "--set", "array.num_subcarriers=24", "--set", "array.num_antennas=8"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestPatternCommand:
     def test_byte_identical_reruns(self, tmp_path):

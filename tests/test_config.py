@@ -33,9 +33,9 @@ class TestDefaults:
         assert cfg.get("array", "num_subcarriers") == 480
 
     def test_inline_comments_ignored(self):
-        text = "[link]\nchannel_gains = 1.0, 0.5   ; per user\nsnr_db = -7.0  # quiet\n"
+        text = "[link]\nchannel_gains = 1.0, 0.5, 2.0   ; per user\nsnr_db = -7.0  # quiet\n"
         cfg = parse_config(text=text)
-        assert cfg.get("link", "channel_gains") == (1.0, 0.5)
+        assert cfg.get("link", "channel_gains") == (1.0, 0.5, 2.0)
         assert cfg.get("link", "snr_db") == -7.0
 
     def test_materialized_types(self):
@@ -112,6 +112,36 @@ class TestRejections:
     def test_coverage_out_of_range(self):
         with pytest.raises(ConfigError, match=r"\[design\] coverage_p"):
             parse_config(overrides=["design.coverage_p=1.5"])
+
+    @pytest.mark.parametrize("item, named, shown", [
+        ("link.snr_db=nan", r"\[link\] snr_db", "nan"),
+        ("array.spacing_wavelengths=inf", r"\[array\] spacing_wavelengths", "inf"),
+        ("design.qpd_peak_rad=inf", r"\[design\] qpd_peak_rad", "inf"),
+        ("mobility.var_theta_deg2=inf", r"\[mobility\] var_theta_deg2", "inf"),
+        ("design.range_override_deg=-inf", r"\[design\] range_override_deg", "-inf"),
+        ("sweep.values=0,nan", r"\[sweep\] values", "nan"),
+        ("link.channel_gains=1,inf,1", r"\[link\] channel_gains", "inf"),
+    ])
+    def test_non_finite_number_named(self, item, named, shown):
+        with pytest.raises(ConfigError, match=rf"{named}: must be finite, got {shown}$"):
+            parse_config(overrides=[item])
+
+    def test_non_finite_number_in_file_named(self):
+        with pytest.raises(ConfigError, match=r"\[frame\] duration_ms: must be finite"):
+            parse_config(text="[frame]\nduration_ms = inf\n")
+
+    def test_unset_optional_float_still_parses(self):
+        assert parse_config(overrides=["design.tau_max_ns=none"]).get("design", "tau_max_ns") is None
+
+    @pytest.mark.parametrize("gains", ["1,2", "1,2,3,4", ""])
+    def test_channel_gains_need_one_or_one_per_user(self, gains):
+        with pytest.raises(ConfigError, match=r"\[link\] channel_gains: need one value or one per user"):
+            parse_config(overrides=[f"link.channel_gains={gains}"])
+
+    def test_channel_gains_follow_user_count(self):
+        cfg = parse_config(overrides=["mobility.num_users=2", "link.channel_gains=1,2"])
+        assert cfg.base_trial().channel_gains == (1.0, 2.0)
+        assert parse_config(overrides=["link.channel_gains=0.5"]).get("link", "channel_gains") == (0.5,)
 
 
 class TestRoundTrip:

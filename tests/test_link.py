@@ -6,6 +6,7 @@ from slantbeam.designs import DigitalGeniePolicy, FixedBeamPolicy, design_rainbo
 from slantbeam.link import (
     CapacityRecord,
     LinkBudget,
+    capacity_records,
     min_capacity,
     offset_grid,
     subband_users,
@@ -192,6 +193,27 @@ class TestMinCapacity:
         aods = np.array([[0.0, 0.1, 0.2], [0.0, 1.7, 0.2]])
         with pytest.raises(ValueError, match=r"beam rainbow, eval index 1: angle of departure"):
             min_capacity(pol, aods, CFG48, BUDGET)
+
+    def test_records_score_each_policy_as_min_capacity_does(self):
+        assignment = np.array([1, 2, 0])
+        policies = {
+            "stepped": FixedBeamPolicy(design_stepped(np.array([-0.3, 0.0, 0.4]), CFG48), CFG48),
+            "rainbow": FixedBeamPolicy(design_rainbow(CFG48), CFG48),
+            "digital_genie": DigitalGeniePolicy(CFG48, assignment=assignment),
+        }
+        aods = np.array([[-0.3, 0.0, 0.4], [-0.25, 0.1, 0.35]])
+        recs = capacity_records(policies, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
+        assert list(recs) == list(policies)
+        for kind, pol in policies.items():
+            alone = min_capacity(pol, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
+            assert recs[kind].kind == kind
+            np.testing.assert_array_equal(recs[kind].capacities, alone.capacities)
+
+    def test_bad_direction_names_first_beam(self):
+        policies = {kind: DigitalGeniePolicy(CFG48) for kind in ("first", "second")}
+        aods = np.array([[0.0, 0.1, 0.2], [0.0, 0.1, -1.7]])
+        with pytest.raises(ValueError, match=r"^beam first, eval index 1: angle of departure"):
+            capacity_records(policies, aods, CFG48, BUDGET)
 
     def test_genie_tracks_and_fixed_decays(self):
         # as the true direction drifts away, a frozen stepped beam loses

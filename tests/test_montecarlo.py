@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from slantbeam import montecarlo
-from slantbeam.arrays import ArrayConfig
+from slantbeam.arrays import ArrayConfig, gain_profile
 from slantbeam.designs import BEAM_KINDS
-from slantbeam.link import LinkBudget
+from slantbeam.link import LinkBudget, subband_users, user_capacity
 from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
     POLICY_BUILDERS,
+    EVAL_MODES,
     CdfSeries,
     EvalPlan,
     SweepConfig,
@@ -115,6 +116,28 @@ class TestRunTrial:
         assert res.true_aods.shape == (5, 3)
         for kind in cfg.beams:
             assert res.records[kind].capacities.shape == (5, 3)
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_records_match_per_beam_oracle(self, mode):
+        # oracle: the per-beam loop capacities were once accumulated with, one
+        # gain_profile call per beam and point, then user_capacity per user
+        cfg = dataclasses.replace(SMALL, plan=dataclasses.replace(SMALL.plan, mode=mode),
+                                  channel_gains=(1.0, 0.5, 2.0))
+        res = run_trial(cfg, 3, 1)
+        assert not np.array_equal(res.assignment, np.arange(3))
+        estimates = [est for _, est in res.scenario]
+        policies, _ = montecarlo._build_policies(cfg, estimates, res.assignment)
+        freqs = cfg.array.subcarrier_centers()
+        users = subband_users(res.assignment, cfg.array.num_subcarriers, 3)
+        assert tuple(res.records) == cfg.beams == BEAM_KINDS
+        for kind, policy in policies.items():
+            expected = np.empty(res.true_aods.shape)
+            for p, row in enumerate(res.true_aods):
+                gains = gain_profile(row[users], freqs, policy.subcarrier_weights(row), cfg.array)
+                for u in range(3):
+                    expected[p, u] = user_capacity(gains[users == u], cfg.array, cfg.budget,
+                                                   cfg.channel_gains[u])
+            assert np.array_equal(res.records[kind].capacities, expected), kind
 
     def test_scenario_failure_names_the_trial(self, monkeypatch):
         import slantbeam.montecarlo as mc
