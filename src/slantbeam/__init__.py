@@ -5,11 +5,8 @@ __version__ = "0.1.0"
 from .arrays import (
     AnalogWeights,
     ArrayConfig,
-    array_response,
-    awv,
     awv_matrix,
     db_to_linear,
-    gain,
     gain_profile,
     linear_to_db,
     pattern_heatmap,
@@ -70,74 +67,3 @@ from .montecarlo import (
     run_trial,
     sweep_from_results,
 )
-
-__all__ = [
-    "AnalogWeights",
-    "ArrayConfig",
-    "array_response",
-    "awv",
-    "awv_matrix",
-    "db_to_linear",
-    "gain",
-    "gain_profile",
-    "linear_to_db",
-    "pattern_heatmap",
-    "wrap_phase",
-    "ConfigError",
-    "RunConfig",
-    "config_hash",
-    "parse_config",
-    "serialize_config",
-    "ANALOG_KINDS",
-    "BEAM_KINDS",
-    "BeamDesign",
-    "DigitalGeniePolicy",
-    "FixedBeamPolicy",
-    "SteppedGeniePolicy",
-    "design_qpd",
-    "design_rainbow",
-    "design_slanted",
-    "design_slanted_at",
-    "design_stepped",
-    "genie_stepped",
-    "qpd_phase_profile",
-    "target_directions",
-    "SolverOptions",
-    "SolverReport",
-    "TargetProfile",
-    "jpta_objective",
-    "jpta_solve",
-    "line_fit_delays",
-    "CapacityRecord",
-    "LinkBudget",
-    "min_capacity",
-    "offset_grid",
-    "subband_users",
-    "subcarrier_snr",
-    "user_capacity",
-    "AnchorSpec",
-    "FrameTiming",
-    "KinematicsEstimate",
-    "ScenarioConfig",
-    "UserKinematics",
-    "anchor_selection",
-    "coverage_halfwidth",
-    "predicted_mean",
-    "predicted_variance",
-    "sample_scenario",
-    "true_aod",
-    "SWEEP_AXES",
-    "CdfSeries",
-    "EvalPlan",
-    "SweepConfig",
-    "SweepResult",
-    "TrialConfig",
-    "TrialResult",
-    "apply_axis",
-    "capacity_cdf",
-    "run_cells",
-    "run_sweep",
-    "run_trial",
-    "sweep_from_results",
-    "__version__",
-]

@@ -13,7 +13,7 @@ Phasors over an evenly spaced axis (antenna index, subcarrier index) come from
 ``_phasor_ramp``, which factors exp(j(x0 + dx*m)) so that an (R, M) matrix
 costs about 2*sqrt(M) complex exponentials per row plus one complex product
 per entry, instead of M exponentials per row.  Arbitrary frequency arrays
-(``awv_matrix``) and the scalar forms keep plain ``np.exp``.
+(``awv_matrix``) keep plain ``np.exp``.
 """
 
 import math
@@ -110,51 +110,6 @@ def _phasor_ramp(start, step, m: int) -> np.ndarray:
     return out.reshape(out.shape[0], -1)[:, :m]
 
 
-def _check_angle(theta) -> np.ndarray:
-    """Angles of departure (scalar or array) as floats inside [-pi/2, pi/2]."""
-    theta = np.asarray(theta, dtype=float)
-    bad = theta[~(np.abs(theta) <= np.pi / 2)]
-    if bad.size:
-        raise ValueError(f"angle of departure {float(bad[0])!r} outside [-pi/2, pi/2]")
-    return theta
-
-
-def _check_freq(f: float, cfg: ArrayConfig) -> float:
-    f = float(f)
-    lo, hi = cfg.band_edges()
-    # tiny slack so band edges computed in floating point stay usable
-    tol = 1e-6 * cfg.subcarrier_spacing
-    if not (lo - tol <= f <= hi + tol):
-        raise ValueError(f"frequency {f!r} Hz outside signal band [{lo}, {hi}]")
-    return f
-
-
-def array_response(theta: float, f: float, cfg: ArrayConfig) -> np.ndarray:
-    """Frequency-dependent steering vector of the ULA.
-
-    Element n (0-based) has phase 2*pi * n * spacing * sin(theta) * f/f_c,
-    so the apparent beam direction drifts with frequency (beam squint).
-
-    Parameters
-    ----------
-    theta : float
-        Angle of departure, radians, |theta| <= pi/2.
-    f : float
-        Subcarrier frequency in Hz; must lie inside the signal band.
-    cfg : ArrayConfig
-
-    Returns
-    -------
-    ndarray, shape (num_antennas,), complex
-        Unit-modulus entries; squared norm equals num_antennas.
-    """
-    theta = _check_angle(theta)
-    f = _check_freq(f, cfg)
-    n = np.arange(cfg.num_antennas)
-    phase = TWO_PI * n * cfg.spacing * np.sin(theta) * (f / cfg.carrier_freq)
-    return np.exp(1j * phase)
-
-
 def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Steering vectors across frequencies, shape (F, N), toward one angle or
     toward one angle per frequency (``theta`` of shape (F,)).
@@ -162,7 +117,10 @@ def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     Row k is exp(j*n*phase_k) over the antenna index n, built by
     ``_phasor_ramp`` with step phase_k = 2*pi*spacing*sin(theta_k)*f_k/f_c.
     """
-    theta = _check_angle(theta)
+    theta = np.asarray(theta, dtype=float)
+    bad = theta[~(np.abs(theta) <= np.pi / 2)]
+    if bad.size:
+        raise ValueError(f"angle of departure {float(bad[0])!r} outside [-pi/2, pi/2]")
     freqs = np.asarray(freqs, dtype=float)
     if theta.size not in (1, freqs.size):
         raise ValueError(
@@ -206,19 +164,6 @@ class AnalogWeights:
         return self.phases.shape[0]
 
 
-def awv(weights: AnalogWeights, f: float, cfg: ArrayConfig) -> np.ndarray:
-    """Antenna weight vector realized by the phase/delay bank at frequency f.
-
-    Returns a complex vector of squared norm 1 (each entry has modulus
-    1/sqrt(num_antennas)).
-    """
-    f = _check_freq(f, cfg)
-    if weights.num_antennas != cfg.num_antennas:
-        raise ValueError("weights sized for a different array")
-    phase = weights.phases - TWO_PI * weights.delays * f
-    return np.exp(1j * phase) / np.sqrt(cfg.num_antennas)
-
-
 def awv_matrix(weights: AnalogWeights, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Realized weight vectors across frequencies, shape (F, N), rows unit-norm."""
     if weights.num_antennas != cfg.num_antennas:
@@ -226,19 +171,6 @@ def awv_matrix(weights: AnalogWeights, freqs: np.ndarray, cfg: ArrayConfig) -> n
     freqs = np.asarray(freqs, dtype=float)
     phase = weights.phases[None, :] - TWO_PI * np.outer(freqs, weights.delays)
     return np.exp(1j * phase) / np.sqrt(cfg.num_antennas)
-
-
-def gain(theta: float, f: float, v: np.ndarray, cfg: ArrayConfig) -> float:
-    """Beamforming gain |a(theta, f)^H v|^2.
-
-    For a unit-norm v the value lies in [0, num_antennas]; the maximum is
-    attained by the matched vector a/sqrt(num_antennas).
-    """
-    v = np.asarray(v)
-    if v.shape != (cfg.num_antennas,):
-        raise ValueError("weight vector length does not match the array")
-    a = array_response(theta, f, cfg)
-    return float(np.abs(np.vdot(a, v)) ** 2)
 
 
 def gain_profile(theta, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig) -> np.ndarray:

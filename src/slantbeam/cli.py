@@ -146,7 +146,7 @@ def _analog_designs(args):
     for the analog beams of a design/pattern run."""
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
-    base = cfg.base_trial(beams=cfg.get("sweep", "beams"))
+    base = cfg.base_trial()
     return cfg, seed, base, run_trial(base, seed, 0)
 
 

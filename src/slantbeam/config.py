@@ -5,7 +5,10 @@ mobility, frame, design, sweep). Every key carries its unit as a suffix and
 has a default; an empty file therefore parses to the full-scale defaults.
 A desk-scale overlay (fewer subcarriers, steps, trials, offsets) can be
 applied before file values so quick runs stay quick unless the file or a
-``--set`` override says otherwise.
+``--set`` override says otherwise. Range and consistency rules live in the
+library's dataclasses: parsing builds them, down to the trial config of every
+sweep value, and turns any error they raise into a ``ConfigError`` that names
+the config key.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .designs import BEAM_KINDS
 from .jpta import SolverOptions
 from .link import LinkBudget
 from .mobility import FrameTiming, ScenarioConfig
-from .montecarlo import DEGREE_AXES, SWEEP_AXES, EvalPlan, SweepConfig, TrialConfig
+from .montecarlo import DEGREE_AXES, EvalPlan, SweepConfig, TrialConfig, sweep_cells
 
 
 class ConfigError(ValueError):
@@ -75,6 +78,39 @@ _SCHEMA = {
         "offset_count": ("int", 100),
         "beams": ("str_list", tuple(BEAM_KINDS)),
     },
+}
+
+# dataclass field -> the config key it is built from; a range or consistency
+# error raised by a dataclass starts with the field's name
+_FIELD_KEYS = {
+    "num_antennas": "[array] num_antennas",
+    "spacing": "[array] spacing_wavelengths",
+    "carrier_freq": "[array] carrier_freq_ghz",
+    "bandwidth": "[array] bandwidth_ghz",
+    "num_subcarriers": "[array] num_subcarriers",
+    "channel_gains": "[link] channel_gains",
+    "num_users": "[mobility] num_users",
+    "aod_range": "[mobility] aod_min_deg",
+    "min_spacing": "[mobility] min_spacing_deg",
+    "velocity_range": "[mobility] velocity_min_deg_s",
+    "var_theta": "[mobility] var_theta_deg2",
+    "var_omega": "[mobility] var_omega_deg2_s2",
+    "var_alpha": "[mobility] var_alpha_deg2_s4",
+    "duration": "[frame] duration_ms",
+    "num_steps": "[frame] num_steps",
+    "coverage_p": "[design] coverage_p",
+    "range_override": "[design] range_override_deg",
+    "tau_max": "[design] tau_max_ns",
+    "max_iters": "[design] max_iters",
+    "objective_tolerance": "[design] objective_tolerance",
+    "delay_search_resolution": "[design] delay_search_resolution",
+    "qpd_peak": "[design] qpd_peak_rad",
+    "axis": "[sweep] axis",
+    "values": "[sweep] values",
+    "trials": "[sweep] trials",
+    "max_offset": "[sweep] max_offset_deg",
+    "offset_count": "[sweep] offset_count",
+    "beams": "[sweep] beams",
 }
 
 DESK_OVERLAY = {
@@ -212,63 +248,6 @@ class RunConfig:
         )
 
 
-def _check(cond, section, key, msg):
-    if not cond:
-        raise ConfigError(f"[{section}] {key}: {msg}")
-
-
-def _validate(values: dict):
-    a = values["array"]
-    _check(a["num_antennas"] >= 1, "array", "num_antennas", "must be >= 1")
-    _check(a["num_subcarriers"] >= 1, "array", "num_subcarriers", "must be >= 1")
-    _check(a["spacing_wavelengths"] > 0, "array", "spacing_wavelengths", "must be positive")
-    _check(a["bandwidth_ghz"] > 0, "array", "bandwidth_ghz", "must be positive")
-    _check(
-        a["carrier_freq_ghz"] > a["bandwidth_ghz"] / 2,
-        "array", "carrier_freq_ghz", "band must not cross zero frequency",
-    )
-    m = values["mobility"]
-    _check(m["num_users"] >= 1, "mobility", "num_users", "must be >= 1")
-    gains = values["link"]["channel_gains"]
-    _check(len(gains) in (1, m["num_users"]), "link", "channel_gains",
-           f"need one value or one per user ({m['num_users']}), got {len(gains)}")
-    _check(min(gains) > 0, "link", "channel_gains", "must be positive")
-    _check(m["aod_min_deg"] < m["aod_max_deg"], "mobility", "aod_min_deg", "min must be below max")
-    _check(m["min_spacing_deg"] >= 0, "mobility", "min_spacing_deg", "must be non-negative")
-    _check(
-        0 <= m["velocity_min_deg_s"] <= m["velocity_max_deg_s"],
-        "mobility", "velocity_min_deg_s", "need 0 <= min <= max",
-    )
-    for key in ("var_theta_deg2", "var_omega_deg2_s2", "var_alpha_deg2_s4"):
-        _check(m[key] >= 0, "mobility", key, "variance must be non-negative")
-    f = values["frame"]
-    _check(f["duration_ms"] > 0, "frame", "duration_ms", "must be positive")
-    _check(f["num_steps"] >= 1, "frame", "num_steps", "must be >= 1")
-    d = values["design"]
-    _check(0 < d["coverage_p"] < 1, "design", "coverage_p", "must lie in (0, 1)")
-    if d["range_override_deg"] is not None:
-        _check(d["range_override_deg"] >= 0, "design", "range_override_deg", "must be non-negative")
-    if d["tau_max_ns"] is not None:
-        _check(d["tau_max_ns"] > 0, "design", "tau_max_ns", "must be positive")
-    if d["objective_tolerance"] is not None:
-        _check(d["objective_tolerance"] > 0, "design", "objective_tolerance", "must be positive")
-    _check(d["max_iters"] >= 1, "design", "max_iters", "must be >= 1")
-    _check(d["delay_search_resolution"] >= 2, "design", "delay_search_resolution", "must be >= 2")
-    _check(d["qpd_peak_rad"] >= 0, "design", "qpd_peak_rad", "must be non-negative")
-    s = values["sweep"]
-    _check(s["axis"] in SWEEP_AXES, "sweep", "axis", f"must be one of {SWEEP_AXES}")
-    _check(len(s["values"]) >= 1, "sweep", "values", "must be non-empty")
-    _check(list(s["values"]) == sorted(s["values"]), "sweep", "values", "must be sorted ascending")
-    _check(s["trials"] >= 1, "sweep", "trials", "must be >= 1")
-    _check(s["max_offset_deg"] >= 0, "sweep", "max_offset_deg", "must be non-negative")
-    _check(s["offset_count"] >= 1, "sweep", "offset_count", "must be >= 1")
-    _check(len(s["beams"]) >= 1, "sweep", "beams", "must list at least one beam")
-    bad = [b for b in s["beams"] if b not in BEAM_KINDS]
-    _check(not bad, "sweep", "beams", f"unknown beam kinds {bad}; valid: {BEAM_KINDS}")
-    dup = sorted({b for b in s["beams"] if s["beams"].count(b) > 1})
-    _check(not dup, "sweep", "beams", f"duplicate beam kinds {dup}")
-
-
 def parse_config(path: str = None, overrides=None, desk: bool = False, text: str = None) -> RunConfig:
     """Build a RunConfig from defaults, optional desk overlay, file, and
     ``section.key=value`` override strings (applied in that order)."""
@@ -311,8 +290,18 @@ def parse_config(path: str = None, overrides=None, desk: bool = False, text: str
         kind = _SCHEMA[section][key][0]
         values[section][key] = _parse_value(kind, raw, section, key)
 
-    _validate(values)
-    return RunConfig(copy.deepcopy(values))
+    cfg = RunConfig(copy.deepcopy(values))
+    try:
+        sweep = cfg.sweep(0)
+        base = cfg.base_trial()
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_FIELD_KEYS[field.rstrip(':')]}: {rest}") from exc
+    try:
+        sweep_cells(sweep, base)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep] values: {exc}") from exc
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -23,7 +23,7 @@ class FrameTiming:
 
     def __post_init__(self):
         if self.duration <= 0:
-            raise ValueError("frame duration must be positive")
+            raise ValueError("duration must be positive")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
 
@@ -184,8 +184,9 @@ class ScenarioConfig:
         vlo, vhi = self.velocity_range
         if vlo > vhi or vlo < 0:
             raise ValueError("velocity_range must satisfy 0 <= lo <= hi")
-        if min(self.var_theta, self.var_omega, self.var_alpha) < 0:
-            raise ValueError("variances must be non-negative")
+        for name in ("var_theta", "var_omega", "var_alpha"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def _draw_spaced_angles(rng: np.random.Generator, scen: ScenarioConfig) -> np.ndarray:

@@ -90,18 +90,22 @@ class TrialConfig:
 
     def __post_init__(self):
         if not self.beams:
-            raise ValueError("at least one beam kind is required")
+            raise ValueError("beams must list at least one beam kind")
         if self.channel_gains is not None:
             h2 = tuple(float(h) for h in self.channel_gains)
-            if len(h2) not in (1, self.scenario.num_users) or min(h2) <= 0:
-                raise ValueError("channel_gains must be positive, one per user or one shared")
+            users = self.scenario.num_users
+            if len(h2) not in (1, users):
+                raise ValueError(
+                    f"channel_gains need one value or one per user ({users}), got {len(h2)}")
+            if min(h2) <= 0:
+                raise ValueError("channel_gains must be positive")
             object.__setattr__(self, "channel_gains", h2)
         unknown = [b for b in self.beams if b not in BEAM_KINDS]
         if unknown:
-            raise ValueError(f"unknown beam kinds {unknown}; valid: {BEAM_KINDS}")
+            raise ValueError(f"beams: unknown beam kinds {unknown}; valid: {BEAM_KINDS}")
         dup = sorted({b for b in self.beams if self.beams.count(b) > 1})
         if dup:
-            raise ValueError(f"duplicate beam kinds {dup}")
+            raise ValueError(f"beams: duplicate beam kinds {dup}")
         if not 0.0 < self.coverage_p < 1.0:
             raise ValueError("coverage_p must lie in (0, 1)")
         if self.array.num_subcarriers % self.scenario.num_users != 0:
@@ -245,7 +249,8 @@ class SweepConfig:
         if self.axis in ("num_antennas", "num_users"):
             bad = [v for v in values if not v.is_integer()]
             if bad:
-                raise ValueError(f"sweep axis {self.axis} takes whole numbers, got {bad[0]!r}")
+                raise ValueError(
+                    f"values must be whole numbers on axis {self.axis}, got {bad[0]!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "values", values)
@@ -316,6 +321,23 @@ def _cell_job(args):
         raise RuntimeError(f"{label}: {exc}") from exc
 
 
+def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
+    """The (axis label, trial config) of every sweep value, carrying the
+    sweep's beams and range override; a value that cannot run raises a
+    ValueError that starts with its label."""
+    base = dataclasses.replace(base, beams=tuple(sweep.beams))
+    if sweep.range_override is not None:
+        base = dataclasses.replace(base, range_override=sweep.range_override)
+    cells = []
+    for v in sweep.values:
+        label = _axis_label(sweep.axis, v)
+        try:
+            cells.append((label, apply_axis(base, sweep.axis, v)))
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
+    return cells
+
+
 def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> list:
     """Run every (axis value, trial) cell of a sweep, keeping full results.
 
@@ -324,13 +346,9 @@ def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> lis
     fold is indexed by (value, trial id), so the outcome is identical for any
     worker count.
     """
-    base = dataclasses.replace(base, beams=tuple(sweep.beams))
-    if sweep.range_override is not None:
-        base = dataclasses.replace(base, range_override=sweep.range_override)
-    cells = [(_axis_label(sweep.axis, v), apply_axis(base, sweep.axis, v)) for v in sweep.values]
     jobs = [
         (label, config, sweep.master_seed, t)
-        for label, config in cells
+        for label, config in sweep_cells(sweep, base)
         for t in range(sweep.trials)
     ]
     if workers is not None and workers > 1:

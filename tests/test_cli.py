@@ -97,6 +97,43 @@ class TestDesignCommand:
         assert list(out.iterdir()) == []
 
 
+K48_N8 = ["--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8"]
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["design", "--set", "mobility.min_spacing_deg=50", *K48_N8],
+                 "[mobility] min_spacing_deg: infeasible for num_users in aod_range",
+                 id="min_spacing"),
+    pytest.param(["design", "--set", "array.num_antennas=8", "--set", "array.num_subcarriers=25"],
+                 "[array] num_subcarriers: 25 not divisible by num_users 3",
+                 id="num_subcarriers"),
+    pytest.param(["sweep", "--axis", "num_users", "--values", "2,7", *K48_N8],
+                 "[sweep] values: num_users=7: num_subcarriers 48 not divisible by num_users 7",
+                 id="user_count_divides"),
+    pytest.param(["sweep", "--axis", "num_users", "--values", "2,3",
+                  "--set", "link.channel_gains=1,0.5,2", *K48_N8],
+                 "[sweep] values: num_users=2: channel_gains need one value or one per user (2), "
+                 "got 3",
+                 id="user_count_gains"),
+    pytest.param(["sweep", "--axis", "num_antennas", "--values", "0,8", *K48_N8],
+                 "[sweep] values: num_antennas=0: num_antennas must be >= 1",
+                 id="antenna_count"),
+    pytest.param(["sweep", "--axis", "mean_velocity", "--values=-10,0", *K48_N8],
+                 "[sweep] values: mean_velocity=-10 deg/s: velocity_range must satisfy "
+                 "0 <= lo <= hi",
+                 id="velocity"),
+    pytest.param(["sweep", "--axis", "num_users", "--values", "2.7", *K48_N8],
+                 "[sweep] values: must be whole numbers on axis num_users, got 2.7",
+                 id="fractional_user_count"),
+])
+def test_config_that_cannot_run_exits_2_naming_key_before_any_file(tmp_path, capsys, args,
+                                                                   named):
+    out = tmp_path / "out"
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 class TestPatternCommand:
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"

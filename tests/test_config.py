@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from slantbeam.config import ConfigError, config_hash, parse_config, serialize_config
+from slantbeam.config import _FIELD_KEYS, ConfigError, config_hash, parse_config, serialize_config
 
 DEG = np.pi / 180.0
 
@@ -142,6 +144,76 @@ class TestRejections:
         cfg = parse_config(overrides=["mobility.num_users=2", "link.channel_gains=1,2"])
         assert cfg.base_trial().channel_gains == (1.0, 2.0)
         assert parse_config(overrides=["link.channel_gains=0.5"]).get("link", "channel_gains") == (0.5,)
+
+
+# one override per dataclass field that fails that field's own check
+OUT_OF_RANGE = {
+    "num_antennas": "array.num_antennas=0",
+    "spacing": "array.spacing_wavelengths=0",
+    "carrier_freq": "array.carrier_freq_ghz=0.5",
+    "bandwidth": "array.bandwidth_ghz=0",
+    "num_subcarriers": "array.num_subcarriers=25",
+    "channel_gains": "link.channel_gains=1,0,1",
+    "num_users": "mobility.num_users=0",
+    "aod_range": "mobility.aod_min_deg=50",
+    "min_spacing": "mobility.min_spacing_deg=50",
+    "velocity_range": "mobility.velocity_min_deg_s=90",
+    "var_theta": "mobility.var_theta_deg2=-1",
+    "var_omega": "mobility.var_omega_deg2_s2=-1",
+    "var_alpha": "mobility.var_alpha_deg2_s4=-1",
+    "duration": "frame.duration_ms=0",
+    "num_steps": "frame.num_steps=0",
+    "coverage_p": "design.coverage_p=1",
+    "range_override": "design.range_override_deg=-1",
+    "tau_max": "design.tau_max_ns=0",
+    "max_iters": "design.max_iters=0",
+    "objective_tolerance": "design.objective_tolerance=0",
+    "delay_search_resolution": "design.delay_search_resolution=1",
+    "qpd_peak": "design.qpd_peak_rad=-1",
+    "axis": "sweep.axis=carrier",
+    "values": "sweep.values=5,1",
+    "trials": "sweep.trials=0",
+    "max_offset": "sweep.max_offset_deg=-1",
+    "offset_count": "sweep.offset_count=0",
+    "beams": "sweep.beams=",
+}
+
+# sweep values that pass every base-config check but cannot run
+SWEEP_VALUE_ROWS = [
+    (["sweep.axis=num_users", "sweep.values=2,7"],
+     "num_users=7: num_subcarriers 1200 not divisible by num_users 7"),
+    (["sweep.axis=num_users", "sweep.values=2,3", "link.channel_gains=1,0.5,2"],
+     "num_users=2: channel_gains need one value or one per user (2), got 3"),
+    (["sweep.axis=num_users", "sweep.values=0,3"], "num_users=0: num_users must be >= 1"),
+    (["sweep.axis=num_users", "sweep.values=3,10"], "num_users=10: min_spacing infeasible"),
+    (["sweep.axis=num_users", "sweep.values=2.7"],
+     "must be whole numbers on axis num_users, got 2.7"),
+    (["sweep.axis=num_antennas", "sweep.values=0,8"], "num_antennas=0: num_antennas must be >= 1"),
+    (["sweep.axis=mean_velocity", "sweep.values=-10,0"], "mean_velocity=-10 deg/s: velocity_range"),
+    (["sweep.values=-5,0"], "offset_range=-5 deg: max_offset must be non-negative"),
+]
+
+
+class TestFieldKeys:
+    def test_every_field_has_an_out_of_range_row(self):
+        assert set(OUT_OF_RANGE) == set(_FIELD_KEYS)
+
+    @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+    def test_dataclass_error_names_its_key(self, field):
+        key = _FIELD_KEYS[field]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: ") as info:
+            parse_config(overrides=[OUT_OF_RANGE[field]])
+        # the key replaces the field name
+        assert not str(info.value)[len(key) + 2:].startswith(field)
+
+    @pytest.mark.parametrize("overrides, detail", SWEEP_VALUE_ROWS)
+    def test_sweep_value_that_cannot_run_is_named(self, overrides, detail):
+        with pytest.raises(ConfigError, match=re.escape(f"[sweep] values: {detail}")):
+            parse_config(overrides=overrides)
+
+    def test_every_sweep_value_that_can_run_passes(self):
+        cfg = parse_config(overrides=["sweep.axis=num_users", "sweep.values=1,2,3,4,5"])
+        assert cfg.get("sweep", "values") == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 class TestRoundTrip:

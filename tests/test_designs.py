@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slantbeam.arrays import ArrayConfig, awv_matrix, gain, gain_profile, pattern_heatmap, wrap_phase
+from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile, pattern_heatmap, wrap_phase
 from slantbeam.designs import (
     BeamDesign,
     DigitalGeniePolicy,
@@ -17,6 +17,8 @@ from slantbeam.designs import (
 )
 from slantbeam.jpta import SolverOptions
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate
+
+from oracles import gain
 
 DEG = np.pi / 180.0
 TIMING = FrameTiming(0.16, 100)

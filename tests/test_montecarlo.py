@@ -17,8 +17,10 @@ from slantbeam.montecarlo import (
     TrialConfig,
     apply_axis,
     capacity_cdf,
+    run_cells,
     run_sweep,
     run_trial,
+    sweep_cells,
 )
 
 DEG = np.pi / 180.0
@@ -296,6 +298,18 @@ class TestRunSweep:
             SweepConfig(axis="offset_range", values=(2.0, 1.0))
         with pytest.raises(ValueError):
             SweepConfig(axis="offset_range", values=(1.0,), trials=0)
+
+    def test_value_that_cannot_run_is_named_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_trial", lambda *args: calls.append(args))
+        base = dataclasses.replace(SMALL, channel_gains=(1.0, 0.5, 2.0))
+        sweep = SweepConfig(axis="num_users", values=(2.0, 3.0), trials=1, beams=("rainbow",))
+        message = r"^num_users=2: channel_gains need one value or one per user \(2\), got 3$"
+        with pytest.raises(ValueError, match=message):
+            run_cells(sweep, base)
+        with pytest.raises(ValueError, match=message):
+            sweep_cells(sweep, base)
+        assert calls == []
 
     @pytest.mark.parametrize("axis, value", [("num_users", 2.7), ("num_antennas", 8.9)])
     def test_count_axis_rejects_fractions(self, axis, value):
