@@ -2,16 +2,17 @@
 
 Analog designs produce one :class:`BeamDesign` (a phase/delay bank plus
 provenance); the genie baselines are evaluation-time policies that re-point
-using the true user directions at every evaluated instant.  Every design and
-policy exposes its realized per-subcarrier weight matrix through
-``subcarrier_weights`` so capacity evaluation treats them uniformly.
+using the true user directions at every evaluated instant.  Every policy
+answers ``gains(a, angles)``, its per-subcarrier gains against the steering
+matrix ``a`` toward the true directions, so evaluation treats them uniformly.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import TWO_PI, AnalogWeights, ArrayConfig, awv_matrix, response_matrix, wrap_phase
+from .arrays import TWO_PI, AnalogWeights, ArrayConfig, _matched_gains, awv_matrix, wrap_phase
+from .arrays import response_matrix  # noqa: F401  perfbench wraps designs.response_matrix
 from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve
 from .link import subband_users
 from .mobility import AnchorSpec, FrameTiming, anchor_selection
@@ -175,12 +176,14 @@ class FixedBeamPolicy:
 
     def __init__(self, design: BeamDesign, cfg: ArrayConfig):
         self.kind = design.kind
-        self.design = design
         self.assignment = design.anchor.assignment if design.anchor is not None else None
         self._rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
 
     def subcarrier_weights(self, angles) -> np.ndarray:
         return self._rows
+
+    def gains(self, a, angles) -> np.ndarray:
+        return _matched_gains(a, self._rows)
 
 
 class SteppedGeniePolicy:
@@ -199,10 +202,13 @@ class SteppedGeniePolicy:
         design = genie_stepped(np.asarray(angles)[None, :], self.cfg, self.opts, self.assignment)[0]
         return awv_matrix(design.weights, self.cfg.subcarrier_centers(), self.cfg)
 
+    def gains(self, a, angles) -> np.ndarray:
+        return _matched_gains(a, self.subcarrier_weights(angles))
+
 
 class DigitalGeniePolicy:
-    """Oracle upper bound: per-subcarrier matched filtering to the true
-    direction of the sub-band's user at every evaluated instant."""
+    """Oracle upper bound: per-subcarrier matched filtering a/sqrt(N) to the true
+    direction of the sub-band's user, whose gain |a^H a|^2 / N is N everywhere."""
 
     kind = "digital_genie"
 
@@ -210,9 +216,6 @@ class DigitalGeniePolicy:
         self.cfg = cfg
         self.assignment = assignment
 
-    def subcarrier_weights(self, angles) -> np.ndarray:
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        cfg = self.cfg
-        users = subband_users(self.assignment, cfg.num_subcarriers, angles.size)
-        rows = response_matrix(angles[users], cfg.subcarrier_centers(), cfg)
-        return rows / np.sqrt(cfg.num_antennas)
+    def gains(self, a, angles) -> np.ndarray:
+        subband_users(self.assignment, self.cfg.num_subcarriers, np.size(angles))
+        return np.full(self.cfg.num_subcarriers, float(self.cfg.num_antennas))

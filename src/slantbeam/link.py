@@ -8,15 +8,15 @@ transmit SNR scaled by the user's squared channel magnitude and by the
 beamforming gain toward the user's true direction.
 
 ``capacity_records`` scores all of a trial's beams in one pass over the
-evaluation points, building each point's steering matrix once for every beam;
-``min_capacity`` is its one-beam case.
+evaluation points, reading every beam's gains against one steering matrix
+per point; ``min_capacity`` is its one-beam case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, _matched_gains, db_to_linear, response_matrix
+from .arrays import ArrayConfig, db_to_linear, response_matrix
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -51,9 +51,8 @@ def subband_users(assignment, num_subcarriers: int, num_users: int) -> np.ndarra
 
 
 def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.ndarray:
-    """Post-beamforming SNR per subcarrier for a user with squared channel
-    magnitude ``channel_gain``."""
-
+    """Post-beamforming SNR per subcarrier, with squared channel magnitude
+    ``channel_gain``: one for all of ``gains``, or one per subcarrier."""
     gains = np.asarray(gains, dtype=float)
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
@@ -62,14 +61,12 @@ def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.n
 
 def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, channel_gain: float = 1.0) -> float:
     """Capacity in bit/s accumulated over the given own-band gains."""
-
     zeta = subcarrier_snr(gains, budget, channel_gain)
     return float(cfg.subcarrier_spacing * np.sum(np.log2(1.0 + zeta)))
 
 
 def offset_grid(max_offset: float, count: int) -> np.ndarray:
     """Symmetric grid of pointing offsets; a single point sits at zero."""
-
     if max_offset < 0:
         raise ValueError("max_offset must be non-negative")
     if count < 1:
@@ -111,24 +108,23 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     """Evaluate beam policies against true directions, kind -> CapacityRecord.
 
     ``policies`` maps kinds to policies and ``true_aods`` has shape (P, U): P
-    evaluation points, U users. At each point the steering matrix toward the
-    true directions is built once, and each policy's subcarrier weight rows
-    at that point (fixed designs return the same rows every time, genie
-    policies re-aim) are scored against it, in the order of ``policies``.
-    User u's capacity is accumulated over the sub-band ``assignment`` (None
-    for the identity) maps it to, with squared channel magnitude
-    ``channel_gains[u]`` (length U, or 1 to broadcast; all ones by default).
-    A failure is re-raised with the beam kind and the point's index in front;
-    a bad true direction names the first kind.
+    evaluation points, U users. At each point the steering matrix ``a`` toward
+    the true directions is built once and each policy's (K,) gains
+    ``gains(a, angles)`` read, in the order of ``policies``. User u's capacity
+    sums log2(1 + snr * channel_gains[u] * gain) over the sub-band
+    ``assignment`` (None for the identity) maps it to, times the subcarrier
+    spacing; ``channel_gains`` are squared channel magnitudes (length U, or 1
+    to broadcast; all ones by default). A failure is re-raised with the beam
+    kind and the point's index in front; a bad true direction names the first.
     """
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
     num_points, num_users = true_aods.shape
     users = subband_users(assignment, cfg.num_subcarriers, num_users)
-    h2 = np.ones(num_users) if channel_gains is None else np.asarray(channel_gains, dtype=float)
-    if h2.size == 1:
-        h2 = np.full(num_users, h2.item())
-    if h2.shape != (num_users,) or np.any(h2 <= 0):
+    h2 = np.asarray(1.0 if channel_gains is None else channel_gains, dtype=float)
+    if h2.shape not in ((), (1,), (num_users,)) or np.any(h2 <= 0):
         raise ValueError("channel_gains must be positive, one per user")
+    h2 = np.broadcast_to(h2, (num_users,))[users]  # one per subcarrier
+    band_users = users[::cfg.num_subcarriers // num_users]
     freqs = cfg.subcarrier_centers()
     caps = {kind: np.empty((num_points, num_users)) for kind in policies}
     for p in range(num_points):
@@ -136,9 +132,9 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
         try:
             a = response_matrix(true_aods[p, users], freqs, cfg)
             for kind, policy in policies.items():
-                gains = _matched_gains(a, policy.subcarrier_weights(true_aods[p]))
-                for u in range(num_users):
-                    caps[kind][p, u] = user_capacity(gains[users == u], cfg, budget, h2[u])
+                zeta = subcarrier_snr(policy.gains(a, true_aods[p]), budget, h2)
+                bands = np.log2(1.0 + zeta).reshape(num_users, -1).sum(axis=1)
+                caps[kind][p, band_users] = cfg.subcarrier_spacing * bands
         except ValueError as exc:
             raise ValueError(f"beam {kind}, eval index {p}: {exc}") from exc
     return {kind: CapacityRecord(table, kind=kind) for kind, table in caps.items()}

@@ -9,9 +9,9 @@ designs consume.
 """
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def coverage_halfwidth(p: float) -> float:
     probability p around the mean (p=0.97 -> about 2.1701)."""
     if not 0.0 < p < 1.0:
         raise ValueError("coverage probability must lie in (0, 1)")
-    return float(ndtri((1.0 + p) / 2.0))
+    return float(NormalDist().inv_cdf((1.0 + p) / 2.0))
 
 
 @dataclass(frozen=True)

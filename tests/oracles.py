@@ -20,3 +20,26 @@ def awv(weights, f, cfg):
 def gain(theta, f, v, cfg):
     """Beamforming gain |a(theta, f)^H v|^2."""
     return float(np.abs(np.vdot(array_response(theta, f, cfg), v)) ** 2)
+
+
+def matched_filter(angles, assignment, cfg):
+    """Digital-genie weights, shape (K, N): at each subcarrier, the steering
+    vector toward the true direction of the user whose sub-band holds it,
+    over sqrt(N). User u owns sub-band assignment[u] of U equal contiguous
+    sub-bands."""
+    angles = np.atleast_1d(angles)
+    owner = {band: u for u, band in enumerate(assignment)}
+    per = cfg.num_subcarriers // angles.size
+    rows = [array_response(angles[owner[k // per]], f, cfg)
+            for k, f in enumerate(cfg.subcarrier_centers())]
+    return np.array(rows) / np.sqrt(cfg.num_antennas)
+
+
+def matched_gain_rtol(num_antennas):
+    """Relative bound on how far the matched filter's computed gain may sit
+    from its exact value N. Each of the N products conj(a_n) * v_n has
+    magnitude 1/sqrt(N) and is exact to a few ulps; summing them loses at
+    most (N - 1) ulps of the total (the recursive summation bound), so the
+    sum is within about (N + 6) * eps of sqrt(N), and squaring it doubles
+    that. Scalar rounding adds the rest of the 2 * (N + 8) * eps."""
+    return 2 * (num_antennas + 8) * np.finfo(float).eps

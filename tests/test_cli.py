@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slantbeam
 from slantbeam.cli import (
     main,
     write_capacity_csv,
@@ -419,3 +424,12 @@ class TestWriters:
         with pytest.raises(ValueError):
             write_heatmap_csv(str(tmp_path / "out.csv"), 0, "ab12", np.zeros(2), np.zeros(3),
                               np.zeros((2, 2)))
+
+
+def test_fresh_import_leaves_scipy_out():
+    # numpy is the only runtime dependency
+    src = str(Path(slantbeam.__file__).resolve().parents[1])
+    code = "import sys, slantbeam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

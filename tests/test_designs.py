@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile, pattern_heatmap, wrap_phase
+from slantbeam.arrays import (
+    ArrayConfig,
+    _matched_gains,
+    awv_matrix,
+    gain_profile,
+    pattern_heatmap,
+    response_matrix,
+    wrap_phase,
+)
 from slantbeam.designs import (
     BeamDesign,
     DigitalGeniePolicy,
@@ -18,7 +26,7 @@ from slantbeam.designs import (
 from slantbeam.jpta import SolverOptions
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate
 
-from oracles import gain
+from oracles import gain, matched_filter
 
 DEG = np.pi / 180.0
 TIMING = FrameTiming(0.16, 100)
@@ -221,12 +229,15 @@ class TestQpdDesign:
 
 class TestGenies:
     def test_digital_genie_is_matched(self):
+        # the closed-form gain N is the gain of the unit-norm matched filter
         theta = -23 * DEG
-        v = DigitalGeniePolicy(CFG48).subcarrier_weights([theta])[7]
-        f = CFG48.subcarrier_centers()[7]
+        freqs = CFG48.subcarrier_centers()
+        gains = DigitalGeniePolicy(CFG48).gains(response_matrix(theta, freqs, CFG48), [theta])
+        np.testing.assert_array_equal(gains, np.full(48, 32.0))
+        v = matched_filter([theta], [0], CFG48)[7]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(v), 1 / np.sqrt(32), atol=1e-12)
-        assert gain(theta, f, v, CFG48) == pytest.approx(32.0, rel=1e-12)
+        assert gain(theta, freqs[7], v, CFG48) == pytest.approx(32.0, rel=1e-12)
 
     def test_stepped_genie_matches_design_stepped_when_static(self):
         angles = np.array([-10.0, 15.0, 40.0]) * DEG
@@ -260,12 +271,8 @@ class TestGenies:
             analog_min = min(analog_min, gain_profile(th, freqs[sl], rows[sl], cfg).min())
         assert analog_min < 0.5 * 32
 
-        digital = DigitalGeniePolicy(cfg).subcarrier_weights(angles)
-        digital_min = np.inf
-        for u, th in enumerate(angles):
-            sl = slice(u * per, (u + 1) * per)
-            digital_min = min(digital_min, gain_profile(th, freqs[sl], digital[sl], cfg).min())
-        assert digital_min == pytest.approx(32.0, rel=1e-9)
+        digital = DigitalGeniePolicy(cfg).gains(response_matrix(np.repeat(angles, per), freqs, cfg), angles)
+        assert digital.min() == 32.0
 
 
 class TestPolicies:
@@ -287,22 +294,38 @@ class TestPolicies:
             rows, awv_matrix(direct.weights, CFG48.subcarrier_centers(), CFG48)
         )
 
+    @pytest.mark.parametrize("kind", ["rainbow", "stepped_genie"])
+    def test_analog_policy_gains_score_its_rows(self, kind):
+        angles = np.array([-5.0, 20.0, -35.0]) * DEG
+        if kind == "rainbow":
+            pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+        else:
+            pol = SteppedGeniePolicy(CFG48)
+        a = response_matrix(np.repeat(angles, 16), CFG48.subcarrier_centers(), CFG48)
+        np.testing.assert_array_equal(pol.gains(a, angles), _matched_gains(a, pol.subcarrier_weights(angles)))
+
     def test_digital_genie_policy_full_gain_on_own_band(self):
+        # the policy's closed form N, and the matched filter reaching it on
+        # every user's own band
         angles = np.array([-30.0, 0.0, 30.0]) * DEG
-        pol = DigitalGeniePolicy(CFG48, assignment=np.array([2, 0, 1]))
-        rows = pol.subcarrier_weights(angles)
+        assignment = np.array([2, 0, 1])
+        pol = DigitalGeniePolicy(CFG48, assignment=assignment)
         freqs = CFG48.subcarrier_centers()
+        a = response_matrix(angles[np.repeat([1, 2, 0], 16)], freqs, CFG48)
+        np.testing.assert_array_equal(pol.gains(a, angles), np.full(48, 32.0))
+        rows = matched_filter(angles, assignment, CFG48)
         per = 16
-        for u, band in enumerate([2, 0, 1]):
+        for u, band in enumerate(assignment):
             sl = slice(band * per, (band + 1) * per)
             gains = gain_profile(angles[u], freqs[sl], rows[sl], CFG48)
             np.testing.assert_allclose(gains, 32.0, rtol=1e-9)
 
     def test_digital_genie_rejects_assignment_of_other_length(self):
+        a = response_matrix(0.1, CFG48.subcarrier_centers(), CFG48)
         with pytest.raises(ValueError, match="not a permutation"):
-            DigitalGeniePolicy(CFG48, assignment=[0, 1, 2]).subcarrier_weights([0.1, 0.2])
+            DigitalGeniePolicy(CFG48, assignment=[0, 1, 2]).gains(a, [0.1, 0.2])
         with pytest.raises(ValueError, match="not a permutation"):
-            DigitalGeniePolicy(CFG48, assignment=[1, 0]).subcarrier_weights([0.1, 0.2, 0.3])
+            DigitalGeniePolicy(CFG48, assignment=[1, 0]).gains(a, [0.1, 0.2, 0.3])
 
 
 class TestBeamDesignContainer:

@@ -14,6 +14,8 @@ from slantbeam.link import (
     user_capacity,
 )
 
+from oracles import matched_filter, matched_gain_rtol
+
 DEG = np.pi / 180.0
 TABLE_CFG = ArrayConfig(32, 0.5, 60e9, 2e9, 1200)
 CFG48 = ArrayConfig(32, 0.5, 60e9, 2e9, 48)
@@ -166,27 +168,46 @@ class TestMinCapacity:
         with pytest.raises(ValueError):
             min_capacity(pol, aods, CFG48, BUDGET, assignment=np.array([0, 0, 2]))
 
-    @pytest.mark.parametrize("make_policy", [
-        lambda: FixedBeamPolicy(design_rainbow(CFG48), CFG48),
-        lambda: DigitalGeniePolicy(CFG48, assignment=np.array([2, 0, 1])),
-    ], ids=["rainbow", "digital_genie"])
-    def test_matches_per_band_loop(self, make_policy):
-        # oracle: one gain_profile call per user on its band's slice, then
-        # user_capacity, exactly as capacities were once accumulated
-        pol = make_policy()
+    @pytest.mark.parametrize("kind", ["rainbow", "digital_genie"])
+    def test_matches_per_band_loop(self, kind):
+        # oracle: per user, its band's gains, then user_capacity, exactly as
+        # capacities were once accumulated. The rainbow's gains come from one
+        # gain_profile call on its weight rows. The digital genie's are the
+        # closed form N; its matched-filter rows reach N only to rounding, so
+        # they are checked against N at the summation bound instead
         assignment = np.array([2, 0, 1])
+        if kind == "rainbow":
+            pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+        else:
+            pol = DigitalGeniePolicy(CFG48, assignment=assignment)
         h2 = (1.0, 0.5, 2.0)
         aods = np.array([[-30.0, 0.0, 30.0], [-27.0, 4.0, 33.0], [-35.0, -2.0, 20.0]]) * DEG
         rec = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
         freqs = CFG48.subcarrier_centers()
         expected = np.empty(aods.shape)
         for p, row in enumerate(aods):
-            rows = pol.subcarrier_weights(row)
+            if kind == "rainbow":
+                rows = pol.subcarrier_weights(row)
+            else:
+                rows = matched_filter(row, assignment, CFG48)
             for u, band in enumerate(assignment):
                 sl = slice(band * 16, (band + 1) * 16)
                 gains = gain_profile(row[u], freqs[sl], rows[sl], CFG48)
+                if kind == "digital_genie":
+                    np.testing.assert_allclose(gains, 32.0, rtol=matched_gain_rtol(32), atol=0)
+                    gains = np.full(16, 32.0)
                 expected[p, u] = user_capacity(gains, CFG48, BUDGET, h2[u])
         np.testing.assert_array_equal(rec.capacities, expected)
+
+    def test_channel_gains_broadcast_or_rejected(self):
+        pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+        aods = np.array([[-30.0, 0.0, 30.0]]) * DEG
+        shared = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=0.5)
+        each = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=(0.5, 0.5, 0.5))
+        np.testing.assert_array_equal(shared.capacities, each.capacities)
+        for bad in ((1.0, 2.0), (1.0, 0.0, 1.0), -1.0, [[1.0, 1.0, 1.0]]):
+            with pytest.raises(ValueError, match="channel_gains must be positive, one per user"):
+                min_capacity(pol, aods, CFG48, BUDGET, channel_gains=bad)
 
     def test_failure_names_beam_and_eval_index(self):
         pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)

@@ -145,6 +145,24 @@ class TestCoverageHalfwidth:
     def test_one_sigma(self):
         assert coverage_halfwidth(0.6827) == pytest.approx(1.0, abs=1e-3)
 
+    def test_pinned_quantile_table(self):
+        # written by scipy.special.ndtri, which computed the quantile before
+        # the standard library's NormalDist did. Both sit within about 4 ulps
+        # of the exact quantile (measured against 40-digit mpmath over
+        # p in [0.01, 0.999]), so they may differ by up to 8 ulps; at the
+        # default p = 0.97 they agree bit for bit
+        table = {
+            0.5: 0.6744897501960817,
+            0.6827: 1.0000217133229992,
+            0.9: 1.6448536269514722,
+            0.95: 1.959963984540054,
+            0.99: 2.5758293035489004,
+            0.999: 3.2905267314919255,
+        }
+        for p, value in table.items():
+            assert coverage_halfwidth(p) == pytest.approx(value, rel=8 * np.finfo(float).eps, abs=0)
+        assert coverage_halfwidth(0.97) == 2.17009037758456
+
     def test_monotone_in_p(self):
         ps = np.linspace(0.01, 0.995, 40)
         vals = [coverage_halfwidth(p) for p in ps]

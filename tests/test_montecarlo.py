@@ -23,6 +23,8 @@ from slantbeam.montecarlo import (
     sweep_cells,
 )
 
+from oracles import matched_filter, matched_gain_rtol
+
 DEG = np.pi / 180.0
 
 SMALL = TrialConfig(
@@ -122,7 +124,9 @@ class TestRunTrial:
     @pytest.mark.parametrize("mode", EVAL_MODES)
     def test_records_match_per_beam_oracle(self, mode):
         # oracle: the per-beam loop capacities were once accumulated with, one
-        # gain_profile call per beam and point, then user_capacity per user
+        # gain_profile call per beam and point, then user_capacity per user.
+        # The digital genie's gains are the closed form N; its matched-filter
+        # rows reach N only to rounding, checked at the summation bound
         cfg = dataclasses.replace(SMALL, plan=dataclasses.replace(SMALL.plan, mode=mode),
                                   channel_gains=(1.0, 0.5, 2.0))
         res = run_trial(cfg, 3, 1)
@@ -135,7 +139,14 @@ class TestRunTrial:
         for kind, policy in policies.items():
             expected = np.empty(res.true_aods.shape)
             for p, row in enumerate(res.true_aods):
-                gains = gain_profile(row[users], freqs, policy.subcarrier_weights(row), cfg.array)
+                if kind == "digital_genie":
+                    rows = matched_filter(row, res.assignment, cfg.array)
+                    gains = gain_profile(row[users], freqs, rows, cfg.array)
+                    n = cfg.array.num_antennas
+                    np.testing.assert_allclose(gains, n, rtol=matched_gain_rtol(n), atol=0)
+                    gains = np.full(users.size, float(n))
+                else:
+                    gains = gain_profile(row[users], freqs, policy.subcarrier_weights(row), cfg.array)
                 for u in range(3):
                     expected[p, u] = user_capacity(gains[users == u], cfg.array, cfg.budget,
                                                    cfg.channel_gains[u])
