@@ -12,8 +12,9 @@ Conventions used throughout the package:
 Phasors over an evenly spaced axis (antenna index, subcarrier index) come from
 ``_phasor_ramp``, which factors exp(j(x0 + dx*m)) so that an (R, M) matrix
 costs about 2*sqrt(M) complex exponentials per row plus one complex product
-per entry, instead of M exponentials per row.  Arbitrary frequency arrays
-(``awv_matrix``) keep plain ``np.exp``.
+per entry, instead of M exponentials per row: ``response_matrix`` along the
+antennas (any angle per frequency), ``band_steering`` along the subcarriers of
+each sub-band (its conjugate, (N, K)).  ``awv_matrix`` keeps plain ``np.exp``.
 """
 
 import math
@@ -110,6 +111,14 @@ def _phasor_ramp(start, step, m: int) -> np.ndarray:
     return out.reshape(out.shape[0], -1)[:, :m]
 
 
+def _checked_angles(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    bad = theta[~(np.abs(theta) <= np.pi / 2)]
+    if bad.size:
+        raise ValueError(f"angle of departure {float(bad[0])!r} outside [-pi/2, pi/2]")
+    return theta
+
+
 def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Steering vectors across frequencies, shape (F, N), toward one angle or
     toward one angle per frequency (``theta`` of shape (F,)).
@@ -117,10 +126,7 @@ def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     Row k is exp(j*n*phase_k) over the antenna index n, built by
     ``_phasor_ramp`` with step phase_k = 2*pi*spacing*sin(theta_k)*f_k/f_c.
     """
-    theta = np.asarray(theta, dtype=float)
-    bad = theta[~(np.abs(theta) <= np.pi / 2)]
-    if bad.size:
-        raise ValueError(f"angle of departure {float(bad[0])!r} outside [-pi/2, pi/2]")
+    theta = _checked_angles(theta)
     freqs = np.asarray(freqs, dtype=float)
     if theta.size not in (1, freqs.size):
         raise ValueError(
@@ -129,6 +135,22 @@ def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
         )
     phase = TWO_PI * cfg.spacing * np.sin(theta) / cfg.carrier_freq
     return _phasor_ramp(0.0, np.reshape(phase, -1) * np.reshape(freqs, -1), cfg.num_antennas)
+
+
+def band_steering(angles, cfg: ArrayConfig) -> np.ndarray:
+    """Conjugate steering conj(a) over the K subcarrier centers, shape (N, K), toward
+    one angle per equal contiguous sub-band (one angle covers the band). The phase
+    -n*2*pi*spacing*sin(theta_u)*f_k/f_c is linear in k within sub-band u, so each
+    n-major (n, u) is one ``_phasor_ramp`` along k, and the ramps reshape to (N, K)."""
+    angles = np.atleast_1d(_checked_angles(angles))
+    k = cfg.num_subcarriers
+    if angles.size == 0 or k % angles.size:
+        raise ValueError(f"{angles.size} angles do not split {k} subcarriers into equal sub-bands")
+    per = k // angles.size
+    per_hz = -TWO_PI * cfg.spacing * np.sin(angles) / cfg.carrier_freq
+    rate = np.outer(np.arange(cfg.num_antennas), per_hz)  # (N, U)
+    first = cfg.subcarrier_centers()[::per]
+    return _phasor_ramp(rate * first, rate * cfg.subcarrier_spacing, per).reshape(-1, k)
 
 
 @dataclass(frozen=True)
@@ -177,23 +199,23 @@ def gain_profile(theta, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig)
     """Per-frequency gains |a(theta_k, f_k)^H v_k|^2 for row-matched weights.
 
     ``v_rows`` holds one weight vector per frequency (shape (F, N)) and
-    ``theta`` one angle or one angle per frequency; this is the workhorse
-    used by pattern and capacity evaluation.
+    ``theta`` one angle or one angle per frequency; the sum runs along each
+    row of ``response_matrix``, independent of ``band_steering``.
     """
-    return _matched_gains(response_matrix(theta, freqs, cfg), v_rows)
+    return np.abs(np.sum(np.conj(response_matrix(theta, freqs, cfg)) * v_rows, axis=1)) ** 2
 
 
-def _matched_gains(a: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-    """|sum_n conj(a_kn) * v_kn|^2 per row k, summed over the antenna axis."""
-    return np.abs(np.sum(np.conj(a) * v_rows, axis=1)) ** 2
+def _matched_gains(b: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+    """|sum_n b_nk * v_nk|^2 per subcarrier k of two (N, K) arrays, where ``b``
+    is ``band_steering`` (already conjugated) and ``v_cols`` the weights."""
+    return np.abs(np.sum(b * v_cols, axis=0)) ** 2
 
 
 def pattern_heatmap(weights: AnalogWeights, theta_grid: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Gain map over (angle, subcarrier), shape (len(theta_grid), K)."""
-    freqs = cfg.subcarrier_centers()
-    v_rows = awv_matrix(weights, freqs, cfg)
+    v_cols = np.ascontiguousarray(awv_matrix(weights, cfg.subcarrier_centers(), cfg).T)
     theta_grid = np.asarray(theta_grid, dtype=float)
     out = np.empty((theta_grid.size, cfg.num_subcarriers))
     for i, theta in enumerate(theta_grid):
-        out[i] = gain_profile(theta, freqs, v_rows, cfg)
+        out[i] = _matched_gains(band_steering(theta, cfg), v_cols)
     return out

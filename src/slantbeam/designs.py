@@ -3,8 +3,9 @@
 Analog designs produce one :class:`BeamDesign` (a phase/delay bank plus
 provenance); the genie baselines are evaluation-time policies that re-point
 using the true user directions at every evaluated instant.  Every policy
-answers ``gains(a, angles)``, its per-subcarrier gains against the steering
-matrix ``a`` toward the true directions, so evaluation treats them uniformly.
+answers ``gains(b, angles)``, its per-subcarrier gains against the (N, K)
+conjugate steering ``band_steering`` toward the true directions, so evaluation
+treats them uniformly; analog policies score (N, K) weight columns against it.
 """
 
 from dataclasses import dataclass, field
@@ -178,12 +179,13 @@ class FixedBeamPolicy:
         self.kind = design.kind
         self.assignment = design.anchor.assignment if design.anchor is not None else None
         self._rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
+        self._cols = np.ascontiguousarray(self._rows.T)
 
     def subcarrier_weights(self, angles) -> np.ndarray:
         return self._rows
 
-    def gains(self, a, angles) -> np.ndarray:
-        return _matched_gains(a, self._rows)
+    def gains(self, b, angles) -> np.ndarray:
+        return _matched_gains(b, self._cols)
 
 
 class SteppedGeniePolicy:
@@ -202,8 +204,8 @@ class SteppedGeniePolicy:
         design = genie_stepped(np.asarray(angles)[None, :], self.cfg, self.opts, self.assignment)[0]
         return awv_matrix(design.weights, self.cfg.subcarrier_centers(), self.cfg)
 
-    def gains(self, a, angles) -> np.ndarray:
-        return _matched_gains(a, self.subcarrier_weights(angles))
+    def gains(self, b, angles) -> np.ndarray:
+        return _matched_gains(b, self.subcarrier_weights(angles).T)
 
 
 class DigitalGeniePolicy:
@@ -216,6 +218,6 @@ class DigitalGeniePolicy:
         self.cfg = cfg
         self.assignment = assignment
 
-    def gains(self, a, angles) -> np.ndarray:
+    def gains(self, b, angles) -> np.ndarray:
         subband_users(self.assignment, self.cfg.num_subcarriers, np.size(angles))
         return np.full(self.cfg.num_subcarriers, float(self.cfg.num_antennas))

@@ -8,7 +8,7 @@ transmit SNR scaled by the user's squared channel magnitude and by the
 beamforming gain toward the user's true direction.
 
 ``capacity_records`` scores all of a trial's beams in one pass over the
-evaluation points, reading every beam's gains against one steering matrix
+evaluation points, reading every beam's gains against one ``band_steering``
 per point; ``min_capacity`` is its one-beam case.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, db_to_linear, response_matrix
+from .arrays import ArrayConfig, band_steering, db_to_linear
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -108,10 +108,10 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     """Evaluate beam policies against true directions, kind -> CapacityRecord.
 
     ``policies`` maps kinds to policies and ``true_aods`` has shape (P, U): P
-    evaluation points, U users. At each point the steering matrix ``a`` toward
-    the true directions is built once and each policy's (K,) gains
-    ``gains(a, angles)`` read, in the order of ``policies``. User u's capacity
-    sums log2(1 + snr * channel_gains[u] * gain) over the sub-band
+    evaluation points, U users. At each point the (N, K) conjugate steering
+    ``b = band_steering`` toward each sub-band's user is built once and each
+    policy's (K,) gains ``gains(b, angles)`` read, in the order of ``policies``.
+    User u's capacity sums log2(1 + snr * channel_gains[u] * gain) over the sub-band
     ``assignment`` (None for the identity) maps it to, times the subcarrier
     spacing; ``channel_gains`` are squared channel magnitudes (length U, or 1
     to broadcast; all ones by default). A failure is re-raised with the beam
@@ -125,14 +125,13 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
         raise ValueError("channel_gains must be positive, one per user")
     h2 = np.broadcast_to(h2, (num_users,))[users]  # one per subcarrier
     band_users = users[::cfg.num_subcarriers // num_users]
-    freqs = cfg.subcarrier_centers()
     caps = {kind: np.empty((num_points, num_users)) for kind in policies}
     for p in range(num_points):
         kind = next(iter(policies), "")
         try:
-            a = response_matrix(true_aods[p, users], freqs, cfg)
+            b = band_steering(true_aods[p, band_users], cfg)
             for kind, policy in policies.items():
-                zeta = subcarrier_snr(policy.gains(a, true_aods[p]), budget, h2)
+                zeta = subcarrier_snr(policy.gains(b, true_aods[p]), budget, h2)
                 bands = np.log2(1.0 + zeta).reshape(num_users, -1).sum(axis=1)
                 caps[kind][p, band_users] = cfg.subcarrier_spacing * bands
         except ValueError as exc:

@@ -16,7 +16,6 @@ are rolled forward and capacity is measured at each scheduling step.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,6 +351,7 @@ def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> lis
         for t in range(sweep.trials)
     ]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 20 ms to import: pool runs only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_cell_job, jobs, chunksize=1))
     else:

@@ -43,3 +43,29 @@ def matched_gain_rtol(num_antennas):
     sum is within about (N + 6) * eps of sqrt(N), and squaring it doubles
     that. Scalar rounding adds the rest of the 2 * (N + 8) * eps."""
     return 2 * (num_antennas + 8) * np.finfo(float).eps
+
+
+def steering_gain_atol(cfg):
+    """Absolute bound on how far a gain |sum_n conj(a_n) * v_n|^2, with unit-modulus
+    a and |v_n| = 1/sqrt(N), may move between two steering kernels that round
+    differently (``band_steering`` against ``response_matrix``). Each kernel's
+    phase argument is at most phi = 2*pi*spacing*(N-1)*f_max/f_c and is rounded to
+    a few ulps of it, so an entry sits within 4*eps*(phi + 1) of the exact
+    phasor, and the two kernels' entries within twice that. The sum of N products
+    of magnitude 1/sqrt(N) moves by sqrt(N) times that, plus N*eps*sqrt(N) of
+    summation rounding per side, and |s|^2 <= N moves by 2*sqrt(N) times the sum."""
+    eps = np.finfo(float).eps
+    n = cfg.num_antennas
+    phi = 2 * np.pi * cfg.spacing * (n - 1) * cfg.band_edges()[1] / cfg.carrier_freq
+    return 2 * n * eps * (2 * 4 * (phi + 1) + 2 * n)
+
+
+def capacity_tolerance(cfg, budget, channel_gain, num_users):
+    """``assert_allclose`` bounds for a user's capacity when its gains move by at
+    most ``steering_gain_atol``: d/dg log2(1 + s*g) <= s/ln 2 for the SNR s times
+    the channel gain, over the user's K/U subcarriers of width W/K (atol), plus the
+    rounding of two sums of K/U logarithms (rtol)."""
+    per = cfg.num_subcarriers // num_users
+    slope = budget.snr_linear * channel_gain / np.log(2)
+    atol = cfg.subcarrier_spacing * per * slope * steering_gain_atol(cfg)
+    return {"rtol": 2 * (per + 2) * np.finfo(float).eps, "atol": atol}

@@ -9,13 +9,14 @@ from slantbeam.arrays import (
     _matched_gains,
     _phasor_ramp,
     awv_matrix,
+    band_steering,
     gain_profile,
     pattern_heatmap,
     response_matrix,
     wrap_phase,
 )
 
-from oracles import array_response, awv, gain
+from oracles import array_response, awv, gain, steering_gain_atol
 
 TABLE_CFG = ArrayConfig(
     num_antennas=32,
@@ -145,6 +146,38 @@ class TestResponseMatrix:
             gain_profile(thetas, freqs, np.ones((num_freqs, 32)) / np.sqrt(32), TABLE_CFG)
 
 
+class TestBandSteering:
+    @pytest.mark.parametrize("num_users", [1, 3])
+    @pytest.mark.parametrize("num_antennas, num_subcarriers", [(1, 48), (7, 48), (32, 48), (32, 1200)])
+    def test_matches_direct_formula(self, num_antennas, num_subcarriers, num_users):
+        cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
+        freqs = cfg.subcarrier_centers()
+        angles = np.linspace(-1.5, 1.4, num_users)
+        thetas = np.repeat(angles, num_subcarriers // num_users)
+        n = np.arange(num_antennas)
+        direct = np.exp(-1j * 2 * np.pi * 0.5 * np.outer(n, np.sin(thetas) * freqs / 60e9))
+        b = band_steering(angles, cfg)
+        assert b.shape == (num_antennas, num_subcarriers)
+        np.testing.assert_allclose(b, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, np.conj(response_matrix(thetas, freqs, cfg)).T, rtol=0, atol=1e-12)
+
+    def test_one_angle_covers_the_band(self):
+        cfg = ArrayConfig(8, 0.5, 60e9, 2e9, 48)
+        np.testing.assert_array_equal(band_steering(0.4, cfg), band_steering([0.4], cfg))
+        np.testing.assert_allclose(band_steering(0.4, cfg), band_steering([0.4] * 3, cfg),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.6])
+    def test_angle_outside_half_plane_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"angle of departure .* outside \[-pi/2, pi/2\]"):
+            band_steering(np.array([0.1, bad, 0.2]), ArrayConfig(8, 0.5, 60e9, 2e9, 48))
+
+    @pytest.mark.parametrize("num_angles", [0, 5, 7])
+    def test_angle_count_must_divide_subcarriers(self, num_angles):
+        with pytest.raises(ValueError, match=rf"{num_angles} angles do not split 48 subcarriers"):
+            band_steering(np.zeros(num_angles), ArrayConfig(8, 0.5, 60e9, 2e9, 48))
+
+
 class TestAnalogWeights:
     def test_full_delay_turn_is_identity(self):
         # 1 ns of delay at 1 GHz is one full carrier cycle: exp(-j*2*pi) = 1
@@ -263,13 +296,20 @@ class TestPatternHeatmap:
 
 
 @pytest.mark.parametrize("theta", [0.3, np.linspace(-1.2, 1.4, 48)])
-def test_matched_gains_is_gain_profile_bit_for_bit(theta):
+def test_matched_gains_matches_gain_profile(theta):
+    # the evaluation kernel (band_steering ramps along the subcarriers) against
+    # gain_profile (response_matrix ramps along the antennas): equal to the
+    # kernels' rounding bound. The same kernel over a strided or a contiguous
+    # (N, K) view of the weights gives the same bits
     cfg = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
     freqs = cfg.subcarrier_centers()
     rows = awv_matrix(AnalogWeights(np.linspace(-3, 3, 16), np.linspace(0, 2e-9, 16)), freqs, cfg)
-    a = response_matrix(theta, freqs, cfg)
-    np.testing.assert_array_equal(_matched_gains(a, rows), gain_profile(theta, freqs, rows, cfg))
-    np.testing.assert_allclose(_matched_gains(a, a / 4.0), np.full(48, 16.0), rtol=1e-12)
+    b = band_steering(theta, cfg)
+    gains = _matched_gains(b, np.ascontiguousarray(rows.T))
+    np.testing.assert_array_equal(gains, _matched_gains(b, rows.T))
+    np.testing.assert_allclose(gains, gain_profile(theta, freqs, rows, cfg), rtol=0,
+                               atol=steering_gain_atol(cfg))
+    np.testing.assert_allclose(_matched_gains(b, np.conj(b) / 4.0), np.full(48, 16.0), rtol=1e-12)
 
 
 def test_wrap_phase_range():

@@ -427,9 +427,11 @@ class TestWriters:
 
 
 def test_fresh_import_leaves_scipy_out():
-    # numpy is the only runtime dependency
+    # numpy is the only runtime dependency, and the process pool (about 20 ms of
+    # imports) loads only when a run asks for workers
     src = str(Path(slantbeam.__file__).resolve().parents[1])
-    code = "import sys, slantbeam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, slantbeam.cli; print([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"

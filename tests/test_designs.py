@@ -5,9 +5,9 @@ from slantbeam.arrays import (
     ArrayConfig,
     _matched_gains,
     awv_matrix,
+    band_steering,
     gain_profile,
     pattern_heatmap,
-    response_matrix,
     wrap_phase,
 )
 from slantbeam.designs import (
@@ -232,7 +232,7 @@ class TestGenies:
         # the closed-form gain N is the gain of the unit-norm matched filter
         theta = -23 * DEG
         freqs = CFG48.subcarrier_centers()
-        gains = DigitalGeniePolicy(CFG48).gains(response_matrix(theta, freqs, CFG48), [theta])
+        gains = DigitalGeniePolicy(CFG48).gains(band_steering(theta, CFG48), [theta])
         np.testing.assert_array_equal(gains, np.full(48, 32.0))
         v = matched_filter([theta], [0], CFG48)[7]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
@@ -271,7 +271,7 @@ class TestGenies:
             analog_min = min(analog_min, gain_profile(th, freqs[sl], rows[sl], cfg).min())
         assert analog_min < 0.5 * 32
 
-        digital = DigitalGeniePolicy(cfg).gains(response_matrix(np.repeat(angles, per), freqs, cfg), angles)
+        digital = DigitalGeniePolicy(cfg).gains(band_steering(angles, cfg), angles)
         assert digital.min() == 32.0
 
 
@@ -301,8 +301,9 @@ class TestPolicies:
             pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
         else:
             pol = SteppedGeniePolicy(CFG48)
-        a = response_matrix(np.repeat(angles, 16), CFG48.subcarrier_centers(), CFG48)
-        np.testing.assert_array_equal(pol.gains(a, angles), _matched_gains(a, pol.subcarrier_weights(angles)))
+        b = band_steering(angles, CFG48)
+        cols = pol.subcarrier_weights(angles).T
+        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
 
     def test_digital_genie_policy_full_gain_on_own_band(self):
         # the policy's closed form N, and the matched filter reaching it on
@@ -311,8 +312,8 @@ class TestPolicies:
         assignment = np.array([2, 0, 1])
         pol = DigitalGeniePolicy(CFG48, assignment=assignment)
         freqs = CFG48.subcarrier_centers()
-        a = response_matrix(angles[np.repeat([1, 2, 0], 16)], freqs, CFG48)
-        np.testing.assert_array_equal(pol.gains(a, angles), np.full(48, 32.0))
+        b = band_steering(angles[[1, 2, 0]], CFG48)
+        np.testing.assert_array_equal(pol.gains(b, angles), np.full(48, 32.0))
         rows = matched_filter(angles, assignment, CFG48)
         per = 16
         for u, band in enumerate(assignment):
@@ -321,11 +322,11 @@ class TestPolicies:
             np.testing.assert_allclose(gains, 32.0, rtol=1e-9)
 
     def test_digital_genie_rejects_assignment_of_other_length(self):
-        a = response_matrix(0.1, CFG48.subcarrier_centers(), CFG48)
+        b = band_steering(0.1, CFG48)
         with pytest.raises(ValueError, match="not a permutation"):
-            DigitalGeniePolicy(CFG48, assignment=[0, 1, 2]).gains(a, [0.1, 0.2])
+            DigitalGeniePolicy(CFG48, assignment=[0, 1, 2]).gains(b, [0.1, 0.2])
         with pytest.raises(ValueError, match="not a permutation"):
-            DigitalGeniePolicy(CFG48, assignment=[1, 0]).gains(a, [0.1, 0.2, 0.3])
+            DigitalGeniePolicy(CFG48, assignment=[1, 0]).gains(b, [0.1, 0.2, 0.3])
 
 
 class TestBeamDesignContainer:

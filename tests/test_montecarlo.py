@@ -23,7 +23,7 @@ from slantbeam.montecarlo import (
     sweep_cells,
 )
 
-from oracles import matched_filter, matched_gain_rtol
+from oracles import capacity_tolerance, matched_filter, matched_gain_rtol
 
 DEG = np.pi / 180.0
 
@@ -125,6 +125,8 @@ class TestRunTrial:
     def test_records_match_per_beam_oracle(self, mode):
         # oracle: the per-beam loop capacities were once accumulated with, one
         # gain_profile call per beam and point, then user_capacity per user.
+        # gain_profile steers along the antennas and the evaluation along the
+        # subcarriers, so analog beams agree to the kernels' rounding bound.
         # The digital genie's gains are the closed form N; its matched-filter
         # rows reach N only to rounding, checked at the summation bound
         cfg = dataclasses.replace(SMALL, plan=dataclasses.replace(SMALL.plan, mode=mode),
@@ -136,6 +138,7 @@ class TestRunTrial:
         freqs = cfg.array.subcarrier_centers()
         users = subband_users(res.assignment, cfg.array.num_subcarriers, 3)
         assert tuple(res.records) == cfg.beams == BEAM_KINDS
+        tol = capacity_tolerance(cfg.array, cfg.budget, max(cfg.channel_gains), 3)
         for kind, policy in policies.items():
             expected = np.empty(res.true_aods.shape)
             for p, row in enumerate(res.true_aods):
@@ -150,7 +153,10 @@ class TestRunTrial:
                 for u in range(3):
                     expected[p, u] = user_capacity(gains[users == u], cfg.array, cfg.budget,
                                                    cfg.channel_gains[u])
-            assert np.array_equal(res.records[kind].capacities, expected), kind
+            if kind == "digital_genie":
+                assert np.array_equal(res.records[kind].capacities, expected)
+            else:
+                np.testing.assert_allclose(res.records[kind].capacities, expected, **tol, err_msg=kind)
 
     def test_scenario_failure_names_the_trial(self, monkeypatch):
         import slantbeam.montecarlo as mc
