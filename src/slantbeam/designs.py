@@ -172,17 +172,18 @@ def genie_stepped(aods_per_step, cfg: ArrayConfig, opts: SolverOptions = None, a
 
 class FixedBeamPolicy:
     """Evaluation policy for a frozen analog design: the same per-subcarrier
-    weight rows regardless of where the users actually are.  ``assignment``
-    is the design's anchor assignment (None for the anchor-free kinds)."""
+    weights regardless of where the users actually are, held once as (N, K)
+    columns.  ``assignment`` is the design's anchor assignment (None for the
+    anchor-free kinds)."""
 
     def __init__(self, design: BeamDesign, cfg: ArrayConfig):
         self.kind = design.kind
         self.assignment = design.anchor.assignment if design.anchor is not None else None
-        self._rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
-        self._cols = np.ascontiguousarray(self._rows.T)
+        rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
+        self._cols = np.ascontiguousarray(rows.T)
 
     def subcarrier_weights(self, angles) -> np.ndarray:
-        return self._rows
+        return self._cols.T
 
     def gains(self, b, angles) -> np.ndarray:
         return _matched_gains(b, self._cols)

@@ -25,8 +25,23 @@ The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
 scan, delay sums, phase step, inner products) is a row-wise phasor ramp with
 start 2 pi tau f_0 and step 2 pi tau df, built by ``arrays._phasor_ramp`` from
 about 2*sqrt(K) exponentials per row instead of K.
+
+Newton points never leave one grid cell of the grid maximum tau0, so the
+refinement expands each delay sum once about tau0 instead of summing over the
+band at every point: with x = (tau - tau0)/cell, S is a sum over blocks of
+exp(j w_b x) P_b(x), where w_b is the block centre's phase and P_b a degree
+M-1 polynomial whose coefficients are the block's Taylor moments, one (N, K)
+by (K, M) product with a table built once per solve. Blocks keep every
+block's radius at most 1, so the series never cancels: the default grid
+(r = 2 pi max|fb| cell = pi N/255) needs one block, a coarse grid or a long
+delay budget more. M is the least term count whose truncation of S, S' and
+S'' stays below one unit roundoff of their scale (16 at N = 32). Each Newton
+point then costs O(N M) per block, and an iteration builds four (N, K) ramps:
+the expansion, the current delays' sums, the phase step and the inner
+products.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -183,32 +198,117 @@ def _delay_sums(c_t: np.ndarray, band: _Baseband, tau: np.ndarray) -> np.ndarray
     return (rot * c_t) @ band.weights
 
 
-def _refine_delays(c_t: np.ndarray, band: _Baseband, grid: np.ndarray, best: np.ndarray):
+class _Moments(NamedTuple):
+    """Taylor moments of exp(j 2 pi d fb_k) for delay offsets |d| <= ``cell``.
+
+    The subcarriers split into ``centers.size`` blocks of ``table.shape[0]``,
+    the last one zero-padded. With x = d/cell, subcarrier l of block b has
+    2 pi d fb = (w_b + u_l) x, where w_b = ``centers[b]`` is the block centre's
+    phase at x = 1 and u_l = 2 pi cell df (l - (L-1)/2) is the same in every
+    block. ``table[l, m]`` = (j u_l)^m / m!.
+    """
+
+    cell: float
+    centers: np.ndarray
+    table: np.ndarray
+
+
+def _taylor_moments(band: _Baseband, cell: float, num_k: int) -> _Moments:
+    """Moments for the delay grid spacing ``cell``.
+
+    Blocks are as few and as even as keeps each block's radius
+    rho = max|u_l| <= 1: one block on the default grid (r = 2 pi max|fb| cell
+    = pi N/255), more on a coarse grid or a long delay budget. The term count
+    M is the least with rho^(M-2)/(M-2)! <= 2^-54, so truncating P, P' and P''
+    costs at most one unit roundoff of sum|a|, sum|a|*rho and sum|a|*rho^2 (the
+    tail after the first omitted term is at most as large again).
+    """
+    w_step = TWO_PI * cell * band.step
+    max_len = num_k if (num_k - 1) * w_step <= 2.0 else int(2.0 / w_step) + 1
+    num_blocks = -(-num_k // max_len)
+    block_len = -(-num_k // num_blocks)
+    rho = 0.5 * (block_len - 1) * w_step
+    n = 1
+    while rho**n / math.factorial(n) > 2.0**-54:
+        n += 1
+    terms = n + 2
+    u = w_step * (np.arange(block_len) - 0.5 * (block_len - 1))
+    table = np.vander(1j * u, terms, increasing=True) / np.cumprod([1.0, *range(1, terms)])
+    first = band.start + 0.5 * (block_len - 1) * band.step
+    centers = TWO_PI * cell * (first + block_len * band.step * np.arange(num_blocks))
+    return _Moments(cell, centers, table)
+
+
+def _moment_expansion(c_t: np.ndarray, band: _Baseband, moments: _Moments, tau0: np.ndarray):
+    """Expand every element's delay sum about its own tau0 = tau0[n].
+
+    One (N, K) phasor ramp moves the terms to tau0. Their product with the
+    band's derivative weights gives S, S' and S'' at tau0 as ``_delay_sums``
+    does, (N, 3); their product with the moment table gives the coefficients
+    that ``_moment_sums`` evaluates at any tau0 + x*cell, |x| <= 1.
+    """
+    num_n, num_k = c_t.shape
+    block_len, terms = moments.table.shape
+    num_blocks = moments.centers.size
+    padded = np.zeros((num_n, num_blocks * block_len), dtype=complex)
+    rot = _phasor_ramp(TWO_PI * tau0 * band.start, TWO_PI * tau0 * band.step, num_k)
+    sums = np.multiply(rot, c_t, out=padded[:, :num_k]) @ band.weights
+    p = (padded.reshape(-1, block_len) @ moments.table).reshape(num_n, num_blocks, terms)
+    # block b adds exp(j w_b x) P_b(x) to S, so exp(j w_b x) multiplies
+    # P, P' + jw P and P'' + 2jw P' + (jw)^2 P in S, dS/dx and d2S/dx2;
+    # their x-coefficients, scaled to derivatives in tau, are (N, 3, B, M)
+    m = np.arange(terms)
+    coef = np.zeros((num_n, 3, num_blocks, terms), dtype=complex)
+    coef[:, 0] = p
+    coef[:, 1, :, :-1] = p[..., 1:] * m[1:]
+    coef[:, 2, :, :-2] = coef[:, 1, :, 1:-1] * m[1:-1]
+    jw = 1j * moments.centers[:, None]
+    coef[:, 2] += jw * (2.0 * coef[:, 1] + jw * p)
+    coef[:, 1] += jw * p
+    coef /= np.array([1.0, moments.cell, moments.cell**2])[:, None, None]
+    return sums, coef.reshape(num_n, 3, -1)
+
+
+def _moment_sums(coef: np.ndarray, moments: _Moments, x: np.ndarray) -> np.ndarray:
+    """S, S' and S'' of every element's delay sum at tau0[n] + x[n]*cell, (N, 3)."""
+    powers = np.empty((moments.table.shape[1], x.size))
+    powers[0] = 1.0
+    powers[1:] = x
+    np.multiply.accumulate(powers, axis=0, out=powers)  # x^m, (M, N)
+    basis = np.exp(1j * moments.centers[:, None] * x)[:, None, :] * powers  # (B, M, N)
+    return (coef @ basis.reshape(-1, x.size).T[:, :, None])[..., 0]
+
+
+def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np.ndarray,
+                   best: np.ndarray):
     """Refine each element's grid maximum of |S(tau)| by safeguarded Newton ascent.
 
     Steps by -g'/g'' on g = |S|^2 only where g'' < 0, clamped to one grid cell
     either side of ``grid[best]`` within [grid[0], grid[-1]]. Returns the best
     delay seen per element and its |S|; the grid point itself is the first
-    point seen, so the result is never worse than the coarse scan.
+    point seen, so the result is never worse than the coarse scan. The grid
+    point's sums come from the expansion's ramp as ``_delay_sums`` would give
+    them, and every Newton point's from the expansion's moments.
     """
-    cell = grid[1] - grid[0]
-    tau = grid[best]
-    lo = np.clip(tau - cell, grid[0], grid[-1])
-    hi = np.clip(tau + cell, grid[0], grid[-1])
+    cell = moments.cell
+    tau0 = grid[best]
+    lo = np.clip(tau0 - cell, grid[0], grid[-1])
+    hi = np.clip(tau0 + cell, grid[0], grid[-1])
+    sums, coef = _moment_expansion(c_t, band, moments, tau0)
+    tau = tau0
     cand = tau
-    g_cand = np.full(tau.shape, -np.inf)
-    for step in range(NEWTON_STEPS + 1):
-        s0, s1, s2 = _delay_sums(c_t, band, tau).T
-        g = np.abs(s0)
-        better = g > g_cand
-        cand = np.where(better, tau, cand)
-        g_cand = np.where(better, g, g_cand)
-        if step == NEWTON_STEPS:
-            break
+    g_cand = np.abs(sums[:, 0])
+    for _ in range(NEWTON_STEPS):
+        s0, s1, s2 = sums.T
         # g'/2 and g''/2 (the 2 cancels in -g'/g''); no step where g'' >= 0
         d1 = np.real(np.conj(s0) * s1)
         d2 = np.abs(s1) ** 2 + np.real(np.conj(s0) * s2)
         tau = np.clip(tau - d1 / np.where(d2 < 0, d2, np.inf), lo, hi)
+        sums = _moment_sums(coef, moments, (tau - tau0) / cell)
+        g = np.abs(sums[:, 0])
+        better = g > g_cand
+        cand = np.where(better, tau, cand)
+        g_cand = np.where(better, g, g_cand)
     return cand, g_cand
 
 
@@ -241,6 +341,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     delays = line_fit_delays(profile, tau_max)
 
     grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
+    moments = _taylor_moments(band, grid[1] - grid[0], num_k)
     e_grid = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k)  # (G, K)
 
     def full_band_ramp(ta, ph=0.0):
@@ -260,7 +361,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
 
         # coarse grid: first index wins ties, i.e. the smallest delay
         mag = np.abs(e_grid @ c_t.T)  # (G, N)
-        cand, g_cand = _refine_delays(c_t, band, grid, np.argmax(mag, axis=0))
+        cand, g_cand = _refine_delays(c_t, band, moments, grid, np.argmax(mag, axis=0))
         g_cur = np.abs(_delay_sums(c_t, band, delays)[:, 0])
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))
         delays = np.where(take, cand, delays)

@@ -116,6 +116,20 @@ class TrialConfig:
             raise ValueError("range_override must be non-negative")
         if self.qpd_peak < 0:
             raise ValueError("qpd_peak must be non-negative")
+        lo, hi = self.scenario.aod_range
+        reach = max(abs(lo), abs(hi))
+        if self.plan.mode == "offset":
+            # offset_grid spans [-max_offset, max_offset], or holds 0 alone
+            reach += self.plan.max_offset if self.plan.offset_count > 1 else 0.0
+            moved = "the largest offset"
+        else:
+            t = self.timing.duration
+            reach += self.scenario.velocity_range[1] * t + 0.5 * abs(self.scenario.accel_mean) * t * t
+            moved = "the frame's travel at the largest speed and the mean acceleration"
+        if reach > np.pi / 2:
+            raise ValueError(
+                f"aod_range: max(|aod_min|, |aod_max|) plus {moved} reaches "
+                f"{np.rad2deg(reach):g} deg, beyond 90 deg")
 
 
 @dataclass(frozen=True)

@@ -219,24 +219,36 @@ class TestSweepCommand:
         assert "values = 2.0,3.0" in manifests[0]["config"]
         assert "beams = rainbow,qpd" in manifests[0]["config"]
 
+    # config checks cover only the deterministic motion; here the noise in the
+    # initial angle and speed carries a user out of the half-plane mid-run
+    NOISY_EDGE = ["--seed", "3", "--axis", "mean_velocity", "--values", "0,60",
+                  "--set", "mobility.aod_min_deg=70", "--set", "mobility.aod_max_deg=80",
+                  "--set", "mobility.min_spacing_deg=1", "--set", "mobility.var_theta_deg2=4",
+                  "--set", "mobility.var_omega_deg2_s2=400",
+                  "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8",
+                  "--set", "sweep.trials=4", "--set", "frame.num_steps=3"]
+
     def test_angle_error_names_trial_beam_and_eval_index(self, tmp_path, capsys):
-        code = main(["sweep", "--out", str(tmp_path), "--seed", "1",
-                     "--set", "mobility.aod_max_deg=80", "--set", "sweep.values=0,20",
-                     "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8",
-                     "--set", "sweep.trials=4", "--set", "sweep.offset_count=3"])
+        code = main(["sweep", "--out", str(tmp_path), *self.NOISY_EDGE])
         assert code == 1
-        assert not (tmp_path / "sweep_offset_range.csv").exists()
+        assert not (tmp_path / "sweep_mean_velocity.csv").exists()
         err = capsys.readouterr().err
-        assert "offset_range=20 deg: trial 0: beam slanted, eval index 2: angle of departure" in err
+        assert "mean_velocity=60 deg/s: trial 0: beam slanted, eval index 1: angle of departure" in err
 
     def test_angle_error_names_axis_value_from_worker_pool(self, tmp_path, capsys):
-        code = main(["sweep", "--out", str(tmp_path), "--seed", "1", "--workers", "2",
-                     "--set", "mobility.aod_max_deg=80", "--set", "sweep.values=0,20",
-                     "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8",
-                     "--set", "sweep.trials=4", "--set", "sweep.offset_count=3"])
+        code = main(["sweep", "--out", str(tmp_path), "--workers", "2", *self.NOISY_EDGE])
         assert code == 1
         err = capsys.readouterr().err
-        assert "offset_range=20 deg: trial 0: beam slanted, eval index 2: angle of departure" in err
+        assert "mean_velocity=60 deg/s: trial 0: beam slanted, eval index 1: angle of departure" in err
+
+    def test_angle_range_past_half_plane_fails_before_running(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1",
+                     "--set", "mobility.aod_max_deg=80", "--set", "sweep.values=0,20",
+                     "--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8"])
+        assert code == 2
+        assert not (tmp_path / "sweep_offset_range.csv").exists()
+        err = capsys.readouterr().err
+        assert "[sweep] values: offset_range=20 deg: aod_range:" in err
 
     def test_bad_set_key(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path), "--seed", "0",

@@ -191,6 +191,11 @@ SWEEP_VALUE_ROWS = [
     (["sweep.axis=num_antennas", "sweep.values=0,8"], "num_antennas=0: num_antennas must be >= 1"),
     (["sweep.axis=mean_velocity", "sweep.values=-10,0"], "mean_velocity=-10 deg/s: velocity_range"),
     (["sweep.values=-5,0"], "offset_range=-5 deg: max_offset must be non-negative"),
+    (["mobility.aod_max_deg=80", "sweep.values=0,20"],
+     "offset_range=20 deg: aod_range: max(|aod_min|, |aod_max|) plus the largest offset "
+     "reaches 100 deg, beyond 90 deg"),
+    (["mobility.aod_min_deg=-80", "sweep.axis=mean_velocity", "sweep.values=0,80"],
+     "mean_velocity=80 deg/s: aod_range: max(|aod_min|, |aod_max|) plus the frame's travel"),
 ]
 
 

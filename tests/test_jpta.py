@@ -8,7 +8,10 @@ from slantbeam.jpta import (
     TargetProfile,
     _baseband,
     _delay_sums,
+    _moment_expansion,
+    _moment_sums,
     _refine_delays,
+    _taylor_moments,
     jpta_objective,
     jpta_solve,
     line_fit_delays,
@@ -99,17 +102,21 @@ class TestLineFitInit:
         assert delays.min() == 0.0 and delays.max() <= 1e-12
 
 
-def refinement_case(num_subcarriers: int, seed: int):
+def refinement_case(num_subcarriers: int, seed: int, num_antennas: int = 32,
+                    resolution: int = 256, tau_cells: float = 1.0):
     """Random per-element coefficients c (8, K), the baseband grid fb and the
-    solver's axis for it, the default delay grid and each element's coarse-grid
-    maximum."""
-    cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
+    solver's axis for it, a delay grid of ``resolution`` points over
+    ``tau_cells`` times the default delay budget, its Taylor moments and each
+    element's coarse-grid maximum."""
+    cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
     fb = cfg.subcarrier_centers() - cfg.carrier_freq
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(8, num_subcarriers)) + 1j * rng.normal(size=(8, num_subcarriers))
-    grid = np.linspace(0.0, cfg.default_tau_max(), 256)
+    grid = np.linspace(0.0, tau_cells * cfg.default_tau_max(), resolution)
     mag = np.abs(np.exp(2j * np.pi * np.outer(grid, fb)) @ c.T)
-    return c, fb, _baseband(cfg), grid, np.argmax(mag, axis=0)
+    band = _baseband(cfg)
+    moments = _taylor_moments(band, grid[1] - grid[0], num_subcarriers)
+    return c, fb, band, grid, moments, np.argmax(mag, axis=0)
 
 
 def abs_sum(c_row, fb, tau):
@@ -120,9 +127,14 @@ def abs_sum(c_row, fb, tau):
 @pytest.mark.parametrize("num_subcarriers", [64, 240])
 @pytest.mark.parametrize("seed", [0, 1, 20])  # 20: an element whose grid maximum is at tau = 0
 class TestDelayRefinement:
-    def test_matches_dense_scan_of_bracket(self, num_subcarriers, seed):
-        c, fb, band, grid, best = refinement_case(num_subcarriers, seed)
-        cand, g_cand = _refine_delays(c, band, grid, best)
+    @pytest.fixture
+    def geometry(self):
+        """refinement_case keywords: the default array and delay grid."""
+        return {}
+
+    def test_matches_dense_scan_of_bracket(self, num_subcarriers, seed, geometry):
+        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
+        cand, g_cand = _refine_delays(c, band, moments, grid, best)
         cell = grid[1] - grid[0]
         for n in range(c.shape[0]):
             lo = max(grid[best[n]] - cell, 0.0)
@@ -133,17 +145,81 @@ class TestDelayRefinement:
             assert g_cand[n] >= scan.max() * (1 - 1e-12)
             assert g_cand[n] == pytest.approx(abs_sum(c[n], fb, cand[n:n + 1])[0], rel=1e-12)
 
-    def test_never_worse_than_grid_point(self, num_subcarriers, seed):
-        c, fb, band, grid, best = refinement_case(num_subcarriers, seed)
-        _, g_cand = _refine_delays(c, band, grid, best)
+    def test_never_worse_than_grid_point(self, num_subcarriers, seed, geometry):
+        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
+        _, g_cand = _refine_delays(c, band, moments, grid, best)
         g_grid = np.abs(_delay_sums(c, band, grid[best])[:, 0])
         assert np.all(g_cand >= g_grid)
+
+
+class TestDelayRefinementTwoBlocks(TestDelayRefinement):
+    """The same checks with two moment blocks: the moment radius
+    r = 2 pi max|fb| cell is about 1.6 (N=128, or a 64-point grid), against
+    0.39 on the default grid. A cell is then about half the 1/W lobe of |S|
+    (W the bandwidth), so Newton still reaches the dense scan's maximum."""
+
+    @pytest.fixture(params=[{"num_antennas": 128}, {"resolution": 64}], ids=["n128", "grid64"])
+    def geometry(self, request):
+        return request.param
+
+
+class TestDelayRefinementManyBlocks(TestDelayRefinement):
+    """r about 3.2 (N=256: four blocks) and about 115 (an 8-point grid over
+    8 N/W: blocks of 3 subcarriers). A cell this wide spans one or more 1/W
+    lobes of |S|, so the bracket holds several local maxima, and Newton ascent
+    from the grid maximum need not reach the dense scan's (a direct-sum Newton
+    misses it on the same elements); that check is left out."""
+
+    test_matches_dense_scan_of_bracket = None
+
+    @pytest.fixture(params=[{"num_antennas": 256}, {"resolution": 8, "tau_cells": 8.0}],
+                    ids=["n256", "grid8"])
+    def geometry(self, request):
+        return request.param
+
+    def test_value_is_the_direct_sum_in_the_bracket(self, num_subcarriers, seed, geometry):
+        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
+        cand, g_cand = _refine_delays(c, band, moments, grid, best)
+        cell = grid[1] - grid[0]
+        assert np.all(cand >= np.maximum(grid[best] - cell, 0.0))
+        assert np.all(cand <= np.minimum(grid[best] + cell, grid[-1]))
+        # against the sum's scale: phases 2 pi fb tau reach 800 rad on the
+        # 8-point grid, and both sides round them
+        for n in range(c.shape[0]):
+            direct = abs_sum(c[n], fb, cand[n:n + 1])[0]
+            assert abs(g_cand[n] - direct) <= 1e-12 * np.abs(c[n]).sum()
+
+
+@pytest.mark.parametrize("geometry", [
+    {"num_antennas": 4},  # r = 0.05
+    {},  # r = 0.39
+    {"num_antennas": 256},  # r = 3.2, four blocks
+    {"tau_cells": 8.0},  # r = 3.1, four blocks
+    {"resolution": 8, "tau_cells": 8.0},  # r = 115, blocks of 3 subcarriers
+], ids=["n4", "default", "n256", "tau8", "grid8"])
+@pytest.mark.parametrize("num_subcarriers", [64, 241])
+def test_moment_sums_match_direct_sums(geometry, num_subcarriers):
+    c, fb, band, grid, moments, best = refinement_case(num_subcarriers, 6, **geometry)
+    tau0 = grid[best]
+    head, coef = _moment_expansion(c, band, moments, tau0)
+    np.testing.assert_array_equal(head, _delay_sums(c, band, tau0))
+    # relative to each sum's scale sum_k |c_k| |2 pi fb_k|^d: one sum can
+    # cancel far below it, and both sides round the phases 2 pi fb tau
+    jw = 2j * np.pi * fb
+    weights = np.abs(jw)[:, None] ** np.arange(3)
+    for x in (-1.0, -0.37, 0.0, 0.5, 1.0):
+        sums = _moment_sums(coef, moments, np.full(c.shape[0], x))
+        tau = tau0 + x * moments.cell
+        for n in range(c.shape[0]):
+            terms = c[n] * np.exp(jw * tau[n])
+            direct = np.array([terms.sum(), terms @ jw, terms @ jw**2])
+            assert np.all(np.abs(sums[n] - direct) <= 1e-12 * (np.abs(c[n]) @ weights))
 
 
 def test_delay_sums_match_direct_sums_with_ragged_tail():
     # K = 241 is not a multiple of ceil(sqrt(241)) = 16, so the phasor ramp
     # behind the delay sums pads its last block and slices it off
-    c, fb, band, grid, _ = refinement_case(241, 4)
+    c, fb, band, grid, _, _ = refinement_case(241, 4)
     tau = np.random.default_rng(5).uniform(0.0, grid[-1], c.shape[0])
     sums = _delay_sums(c, band, tau)
     jw = 2j * np.pi * fb

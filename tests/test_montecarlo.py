@@ -212,6 +212,39 @@ class TestPolicyBuilders:
             assert design.report.weights is design.weights
 
 
+class TestAngleReach:
+    """Evaluation directions must stay in the half-plane, checked up front from
+    the deterministic part of the motion."""
+
+    def reach(self, aod_max_deg, **changes):
+        scen = dataclasses.replace(SMALL.scenario, aod_range=(-45 * DEG, aod_max_deg * DEG),
+                                   **changes.pop("scenario", {}))
+        return dataclasses.replace(SMALL, scenario=scen, **changes)
+
+    def test_offset_grid_may_reach_exactly_90(self):
+        # 80 + 10 deg adds up to pi/2 exactly
+        self.reach(80.0)
+        with pytest.raises(ValueError, match=r"^aod_range: .* largest offset reaches 90\.1 deg"):
+            self.reach(80.1)
+
+    def test_single_offset_sits_at_the_estimate(self):
+        self.reach(90.0, plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=1))
+
+    def test_trajectory_adds_speed_and_mean_acceleration_over_the_frame(self):
+        plan = EvalPlan(mode="trajectory")
+        # 0.16 s at 50 deg/s is 8 deg, and 125 deg/s^2 adds 1.6 deg
+        self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG)})
+        self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG),
+                                              "accel_mean": -125 * DEG})
+        with pytest.raises(ValueError, match=r"^aod_range: .* frame's travel"):
+            self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG),
+                                                  "accel_mean": -200 * DEG})
+
+    def test_trajectory_ignores_the_offset_grid(self):
+        self.reach(85.0, plan=EvalPlan(mode="trajectory", max_offset=20 * DEG),
+                   scenario={"velocity_range": (0.0, 0.0)})
+
+
 class TestApplyAxis:
     def test_offset_range(self):
         cfg = apply_axis(SMALL, "offset_range", 5 * DEG)
