@@ -155,19 +155,11 @@ def design_qpd(theta_first: float, peak_phase: float, cfg: ArrayConfig) -> BeamD
     return BeamDesign(kind="qpd", weights=AnalogWeights(phases, np.zeros(cfg.num_antennas)))
 
 
-def genie_stepped(aods_per_step, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None):
-    """Re-pointed stepped designs from the true AoDs at each step.
-
-    ``aods_per_step`` has one row of per-user true directions per evaluated
-    instant; one independent (cold-started) solve is run per row.
-    """
-    aods_per_step = np.atleast_2d(np.asarray(aods_per_step, dtype=float))
-    opts = opts or SolverOptions()
-    designs = []
-    for row in aods_per_step:
-        anchor = AnchorSpec(centers=row, aod_range=0.0, assignment=assignment)
-        designs.append(_solve_anchor(anchor, cfg, opts, "stepped_genie"))
-    return designs
+def genie_stepped(aods, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None) -> BeamDesign:
+    """Stepped design re-pointed at one instant's per-user true AoDs, from an
+    independent (cold-started) solve."""
+    anchor = AnchorSpec(centers=aods, aod_range=0.0, assignment=assignment)
+    return _solve_anchor(anchor, cfg, opts or SolverOptions(), "stepped_genie")
 
 
 class FixedBeamPolicy:
@@ -181,9 +173,6 @@ class FixedBeamPolicy:
         self.assignment = design.anchor.assignment if design.anchor is not None else None
         rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
         self._cols = np.ascontiguousarray(rows.T)
-
-    def subcarrier_weights(self, angles) -> np.ndarray:
-        return self._cols.T
 
     def gains(self, b, angles) -> np.ndarray:
         return _matched_gains(b, self._cols)
@@ -201,12 +190,10 @@ class SteppedGeniePolicy:
         self.opts = opts or SolverOptions()
         self.assignment = assignment
 
-    def subcarrier_weights(self, angles) -> np.ndarray:
-        design = genie_stepped(np.asarray(angles)[None, :], self.cfg, self.opts, self.assignment)[0]
-        return awv_matrix(design.weights, self.cfg.subcarrier_centers(), self.cfg)
-
     def gains(self, b, angles) -> np.ndarray:
-        return _matched_gains(b, self.subcarrier_weights(angles).T)
+        design = genie_stepped(angles, self.cfg, self.opts, self.assignment)
+        rows = awv_matrix(design.weights, self.cfg.subcarrier_centers(), self.cfg)
+        return _matched_gains(b, rows.T)
 
 
 class DigitalGeniePolicy:

@@ -81,7 +81,6 @@ class CapacityRecord:
     """Per-user capacities over evaluation points, shape (P, U)."""
 
     capacities: np.ndarray
-    kind: str = ""
 
     def __post_init__(self):
         caps = np.array(self.capacities, dtype=float)
@@ -97,10 +96,6 @@ class CapacityRecord:
     @property
     def num_eval_points(self) -> int:
         return self.capacities.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.capacities.shape[1]
 
 
 def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
@@ -136,7 +131,7 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
                 caps[kind][p, band_users] = cfg.subcarrier_spacing * bands
         except ValueError as exc:
             raise ValueError(f"beam {kind}, eval index {p}: {exc}") from exc
-    return {kind: CapacityRecord(table, kind=kind) for kind, table in caps.items()}
+    return {kind: CapacityRecord(table) for kind, table in caps.items()}
 
 
 def min_capacity(policy, true_aods, cfg: ArrayConfig, budget: LinkBudget, assignment=None,

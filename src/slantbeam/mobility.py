@@ -27,12 +27,8 @@ class FrameTiming:
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
 
-    @property
-    def dt(self) -> float:
-        return self.duration / self.num_steps
-
     def elapsed(self, i):
-        """Elapsed time i*dt for step index i (scalar or array), exact at i=R."""
+        """Elapsed time i*duration/num_steps at step index i (scalar or array)."""
         i = np.asarray(i)
         if np.any(i < 0) or np.any(i > self.num_steps):
             raise ValueError("step index outside [0, num_steps]")

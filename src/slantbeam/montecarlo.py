@@ -237,18 +237,12 @@ def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResu
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A one-axis parameter sweep: values, trial count, seed, beam set.
-
-    ``range_override`` (radians), when set, replaces the base trial's; config
-    runs leave it None, since ``RunConfig.base_trial`` already carries
-    ``design.range_override_deg``.
-    """
+    """A one-axis parameter sweep: values, trial count, seed, beam set."""
 
     axis: str
     values: tuple
     trials: int = 20
     master_seed: int = 0
-    range_override: float = None
     beams: tuple = BEAM_KINDS
 
     def __post_init__(self):
@@ -336,11 +330,9 @@ def _cell_job(args):
 
 def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
     """The (axis label, trial config) of every sweep value, carrying the
-    sweep's beams and range override; a value that cannot run raises a
-    ValueError that starts with its label."""
+    sweep's beams; a value that cannot run raises a ValueError that starts
+    with its label."""
     base = dataclasses.replace(base, beams=tuple(sweep.beams))
-    if sweep.range_override is not None:
-        base = dataclasses.replace(base, range_override=sweep.range_override)
     cells = []
     for v in sweep.values:
         label = _axis_label(sweep.axis, v)
@@ -422,24 +414,12 @@ class CdfSeries:
         object.__setattr__(self, "probabilities", probs)
 
 
-def capacity_cdf(result: SweepResult, beams=None, values=None) -> list:
+def capacity_cdf(result: SweepResult) -> list:
     """Empirical CDFs of the per-trial minima, one series per (beam, value).
 
     The smallest sample of each series equals the sweep's min-over-trials
     statistic at that axis value.
     """
-    beams = tuple(beams) if beams is not None else result.beams
-    values = tuple(float(v) for v in values) if values is not None else result.values
-    series = []
-    for beam in beams:
-        if beam not in result.minima:
-            raise ValueError(f"beam {beam!r} not present in sweep result")
-        for v in values:
-            try:
-                vi = result.values.index(v)
-            except ValueError:
-                raise ValueError(f"axis value {v} not present in sweep result") from None
-            samples = np.sort(result.minima[beam][vi])
-            probs = np.arange(1, samples.size + 1) / samples.size
-            series.append(CdfSeries(beam, v, samples, probs))
-    return series
+    probs = np.arange(1, result.trials + 1) / result.trials
+    return [CdfSeries(beam, v, np.sort(row), probs)
+            for beam in result.beams for v, row in zip(result.values, result.minima[beam])]

@@ -158,10 +158,11 @@ def test_criterion_7_array_size_trend():
         timing=DESK_TIMING,
         budget=BUDGET,
         plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=25),
+        range_override=20 * DEG,
     )
     sweep = SweepConfig(
         axis="num_antennas", values=(16.0, 32.0, 64.0), trials=TRIALS,
-        master_seed=0, range_override=20 * DEG, beams=("slanted", "rainbow"),
+        master_seed=0, beams=("slanted", "rainbow"),
     )
     result = run_sweep(sweep, base)
     rain = result.min_over_trials("rainbow")

@@ -385,7 +385,7 @@ AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e22, 60e9, 1 / 3, 2.5e-7, 123456789.125]
 
 
 def _trial(trial_id, caps_by_beam):
-    records = {b: CapacityRecord(np.array(c), kind=b) for b, c in caps_by_beam.items()}
+    records = {b: CapacityRecord(np.array(c)) for b, c in caps_by_beam.items()}
     return TrialResult(trial_id, np.arange(2), (), np.zeros((2, 2)), records)
 
 

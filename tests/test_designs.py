@@ -241,7 +241,7 @@ class TestGenies:
 
     def test_stepped_genie_matches_design_stepped_when_static(self):
         angles = np.array([-10.0, 15.0, 40.0]) * DEG
-        by_policy = genie_stepped(angles[None, :], CFG48)[0]
+        by_policy = genie_stepped(angles, CFG48)
         direct = design_stepped(angles, CFG48)
         np.testing.assert_array_equal(by_policy.weights.phases, direct.weights.phases)
         np.testing.assert_array_equal(by_policy.weights.delays, direct.weights.delays)
@@ -250,7 +250,7 @@ class TestGenies:
     def test_single_user_full_gain_across_band(self):
         cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 16)
         theta = 12 * DEG
-        design = genie_stepped(np.array([[theta]]), cfg)[0]
+        design = genie_stepped([theta], cfg)
         freqs = cfg.subcarrier_centers()
         rows = awv_matrix(design.weights, freqs, cfg)
         gains = gain_profile(theta, freqs, rows, cfg)
@@ -262,7 +262,7 @@ class TestGenies:
         cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 240)
         freqs = cfg.subcarrier_centers()
         angles = np.array([-30.0, 0.0, 30.0]) * DEG
-        design = genie_stepped(angles[None, :], cfg)[0]
+        design = genie_stepped(angles, cfg)
         rows = awv_matrix(design.weights, freqs, cfg)
         per = 240 // 3
         analog_min = np.inf
@@ -276,34 +276,22 @@ class TestGenies:
 
 
 class TestPolicies:
-    def test_fixed_policy_precomputes_rows(self):
-        design = design_rainbow(CFG48)
-        pol = FixedBeamPolicy(design, CFG48)
-        rows = pol.subcarrier_weights(np.zeros(3))
-        np.testing.assert_array_equal(
-            rows, awv_matrix(design.weights, CFG48.subcarrier_centers(), CFG48)
-        )
-        assert pol.kind == "rainbow"
-
-    def test_stepped_genie_policy_equals_direct_solve(self):
-        angles = np.array([-5.0, 20.0, -35.0]) * DEG
-        pol = SteppedGeniePolicy(CFG48, assignment=np.array([0, 1, 2]))
-        rows = pol.subcarrier_weights(angles)
-        direct = genie_stepped(angles[None, :], CFG48, assignment=np.array([0, 1, 2]))[0]
-        np.testing.assert_array_equal(
-            rows, awv_matrix(direct.weights, CFG48.subcarrier_centers(), CFG48)
-        )
-
     @pytest.mark.parametrize("kind", ["rainbow", "stepped_genie"])
     def test_analog_policy_gains_score_its_rows(self, kind):
+        # a frozen design's rows are its weights at the subcarrier centers; the
+        # stepped genie's are those of a direct solve at the true directions
         angles = np.array([-5.0, 20.0, -35.0]) * DEG
+        assignment = np.array([2, 0, 1])
         if kind == "rainbow":
-            pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+            design = design_rainbow(CFG48)
+            pol = FixedBeamPolicy(design, CFG48)
         else:
-            pol = SteppedGeniePolicy(CFG48)
-        b = band_steering(angles, CFG48)
-        cols = pol.subcarrier_weights(angles).T
-        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
+            design = genie_stepped(angles, CFG48, assignment=assignment)
+            pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+        assert pol.kind == kind
+        b = band_steering(angles[[1, 2, 0]], CFG48)
+        rows = awv_matrix(design.weights, CFG48.subcarrier_centers(), CFG48)
+        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, rows.T))
 
     def test_digital_genie_policy_full_gain_on_own_band(self):
         # the policy's closed form N, and the matched filter reaching it on

@@ -49,9 +49,6 @@ def erf_two_sided_quantile(p: float) -> float:
 
 
 class TestFrameTiming:
-    def test_dt(self):
-        assert TABLE_TIMING.dt == pytest.approx(1.6e-3, rel=1e-12)
-
     def test_elapsed_exact_at_frame_end(self):
         assert TABLE_TIMING.elapsed(100) == 0.16
         assert FrameTiming(0.16, 25).elapsed(25) == 0.16
