@@ -269,6 +269,11 @@ def main(argv=None) -> int:
     if args.command in ("sweep", "cdf") and args.seed is None:
         print("error: --seed is required for sweep and cdf runs", file=sys.stderr)
         return 2
+    floors = {"--seed": (args.seed, 0), "--workers": (getattr(args, "workers", None), 1)}
+    for flag, (value, low) in floors.items():
+        if value is not None and value < low:
+            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)

@@ -33,85 +33,58 @@ class ConfigError(ValueError):
     """Configuration problem, message always names the offending key."""
 
 
+# section -> key -> (kind, default, the dataclass field built from the key or
+# None); a range or consistency error raised by a dataclass starts with the
+# field's name
 _SCHEMA = {
     "array": {
-        "carrier_freq_ghz": ("float", 60.0),
-        "bandwidth_ghz": ("float", 2.0),
-        "num_subcarriers": ("int", 1200),
-        "num_antennas": ("int", 32),
-        "spacing_wavelengths": ("float", 0.5),
+        "carrier_freq_ghz": ("float", 60.0, "carrier_freq"),
+        "bandwidth_ghz": ("float", 2.0, "bandwidth"),
+        "num_subcarriers": ("int", 1200, "num_subcarriers"),
+        "num_antennas": ("int", 32, "num_antennas"),
+        "spacing_wavelengths": ("float", 0.5, "spacing"),
     },
     "link": {
-        "snr_db": ("float", -10.0),
-        "channel_gains": ("float_list", (1.0,)),
+        "snr_db": ("float", -10.0, None),
+        "channel_gains": ("float_list", (1.0,), "channel_gains"),
     },
     "mobility": {
-        "num_users": ("int", 3),
-        "aod_min_deg": ("float", -45.0),
-        "aod_max_deg": ("float", 45.0),
-        "min_spacing_deg": ("float", 10.0),
-        "velocity_min_deg_s": ("float", 0.0),
-        "velocity_max_deg_s": ("float", 80.0),
-        "accel_mean_deg_s2": ("float", 0.0),
-        "var_theta_deg2": ("float", 2.0),
-        "var_omega_deg2_s2": ("float", 10.0),
-        "var_alpha_deg2_s4": ("float", 5.0),
+        "num_users": ("int", 3, "num_users"),
+        "aod_min_deg": ("float", -45.0, "aod_range"),
+        "aod_max_deg": ("float", 45.0, None),
+        "min_spacing_deg": ("float", 10.0, "min_spacing"),
+        "velocity_min_deg_s": ("float", 0.0, "velocity_range"),
+        "velocity_max_deg_s": ("float", 80.0, None),
+        "accel_mean_deg_s2": ("float", 0.0, None),
+        "var_theta_deg2": ("float", 2.0, "var_theta"),
+        "var_omega_deg2_s2": ("float", 10.0, "var_omega"),
+        "var_alpha_deg2_s4": ("float", 5.0, "var_alpha"),
     },
     "frame": {
-        "duration_ms": ("float", 160.0),
-        "num_steps": ("int", 100),
+        "duration_ms": ("float", 160.0, "duration"),
+        "num_steps": ("int", 100, "num_steps"),
     },
     "design": {
-        "coverage_p": ("float", 0.97),
-        "range_override_deg": ("opt_float", None),
-        "tau_max_ns": ("opt_float", None),
-        "max_iters": ("int", 100),
-        "objective_tolerance": ("opt_float", None),
-        "delay_search_resolution": ("int", 256),
-        "qpd_peak_rad": ("float", float(np.pi)),
+        "coverage_p": ("float", 0.97, "coverage_p"),
+        "range_override_deg": ("opt_float", None, "range_override"),
+        "tau_max_ns": ("opt_float", None, "tau_max"),
+        "max_iters": ("int", 100, "max_iters"),
+        "objective_tolerance": ("opt_float", None, "objective_tolerance"),
+        "delay_search_resolution": ("int", 256, "delay_search_resolution"),
+        "qpd_peak_rad": ("float", float(np.pi), "qpd_peak"),
     },
     "sweep": {
-        "axis": ("str", "offset_range"),
-        "values": ("float_list", (0.0, 5.0, 10.0, 15.0, 20.0)),
-        "trials": ("int", 100),
-        "max_offset_deg": ("float", 10.0),
-        "offset_count": ("int", 100),
-        "beams": ("str_list", tuple(BEAM_KINDS)),
+        "axis": ("str", "offset_range", "axis"),
+        "values": ("float_list", (0.0, 5.0, 10.0, 15.0, 20.0), "values"),
+        "trials": ("int", 100, "trials"),
+        "max_offset_deg": ("float", 10.0, "max_offset"),
+        "offset_count": ("int", 100, "offset_count"),
+        "beams": ("str_list", tuple(BEAM_KINDS), "beams"),
     },
 }
 
-# dataclass field -> the config key it is built from; a range or consistency
-# error raised by a dataclass starts with the field's name
-_FIELD_KEYS = {
-    "num_antennas": "[array] num_antennas",
-    "spacing": "[array] spacing_wavelengths",
-    "carrier_freq": "[array] carrier_freq_ghz",
-    "bandwidth": "[array] bandwidth_ghz",
-    "num_subcarriers": "[array] num_subcarriers",
-    "channel_gains": "[link] channel_gains",
-    "num_users": "[mobility] num_users",
-    "aod_range": "[mobility] aod_min_deg",
-    "min_spacing": "[mobility] min_spacing_deg",
-    "velocity_range": "[mobility] velocity_min_deg_s",
-    "var_theta": "[mobility] var_theta_deg2",
-    "var_omega": "[mobility] var_omega_deg2_s2",
-    "var_alpha": "[mobility] var_alpha_deg2_s4",
-    "duration": "[frame] duration_ms",
-    "num_steps": "[frame] num_steps",
-    "coverage_p": "[design] coverage_p",
-    "range_override": "[design] range_override_deg",
-    "tau_max": "[design] tau_max_ns",
-    "max_iters": "[design] max_iters",
-    "objective_tolerance": "[design] objective_tolerance",
-    "delay_search_resolution": "[design] delay_search_resolution",
-    "qpd_peak": "[design] qpd_peak_rad",
-    "axis": "[sweep] axis",
-    "values": "[sweep] values",
-    "trials": "[sweep] trials",
-    "max_offset": "[sweep] max_offset_deg",
-    "offset_count": "[sweep] offset_count",
-    "beams": "[sweep] beams",
-}
+_FIELD_KEYS = {field: f"[{sec}] {key}" for sec, keys in _SCHEMA.items()
+               for key, (_, _, field) in keys.items() if field is not None}
 
 DESK_OVERLAY = {
     ("array", "num_subcarriers"): 240,
@@ -252,7 +225,7 @@ def parse_config(path: str = None, overrides=None, desk: bool = False, text: str
     """Build a RunConfig from defaults, optional desk overlay, file, and
     ``section.key=value`` override strings (applied in that order)."""
 
-    values = {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in _SCHEMA.items()}
+    values = {sec: {k: v for k, (_, v, _) in keys.items()} for sec, keys in _SCHEMA.items()}
     if desk:
         for (sec, key), v in DESK_OVERLAY.items():
             values[sec][key] = v
@@ -309,7 +282,7 @@ def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, (kind, _) in keys.items():
+        for key, (kind, _, _) in keys.items():
             out.write(f"{key} = {_format_value(kind, cfg.sections[section][key])}\n")
         out.write("\n")
     return out.getvalue()

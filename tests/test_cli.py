@@ -168,6 +168,19 @@ class TestSweepCommand:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, named", [
+        (["sweep", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["design", "--seed", "-2"], "--seed must be at least 0, got -2"),
+        (["sweep", "--seed", "1", "--workers", "-3"], "--workers must be at least 1, got -3"),
+        (["cdf", "--seed", "1", "--workers", "0"], "--workers must be at least 1, got 0"),
+    ])
+    def test_negative_seed_or_workers_below_one_exit_2_before_any_file(self, tmp_path, capsys,
+                                                                       args, named):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out), *TINY]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_row_count_and_schema(self, tmp_path):
         out = str(tmp_path)
         code = main([
