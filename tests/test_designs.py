@@ -276,6 +276,32 @@ class TestGenies:
 
 
 class TestPolicies:
+    def test_fixed_policy_precomputes_rows(self):
+        # the rows are fixed at construction: the true directions passed to
+        # gains() do not move them, only the steering they are scored against
+        design = design_rainbow(CFG48)
+        pol = FixedBeamPolicy(design, CFG48)
+        assert pol.kind == "rainbow"
+        assert pol.assignment is None
+        b = band_steering(np.array([-5.0, 20.0, -35.0]) * DEG, CFG48)
+        first = pol.gains(b, np.array([-5.0, 20.0, -35.0]) * DEG)
+        np.testing.assert_array_equal(pol.gains(b, np.zeros(3)), first)
+        rows = awv_matrix(design.weights, CFG48.subcarrier_centers(), CFG48)
+        np.testing.assert_array_equal(first, _matched_gains(b, rows.T))
+
+    def test_stepped_genie_policy_equals_direct_solve(self):
+        # each call re-solves at the directions it is given; nothing is carried
+        # from one evaluated instant to the next
+        assignment = np.array([0, 1, 2])
+        pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+        freqs = CFG48.subcarrier_centers()
+        for deg in ([-5.0, 20.0, -35.0], [30.0, -10.0, 5.0], [-5.0, 20.0, -35.0]):
+            angles = np.array(deg) * DEG
+            b = band_steering(angles, CFG48)
+            direct = genie_stepped(angles, CFG48, assignment=assignment)
+            rows = awv_matrix(direct.weights, freqs, CFG48)
+            np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, rows.T))
+
     @pytest.mark.parametrize("kind", ["rainbow", "stepped_genie"])
     def test_analog_policy_gains_score_its_rows(self, kind):
         # a frozen design's rows are its weights at the subcarrier centers; the
