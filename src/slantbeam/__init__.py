@@ -29,7 +29,7 @@ from .designs import (
     qpd_phase_profile,
     target_directions,
 )
-from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_objective, jpta_solve, line_fit_delays
+from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve, line_fit_delays
 from .link import (
     CapacityRecord,
     LinkBudget,
@@ -59,9 +59,11 @@ from .montecarlo import (
     SweepConfig,
     SweepResult,
     TrialConfig,
+    TrialDesign,
     TrialResult,
     apply_axis,
     capacity_cdf,
+    design_trial,
     run_cells,
     run_sweep,
     run_trial,

@@ -52,7 +52,6 @@ from .arrays import (
     AnalogWeights,
     ArrayConfig,
     _phasor_ramp,
-    awv_matrix,
     response_matrix,
     wrap_phase,
 )
@@ -139,15 +138,6 @@ class SolverReport:
     @property
     def iterations(self) -> int:
         return self.objective_trace.size - 1
-
-
-def jpta_objective(weights: AnalogWeights, profile: TargetProfile) -> float:
-    """sum_k |v_k^H u_k| with unit-norm realized and target vectors."""
-    cfg = profile.cfg
-    freqs = cfg.subcarrier_centers()
-    v = awv_matrix(weights, freqs, cfg)
-    u = response_matrix(profile.directions, freqs, cfg) / np.sqrt(cfg.num_antennas)
-    return float(np.sum(np.abs(np.sum(np.conj(v) * u, axis=1))))
 
 
 def line_fit_delays(profile: TargetProfile, tau_max: float) -> np.ndarray:

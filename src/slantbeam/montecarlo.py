@@ -6,6 +6,11 @@ worker processes. Within a trial all beam designs see the identical scenario,
 sub-band assignment, and evaluation points; comparisons between beams are
 therefore paired.
 
+A trial runs in two stages: the design stage (``design_trial``) samples the
+scenario and builds every requested beam from the estimates, and the evaluation
+stage (``link.capacity_records``) scores each beam by user capacity. ``run_trial``
+runs both and keeps only the records.
+
 Two evaluation modes exist. In ``offset`` mode the designed beams are probed
 over a deterministic grid of joint pointing offsets around the estimated
 directions (the grid plays the role of the AoD error, so the true directions
@@ -16,7 +21,8 @@ are rolled forward and capacity is measured at each scheduling step.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,17 +140,24 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One trial's scenario, per-beam designs, and capacity records."""
+    """One trial's capacity records, by beam kind."""
 
     trial_id: int
-    assignment: np.ndarray
-    scenario: tuple
-    true_aods: np.ndarray
     records: dict
-    designs: dict = field(default_factory=dict, repr=False)
 
     def min_capacity(self, kind: str) -> float:
         return self.records[kind].min_capacity
+
+
+class TrialDesign(NamedTuple):
+    """One trial's design stage: the (kinematics, estimate) pairs, the sub-band
+    assignment, the (P, U) evaluation directions, policies and analog designs by kind."""
+
+    scenario: tuple
+    assignment: np.ndarray
+    true_aods: np.ndarray
+    policies: dict
+    designs: dict
 
 
 def _trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
@@ -193,46 +206,37 @@ POLICY_BUILDERS = {
 }
 
 
-def _build_policies(config: TrialConfig, estimates, assignment):
-    """Instantiate the requested beam policies for one trial's scenario;
-    analog designs are also returned by kind."""
-    policies = {}
-    designs = {}
+def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialDesign:
+    """The design stage of one seeded trial: sample, then build every requested
+    beam; an analog design is kept by kind and also wrapped as a policy."""
+    rng = _trial_rng(master_seed, trial_id)
+    try:
+        scenario = tuple(sample_scenario(rng, config.scenario))
+    except RuntimeError as exc:
+        raise RuntimeError(f"trial {trial_id}: {exc}") from exc
+    assignment = rng.permutation(config.scenario.num_users)
+    estimates = [est for _, est in scenario]
+    true_aods = _evaluation_points(config, [kin for kin, _ in scenario], estimates)
+    policies, designs = {}, {}
     for kind in config.beams:
         built = POLICY_BUILDERS[kind](config, estimates, assignment)
         if isinstance(built, BeamDesign):
             designs[kind] = built
             built = FixedBeamPolicy(built, config.array)
         policies[kind] = built
-    return policies, designs
+    return TrialDesign(scenario, assignment, true_aods, policies, designs)
 
 
 def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResult:
-    """Run one seeded trial: sample, design, evaluate every requested beam."""
-    rng = _trial_rng(master_seed, trial_id)
+    """Run one seeded trial: the design stage, then every policy scored by
+    ``capacity_records``."""
+    trial = design_trial(config, master_seed, trial_id)
     try:
-        scenario = sample_scenario(rng, config.scenario)
-    except RuntimeError as exc:
-        raise RuntimeError(f"trial {trial_id}: {exc}") from exc
-    assignment = rng.permutation(config.scenario.num_users)
-    kins = [kin for kin, _ in scenario]
-    estimates = [est for _, est in scenario]
-
-    true_aods = _evaluation_points(config, kins, estimates)
-    policies, designs = _build_policies(config, estimates, assignment)
-    try:
-        records = capacity_records(policies, true_aods, config.array, config.budget,
-                                   assignment=assignment, channel_gains=config.channel_gains)
+        records = capacity_records(trial.policies, trial.true_aods, config.array, config.budget,
+                                   assignment=trial.assignment, channel_gains=config.channel_gains)
     except ValueError as exc:
         raise ValueError(f"trial {trial_id}: {exc}") from exc
-    return TrialResult(
-        trial_id=trial_id,
-        assignment=assignment,
-        scenario=tuple(scenario),
-        true_aods=true_aods,
-        records=records,
-        designs=designs,
-    )
+    return TrialResult(trial_id, records)
 
 
 @dataclass(frozen=True)
@@ -388,38 +392,27 @@ def run_sweep(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> Swe
     return sweep_from_results(sweep, run_cells(sweep, base, workers))
 
 
-@dataclass(frozen=True)
-class CdfSeries:
-    """Empirical CDF of per-trial minimum capacities for one beam and axis value."""
+class CdfSeries(NamedTuple):
+    """Empirical CDF of per-trial minimum capacities for one beam and axis
+    value: read-only sorted values and their cumulative probabilities."""
 
     beam: str
     axis_value: float
     values: np.ndarray
     probabilities: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
-        if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
-            raise ValueError("values and probabilities must be matching 1-D arrays")
-        if np.any(np.diff(values) < 0) or np.any(np.diff(probs) < 0):
-            raise ValueError("CDF series must be sorted")
-        if not (0 < probs[0] <= 1 and probs[-1] == 1.0):
-            raise ValueError("probabilities must end at 1")
-        values = values.copy()
-        probs = probs.copy()
-        values.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probabilities", probs)
-
 
 def capacity_cdf(result: SweepResult) -> list:
     """Empirical CDFs of the per-trial minima, one series per (beam, value).
 
     The smallest sample of each series equals the sweep's min-over-trials
-    statistic at that axis value.
+    statistic at that axis value. Every series shares one probabilities array.
     """
     probs = np.arange(1, result.trials + 1) / result.trials
-    return [CdfSeries(beam, v, np.sort(row), probs)
-            for beam in result.beams for v, row in zip(result.values, result.minima[beam])]
+    probs.setflags(write=False)
+    series = []
+    for beam in result.beams:
+        rows = np.sort(result.minima[beam], axis=1)
+        rows.setflags(write=False)
+        series += [CdfSeries(beam, v, row, probs) for v, row in zip(result.values, rows)]
+    return series

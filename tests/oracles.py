@@ -22,6 +22,16 @@ def gain(theta, f, v, cfg):
     return float(np.abs(np.vdot(array_response(theta, f, cfg), v)) ** 2)
 
 
+def jpta_objective(weights, profile):
+    """JPTA objective sum_k |v_k^H u_k|: the realized weight vector ``awv``
+    against the unit-norm steering vector toward the profile's direction at
+    subcarrier k."""
+    cfg = profile.cfg
+    u_norm = np.sqrt(cfg.num_antennas)
+    return float(sum(abs(np.vdot(awv(weights, f, cfg), array_response(theta, f, cfg))) / u_norm
+                     for theta, f in zip(profile.directions, cfg.subcarrier_centers())))
+
+
 def matched_filter(angles, assignment, cfg):
     """Digital-genie weights, shape (K, N): at each subcarrier, the steering
     vector toward the true direction of the user whose sub-band holds it,

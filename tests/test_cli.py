@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import slantbeam
+from slantbeam import montecarlo
 from slantbeam.cli import (
     main,
     write_capacity_csv,
@@ -16,6 +17,7 @@ from slantbeam.cli import (
     write_heatmap_csv,
     write_sweep_csv,
 )
+from slantbeam.designs import ANALOG_KINDS
 from slantbeam.link import CapacityRecord
 from slantbeam.montecarlo import CdfSeries, SweepResult, TrialResult
 
@@ -68,6 +70,19 @@ class TestDesignCommand:
         assert "beams = rainbow\n" in manifests["rainbow"]["config"]
         assert "beams = stepped,rainbow\n" in manifests["stepped,rainbow"]["config"]
         assert "beams = slanted,stepped,rainbow,qpd\n" in manifests[None]["config"]
+
+    @pytest.mark.parametrize("command, ext", [("design", "json"), ("pattern", "csv")])
+    def test_writes_designs_without_scoring_capacities(self, tmp_path, monkeypatch, command, ext):
+        # only trial 0's design stage runs; the evaluation stage is never reached
+        def evaluate(*args, **kwargs):
+            raise RuntimeError("capacity_records ran")
+
+        monkeypatch.setattr(montecarlo, "capacity_records", evaluate)
+        assert main([command, "--out", str(tmp_path), *TINY]) == 0
+        written = sorted(f"{command}_{kind}.{ext}" for kind in ANALOG_KINDS)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["run_manifest.json"])
 
     @pytest.mark.parametrize("command", ["design", "pattern", "sweep"])
     def test_duplicate_beam_kinds_rejected(self, tmp_path, capsys, command):
@@ -202,14 +217,24 @@ class TestSweepCommand:
             assert float(mean[4]) >= float(mn[4]) - 1e-9
 
     def test_worker_count_leaves_bytes_unchanged(self, tmp_path):
-        args = ["sweep", "--seed", "4", "--axis", "offset_range", "--values", "0,10",
-                "--beams", "stepped,digital_genie", *TINY]
-        out_a = tmp_path / "serial"
-        out_b = tmp_path / "parallel"
-        assert main([*args, "--out", str(out_a)]) == 0
-        assert main([*args, "--out", str(out_b), "--workers", "2"]) == 0
-        assert (out_a / "sweep_offset_range.csv").read_bytes() == \
-               (out_b / "sweep_offset_range.csv").read_bytes()
+        # every artifact, the cdf run's per-trial detail and summary CSVs too:
+        # they are written from the records each worker sends back
+        cases = {
+            "sweep": ["--axis", "offset_range", "--values", "0,10",
+                      "--beams", "stepped,digital_genie"],
+            "cdf": ["--axis", "mean_velocity", "--values", "0,40"],
+        }
+        for command, extra in cases.items():
+            args = [command, "--seed", "4", *extra, *TINY]
+            out_a = tmp_path / command / "serial"
+            out_b = tmp_path / command / "parallel"
+            assert main([*args, "--out", str(out_a)]) == 0
+            assert main([*args, "--out", str(out_b), "--workers", "2"]) == 0
+            names = sorted(p.name for p in out_a.iterdir())
+            assert names == sorted(p.name for p in out_b.iterdir())
+            assert f"{command}_{extra[1]}.csv" in names
+            for name in names:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     @pytest.mark.parametrize("axis, value", [("num_users", "2.7"), ("num_antennas", "8.9")])
     def test_fractional_count_axis_rejected(self, tmp_path, capsys, axis, value):
@@ -399,7 +424,7 @@ AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e22, 60e9, 1 / 3, 2.5e-7, 123456789.125]
 
 def _trial(trial_id, caps_by_beam):
     records = {b: CapacityRecord(np.array(c)) for b, c in caps_by_beam.items()}
-    return TrialResult(trial_id, np.arange(2), (), np.zeros((2, 2)), records)
+    return TrialResult(trial_id, records)
 
 
 def _heatmap_case(thetas, freqs, gains, dtype=float):
@@ -430,8 +455,9 @@ WRITER_CASES = {
         (-0.0, 0.1 + 0.2),
     )),
     "cdf": (write_cdf_csv, cdf_oracle, (
-        [CdfSeries("stepped", 0.0, [5e-324, 0.1 + 0.2, 1e22], [1 / 3, 2 / 3, 1.0]),
-         CdfSeries("rainbow", 0.5, [60e9], [1.0])],
+        [CdfSeries("stepped", 0.0, np.array([5e-324, 0.1 + 0.2, 1e22]),
+                   np.array([1 / 3, 2 / 3, 1.0])),
+         CdfSeries("rainbow", 0.5, np.array([60e9]), np.array([1.0]))],
         {0.0: -0.0, 0.5: 60e9},
     )),
 }

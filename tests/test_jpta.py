@@ -12,10 +12,11 @@ from slantbeam.jpta import (
     _moment_sums,
     _refine_delays,
     _taylor_moments,
-    jpta_objective,
     jpta_solve,
     line_fit_delays,
 )
+
+from oracles import jpta_objective
 
 CFG64 = ArrayConfig(num_antennas=32, spacing=0.5, carrier_freq=60e9, bandwidth=2e9, num_subcarriers=64)
 

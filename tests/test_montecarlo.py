@@ -6,17 +6,18 @@ import pytest
 from slantbeam import montecarlo
 from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile
 from slantbeam.designs import BEAM_KINDS, genie_stepped
-from slantbeam.link import LinkBudget, subband_users, user_capacity
+from slantbeam.link import LinkBudget, capacity_records, subband_users, user_capacity
 from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
     POLICY_BUILDERS,
     EVAL_MODES,
-    CdfSeries,
     EvalPlan,
     SweepConfig,
     TrialConfig,
+    TrialResult,
     apply_axis,
     capacity_cdf,
+    design_trial,
     run_cells,
     run_sweep,
     run_trial,
@@ -43,9 +44,14 @@ def records_equal(a, b):
 
 class TestRunTrial:
     def test_bit_identical_repeat(self):
-        a = run_trial(SMALL, 42, 3)
-        b = run_trial(SMALL, 42, 3)
-        records_equal(a, b)
+        # run_trial is the design stage followed by capacity_records
+        res = run_trial(SMALL, 42, 3)
+        records_equal(res, run_trial(SMALL, 42, 3))
+        a = design_trial(SMALL, 42, 3)
+        b = design_trial(SMALL, 42, 3)
+        records = capacity_records(a.policies, a.true_aods, SMALL.array, SMALL.budget,
+                                   assignment=a.assignment)
+        records_equal(res, TrialResult(3, records))
         np.testing.assert_array_equal(a.true_aods, b.true_aods)
         np.testing.assert_array_equal(a.assignment, b.assignment)
         for kind in a.designs:
@@ -55,8 +61,8 @@ class TestRunTrial:
                                           b.designs[kind].weights.delays)
 
     def test_different_trials_differ(self):
-        a = run_trial(SMALL, 42, 0)
-        b = run_trial(SMALL, 42, 1)
+        a = design_trial(SMALL, 42, 0)
+        b = design_trial(SMALL, 42, 1)
         assert not np.array_equal(a.true_aods, b.true_aods)
 
     def test_beam_subset_does_not_change_shared_records(self):
@@ -116,8 +122,8 @@ class TestRunTrial:
 
     def test_trajectory_mode_shapes(self):
         cfg = dataclasses.replace(SMALL, plan=EvalPlan(mode="trajectory"))
+        assert design_trial(cfg, 1, 0).true_aods.shape == (5, 3)
         res = run_trial(cfg, 1, 0)
-        assert res.true_aods.shape == (5, 3)
         for kind in cfg.beams:
             assert res.records[kind].capacities.shape == (5, 3)
 
@@ -132,25 +138,24 @@ class TestRunTrial:
         cfg = dataclasses.replace(SMALL, plan=dataclasses.replace(SMALL.plan, mode=mode),
                                   channel_gains=(1.0, 0.5, 2.0))
         res = run_trial(cfg, 3, 1)
-        assert not np.array_equal(res.assignment, np.arange(3))
-        estimates = [est for _, est in res.scenario]
-        policies, designs = montecarlo._build_policies(cfg, estimates, res.assignment)
+        trial = design_trial(cfg, 3, 1)
+        assert not np.array_equal(trial.assignment, np.arange(3))
         freqs = cfg.array.subcarrier_centers()
-        users = subband_users(res.assignment, cfg.array.num_subcarriers, 3)
-        assert tuple(res.records) == cfg.beams == BEAM_KINDS
+        users = subband_users(trial.assignment, cfg.array.num_subcarriers, 3)
+        assert tuple(res.records) == tuple(trial.policies) == cfg.beams == BEAM_KINDS
         tol = capacity_tolerance(cfg.array, cfg.budget, max(cfg.channel_gains), 3)
-        for kind in policies:
-            expected = np.empty(res.true_aods.shape)
-            for p, row in enumerate(res.true_aods):
+        for kind in trial.policies:
+            expected = np.empty(trial.true_aods.shape)
+            for p, row in enumerate(trial.true_aods):
                 if kind == "digital_genie":
-                    rows = matched_filter(row, res.assignment, cfg.array)
+                    rows = matched_filter(row, trial.assignment, cfg.array)
                     gains = gain_profile(row[users], freqs, rows, cfg.array)
                     n = cfg.array.num_antennas
                     np.testing.assert_allclose(gains, n, rtol=matched_gain_rtol(n), atol=0)
                     gains = np.full(users.size, float(n))
                 else:
-                    design = designs.get(kind) or genie_stepped(row, cfg.array, cfg.solver,
-                                                                res.assignment)
+                    design = trial.designs.get(kind) or genie_stepped(row, cfg.array, cfg.solver,
+                                                                      trial.assignment)
                     rows = awv_matrix(design.weights, freqs, cfg.array)
                     gains = gain_profile(row[users], freqs, rows, cfg.array)
                 for u in range(3):
@@ -168,7 +173,9 @@ class TestRunTrial:
             raise RuntimeError("could not draw spaced AoDs")
 
         monkeypatch.setattr(mc, "sample_scenario", boom)
-        with pytest.raises(RuntimeError, match="trial 7"):
+        with pytest.raises(RuntimeError, match="^trial 7: could not draw"):
+            design_trial(SMALL, 0, 7)
+        with pytest.raises(RuntimeError, match="^trial 7: could not draw"):
             run_trial(SMALL, 0, 7)
 
     def test_validation(self):
@@ -202,16 +209,16 @@ class TestPolicyBuilders:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "design_stepped", spy)
-        res = run_trial(dataclasses.replace(SMALL, beams=("stepped",)), 3, 0)
+        trial = design_trial(dataclasses.replace(SMALL, beams=("stepped",)), 3, 0)
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], res.assignment)
+        np.testing.assert_array_equal(calls[0], trial.assignment)
 
     def test_analog_designs_carry_trial_assignment_and_report(self):
-        res = run_trial(SMALL, 5, 1)
-        assert set(res.designs) == {"slanted", "stepped", "rainbow", "qpd"}
+        trial = design_trial(SMALL, 5, 1)
+        assert set(trial.designs) == {"slanted", "stepped", "rainbow", "qpd"}
         for kind in ("slanted", "stepped"):
-            design = res.designs[kind]
-            np.testing.assert_array_equal(design.anchor.assignment, res.assignment)
+            design = trial.designs[kind]
+            np.testing.assert_array_equal(design.anchor.assignment, trial.assignment)
             assert design.report.weights is design.weights
 
 
@@ -267,10 +274,10 @@ class TestApplyAxis:
         cfg = apply_axis(SMALL, "mean_velocity", 40 * DEG)
         assert cfg.scenario.velocity_range == (40 * DEG, 40 * DEG)
         assert cfg.plan.mode == "trajectory"
-        res = run_trial(dataclasses.replace(cfg, beams=("rainbow",)), 0, 0)
-        speeds = [abs(kin.omega0 - 0) for kin, est in res.scenario]
+        trial = design_trial(dataclasses.replace(cfg, beams=("rainbow",)), 0, 0)
+        speeds = [abs(kin.omega0 - 0) for kin, est in trial.scenario]
         # estimates carry the pinned magnitude exactly; truths add noise
-        est_speeds = [abs(est.omega0) for kin, est in res.scenario]
+        est_speeds = [abs(est.omega0) for kin, est in trial.scenario]
         np.testing.assert_allclose(est_speeds, 40 * DEG, rtol=1e-12)
         assert len(speeds) == 3
 
@@ -327,8 +334,9 @@ class TestRunSweep:
         cfg = dataclasses.replace(SMALL, beams=("slanted",), range_override=20 * DEG)
         sweep = SweepConfig(axis="offset_range", values=(5 * DEG,), trials=1,
                             master_seed=1, beams=("slanted",))
-        (cells,) = run_cells(sweep, cfg)
-        assert cells[0].designs["slanted"].anchor.aod_range == 20 * DEG
+        ((_, cell),) = sweep_cells(sweep, cfg)
+        trial = design_trial(cell, 1, 0)
+        assert trial.designs["slanted"].anchor.aod_range == 20 * DEG
 
     def test_zero_velocity_zero_var_collapses_slanted_range(self):
         base = dataclasses.replace(
@@ -337,9 +345,9 @@ class TestRunSweep:
             beams=("slanted",),
         )
         cfg = apply_axis(base, "mean_velocity", 0.0)
-        res = run_trial(cfg, 6, 0)
+        trial = design_trial(cfg, 6, 0)
         expected = 2 * coverage_halfwidth(0.97) * np.sqrt(base.scenario.var_theta)
-        assert res.designs["slanted"].anchor.aod_range == pytest.approx(expected, rel=1e-12)
+        assert trial.designs["slanted"].anchor.aod_range == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
@@ -375,11 +383,15 @@ class TestCapacityCdf:
         sweep = SweepConfig(axis="offset_range", values=(0.0, 10 * DEG), trials=4,
                             master_seed=3, beams=("stepped", "rainbow"))
         result = run_sweep(sweep, SMALL)
-        for series in capacity_cdf(result):
+        cdf = capacity_cdf(result)
+        for series in cdf:
             vi = result.values.index(series.axis_value)
             assert series.values[0] == result.min_over_trials(series.beam)[vi]
             assert series.probabilities[-1] == 1.0
             assert np.all(np.diff(series.probabilities) > 0)
+            assert not series.values.flags.writeable
+            assert series.probabilities is cdf[0].probabilities
+        assert not cdf[0].probabilities.flags.writeable
 
     def test_digital_genie_degenerate_without_offsets(self):
         base = dataclasses.replace(
@@ -400,9 +412,3 @@ class TestCapacityCdf:
         (series,) = capacity_cdf(result)
         assert series.values.size == 1
         assert series.probabilities[0] == 1.0
-
-    def test_series_validation(self):
-        with pytest.raises(ValueError):
-            CdfSeries("stepped", 0.0, np.array([2.0, 1.0]), np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            CdfSeries("stepped", 0.0, np.array([1.0, 2.0]), np.array([0.5, 0.9]))
