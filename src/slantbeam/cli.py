@@ -137,21 +137,21 @@ def _load_config(args) -> RunConfig:
 
 
 def _analog_designs(args):
-    """The config, the seed (default 0), the base trial and trial 0's design stage
-    for the analog beams of a design/pattern run; the evaluation stage never runs."""
+    """The config, seed (default 0), base trial and trial 0's analog designs: only the
+    design stage runs, and its (N, K) policies are dropped, not held through the run."""
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     base = cfg.base_trial()
-    return cfg, seed, base, design_trial(base, seed, 0)
+    return cfg, seed, base, design_trial(base, seed, 0).designs
 
 
 def cmd_design(args) -> int:
-    cfg, seed, base, trial = _analog_designs(args)
+    cfg, seed, base, designs = _analog_designs(args)
     h = config_hash(cfg)
     artifacts = []
     for kind in base.beams:
         path = os.path.join(args.out, f"design_{kind}.json")
-        write_design_json(path, trial.designs[kind], seed, h)
+        write_design_json(path, designs[kind], seed, h)
         artifacts.append(os.path.basename(path))
         print(f"wrote {path}")
     write_manifest(os.path.join(args.out, "run_manifest.json"), "design", seed, cfg, artifacts)
@@ -159,7 +159,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_pattern(args) -> int:
-    cfg, seed, base, trial = _analog_designs(args)
+    cfg, seed, base, designs = _analog_designs(args)
     arr = base.array
     thetas_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     grid = np.deg2rad(thetas_deg)
@@ -167,7 +167,7 @@ def cmd_pattern(args) -> int:
     h = config_hash(cfg)
     artifacts = []
     for kind in base.beams:
-        gains = pattern_heatmap(trial.designs[kind].weights, grid, arr)
+        gains = pattern_heatmap(designs[kind].weights, grid, arr)
         path = os.path.join(args.out, f"pattern_{kind}.csv")
         write_heatmap_csv(path, seed, h, thetas_deg, freqs, gains)
         artifacts.append(os.path.basename(path))
