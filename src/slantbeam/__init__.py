@@ -64,8 +64,6 @@ from .montecarlo import (
     apply_axis,
     capacity_cdf,
     design_trial,
-    run_cells,
     run_sweep,
     run_trial,
-    sweep_from_results,
 )

@@ -20,7 +20,7 @@ from . import __version__
 from .arrays import pattern_heatmap
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .designs import ANALOG_KINDS
-from .montecarlo import SWEEP_AXES, capacity_cdf, design_trial, run_cells, sweep_from_results
+from .montecarlo import SWEEP_AXES, capacity_cdf, design_trial, run_sweep
 from .montecarlo import run_trial  # noqa: F401  perfbench wraps cli.run_trial
 
 
@@ -46,13 +46,15 @@ def write_heatmap_csv(path, seed, cfg_hash, thetas_deg, freqs, gains):
     _write_csv(path, seed, cfg_hash, "theta_deg,f_hz,gain", rows())
 
 
-def write_design_json(path, design, seed, cfg_hash):
-    doc = design.to_json_dict()
-    doc["seed"] = int(seed)
-    doc["config_sha256"] = cfg_hash
+def _write_json(path, doc):
+    """Write a JSON artifact: two-space indent, sorted keys, a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_design_json(path, design, seed, cfg_hash):
+    _write_json(path, {**design.to_json_dict(), "seed": int(seed), "config_sha256": cfg_hash})
 
 
 def write_capacity_csv(path, seed, cfg_hash, results, beams):
@@ -77,11 +79,12 @@ def write_capacity_summary_csv(path, seed, cfg_hash, results, beams):
 
 def write_sweep_csv(path, seed, cfg_hash, result, display_values):
     """Aggregated statistics: axis,axis_value,beam,statistic,value_bps."""
-    mins = {b: result.min_over_trials(b).tolist() for b in result.beams}
-    means = {b: result.mean_of_minima(b).tolist() for b in result.beams}
-    heads = [f"{result.axis},{dv!r}," for dv in np.asarray(display_values, dtype=float).tolist()]
+    sweep = result.sweep
+    mins = {b: result.min_over_trials(b).tolist() for b in sweep.beams}
+    means = {b: result.mean_of_minima(b).tolist() for b in sweep.beams}
+    heads = [f"{sweep.axis},{dv!r}," for dv in np.asarray(display_values, dtype=float).tolist()]
     rows = (f"{head}{beam},min,{mins[beam][vi]!r}\n{head}{beam},mean_min,{means[beam][vi]!r}\n"
-            for vi, head in enumerate(heads) for beam in result.beams)
+            for vi, head in enumerate(heads) for beam in sweep.beams)
     _write_csv(path, seed, cfg_hash, "axis,axis_value,beam,statistic,value_bps", rows)
 
 
@@ -97,17 +100,14 @@ def write_cdf_csv(path, seed, cfg_hash, series_list, display_of):
 
 
 def write_manifest(path, command, seed, cfg: RunConfig, artifacts):
-    doc = {
+    _write_json(path, {
         "command": command,
         "seed": int(seed),
         "config_sha256": config_hash(cfg),
         "config": serialize_config(cfg),
         "version": __version__,
         "artifacts": sorted(artifacts),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _parse_beams(arg):
@@ -176,13 +176,16 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _swept(args):
+    """The config, its hash and the sweep run over ``--workers`` processes."""
     cfg = _load_config(args)
-    sweep = cfg.sweep(master_seed=args.seed)
-    base = cfg.base_trial()
-    result = sweep_from_results(sweep, run_cells(sweep, base, workers=args.workers))
-    h = config_hash(cfg)
-    path = os.path.join(args.out, f"sweep_{sweep.axis}.csv")
+    result = run_sweep(cfg.sweep(master_seed=args.seed), cfg.base_trial(), workers=args.workers)
+    return cfg, config_hash(cfg), result
+
+
+def cmd_sweep(args) -> int:
+    cfg, h, result = _swept(args)
+    path = os.path.join(args.out, f"sweep_{result.sweep.axis}.csv")
     write_sweep_csv(path, args.seed, h, result, cfg.get("sweep", "values"))
     print(f"wrote {path}")
     write_manifest(
@@ -193,23 +196,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    cfg = _load_config(args)
-    sweep = cfg.sweep(master_seed=args.seed)
-    base = cfg.base_trial()
-    cells = run_cells(sweep, base, workers=args.workers)
-    result = sweep_from_results(sweep, cells)
-    series = capacity_cdf(result)
-    display_of = dict(zip(result.values, cfg.get("sweep", "values")))
-    h = config_hash(cfg)
+    cfg, h, result = _swept(args)
+    sweep = result.sweep
+    display_of = dict(zip(sweep.values, cfg.get("sweep", "values")))
     path = os.path.join(args.out, f"cdf_{sweep.axis}.csv")
-    write_cdf_csv(path, args.seed, h, series, display_of)
+    write_cdf_csv(path, args.seed, h, capacity_cdf(result), display_of)
     artifacts = [os.path.basename(path)]
     print(f"wrote {path}")
-    for vi in range(len(result.values)):
+    for vi, trials in enumerate(result.cells):
         detail = os.path.join(args.out, f"capacity_detail_{vi}.csv")
         summary = os.path.join(args.out, f"capacity_summary_{vi}.csv")
-        write_capacity_csv(detail, args.seed, h, cells[vi], sweep.beams)
-        write_capacity_summary_csv(summary, args.seed, h, cells[vi], sweep.beams)
+        write_capacity_csv(detail, args.seed, h, trials, sweep.beams)
+        write_capacity_summary_csv(summary, args.seed, h, trials, sweep.beams)
         artifacts += [os.path.basename(detail), os.path.basename(summary)]
         print(f"wrote {detail}")
         print(f"wrote {summary}")

@@ -221,7 +221,7 @@ class RunConfig:
         )
 
 
-def parse_config(path: str = None, overrides=None, desk: bool = False, text: str = None) -> RunConfig:
+def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunConfig:
     """Build a RunConfig from defaults, optional desk overlay, file, and
     ``section.key=value`` override strings (applied in that order)."""
 
@@ -230,16 +230,13 @@ def parse_config(path: str = None, overrides=None, desk: bool = False, text: str
         for (sec, key), v in DESK_OVERLAY.items():
             values[sec][key] = v
 
-    if path is not None or text is not None:
+    if path is not None:
         parser = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=(";", "#"))
         parser.optionxform = str
         try:
-            if text is not None:
-                parser.read_string(text)
-            else:
-                with open(path, "r", encoding="utf-8") as fh:
-                    parser.read_file(fh)
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         for section in parser.sections():

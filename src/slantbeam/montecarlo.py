@@ -11,6 +11,9 @@ scenario and builds every requested beam from the estimates, and the evaluation
 stage (``link.capacity_records``) scores each beam by user capacity. ``run_trial``
 runs both and keeps only the records.
 
+``run_sweep`` runs every (axis value, trial) cell of a sweep. Its ``SweepResult``
+holds the sweep and each cell's TrialResult, and ``minima(beam)`` folds them.
+
 Two evaluation modes exist. In ``offset`` mode the designed beams are probed
 over a deterministic grid of joint pointing offsets around the estimated
 directions (the grid plays the role of the AoD error, so the true directions
@@ -293,26 +296,23 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-trial minimum capacities for every (axis value, beam) pair.
+class SweepResult(NamedTuple):
+    """A sweep and its trial results: ``cells[value index][trial id]`` is the
+    TrialResult of that cell. The aggregation methods fold the per-trial
+    minimum capacities into the exported statistics."""
 
-    ``minima[beam]`` has shape (num values, num trials); aggregation methods
-    fold it into the exported statistics.
-    """
+    sweep: SweepConfig
+    cells: tuple
 
-    axis: str
-    values: tuple
-    beams: tuple
-    trials: int
-    master_seed: int
-    minima: dict
+    def minima(self, beam: str) -> np.ndarray:
+        """Per-trial minimum capacities of ``beam``, shape (num values, num trials)."""
+        return np.array([[res.min_capacity(beam) for res in row] for row in self.cells])
 
     def min_over_trials(self, beam: str) -> np.ndarray:
-        return self.minima[beam].min(axis=1)
+        return self.minima(beam).min(axis=1)
 
     def mean_of_minima(self, beam: str) -> np.ndarray:
-        return self.minima[beam].mean(axis=1)
+        return self.minima(beam).mean(axis=1)
 
 
 def _axis_label(axis: str, value: float) -> str:
@@ -347,13 +347,12 @@ def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
     return cells
 
 
-def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> list:
-    """Run every (axis value, trial) cell of a sweep, keeping full results.
+def run_sweep(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> SweepResult:
+    """Run every (axis value, trial) cell of a sweep, keeping every TrialResult.
 
-    Returns a list indexed by axis value, each entry the list of TrialResult
-    in trial-id order. ``workers`` > 1 distributes cells over processes; the
-    fold is indexed by (value, trial id), so the outcome is identical for any
-    worker count.
+    ``workers`` > 1 distributes the cells over a process pool of at most one
+    process per cell; results are indexed by (value, trial id), so the outcome
+    is identical for any worker count.
     """
     jobs = [
         (label, config, sweep.master_seed, t)
@@ -362,34 +361,12 @@ def run_cells(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> lis
     ]
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 20 ms to import: pool runs only
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_cell_job, jobs, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            flat = tuple(pool.map(_cell_job, jobs, chunksize=1))
     else:
-        flat = [_cell_job(job) for job in jobs]
+        flat = tuple(map(_cell_job, jobs))
     t = sweep.trials
-    return [flat[vi * t : (vi + 1) * t] for vi in range(len(sweep.values))]
-
-
-def sweep_from_results(sweep: SweepConfig, cells: list) -> SweepResult:
-    """Fold per-trial results into the per-beam minima table."""
-    minima = {}
-    for kind in sweep.beams:
-        block = np.array([[res.min_capacity(kind) for res in row] for row in cells])
-        block.setflags(write=False)
-        minima[kind] = block
-    return SweepResult(
-        axis=sweep.axis,
-        values=sweep.values,
-        beams=tuple(sweep.beams),
-        trials=sweep.trials,
-        master_seed=sweep.master_seed,
-        minima=minima,
-    )
-
-
-def run_sweep(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> SweepResult:
-    """Run a sweep and aggregate the per-trial minimum capacities."""
-    return sweep_from_results(sweep, run_cells(sweep, base, workers))
+    return SweepResult(sweep, tuple(flat[vi * t : (vi + 1) * t] for vi in range(len(sweep.values))))
 
 
 class CdfSeries(NamedTuple):
@@ -408,11 +385,12 @@ def capacity_cdf(result: SweepResult) -> list:
     The smallest sample of each series equals the sweep's min-over-trials
     statistic at that axis value. Every series shares one probabilities array.
     """
-    probs = np.arange(1, result.trials + 1) / result.trials
+    sweep = result.sweep
+    probs = np.arange(1, sweep.trials + 1) / sweep.trials
     probs.setflags(write=False)
     series = []
-    for beam in result.beams:
-        rows = np.sort(result.minima[beam], axis=1)
+    for beam in sweep.beams:
+        rows = np.sort(result.minima(beam), axis=1)
         rows.setflags(write=False)
-        series += [CdfSeries(beam, v, row, probs) for v, row in zip(result.values, rows)]
+        series += [CdfSeries(beam, v, row, probs) for v, row in zip(sweep.values, rows)]
     return series

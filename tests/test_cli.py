@@ -19,7 +19,7 @@ from slantbeam.cli import (
 )
 from slantbeam.designs import ANALOG_KINDS
 from slantbeam.link import CapacityRecord
-from slantbeam.montecarlo import CdfSeries, SweepResult, TrialResult
+from slantbeam.montecarlo import CdfSeries, SweepConfig, SweepResult, TrialResult
 
 TINY = [
     "--set", "array.num_subcarriers=48",
@@ -398,12 +398,13 @@ def capacity_summary_oracle(seed, h, results, beams):
 
 def sweep_oracle(seed, h, result, display_values):
     out = [_head(seed, h, "axis,axis_value,beam,statistic,value_bps")]
-    mins = {b: result.min_over_trials(b) for b in result.beams}
-    means = {b: result.mean_of_minima(b) for b in result.beams}
+    sweep = result.sweep
+    mins = {b: result.min_over_trials(b) for b in sweep.beams}
+    means = {b: result.mean_of_minima(b) for b in sweep.beams}
     for vi, dv in enumerate(display_values):
-        for beam in result.beams:
-            out.append(f"{result.axis},{repr(float(dv))},{beam},min,{repr(float(mins[beam][vi]))}\n")
-            out.append(f"{result.axis},{repr(float(dv))},{beam},mean_min,"
+        for beam in sweep.beams:
+            out.append(f"{sweep.axis},{repr(float(dv))},{beam},min,{repr(float(mins[beam][vi]))}\n")
+            out.append(f"{sweep.axis},{repr(float(dv))},{beam},mean_min,"
                        f"{repr(float(means[beam][vi]))}\n")
     return "".join(out)
 
@@ -448,10 +449,8 @@ WRITER_CASES = {
     "capacity_summary": (write_capacity_summary_csv, capacity_summary_oracle,
                          (RESULTS, ("rainbow", "stepped"))),
     "sweep": (write_sweep_csv, sweep_oracle, (
-        SweepResult("offset_range", (0.0, 0.1), ("stepped", "rainbow"), 4, 0, {
-            "stepped": np.reshape(AWKWARD, (2, 4)),
-            "rainbow": np.array([[0.1, 1 / 3, 31.9, 2.5e-7]] * 2, dtype=np.float32),
-        }),
+        SweepResult(SweepConfig("offset_range", (0.0, 0.1), trials=2, beams=("stepped", "rainbow")),
+                    (tuple(RESULTS), tuple(RESULTS[::-1]))),
         (-0.0, 0.1 + 0.2),
     )),
     "cdf": (write_cdf_csv, cdf_oracle, (

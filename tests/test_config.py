@@ -8,6 +8,13 @@ from slantbeam.config import _FIELD_KEYS, ConfigError, config_hash, parse_config
 DEG = np.pi / 180.0
 
 
+def parse_text(tmp_path, text, **kwargs):
+    """parse_config on ``text`` written to a config file under ``tmp_path``."""
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    return parse_config(path=str(path), **kwargs)
+
+
 class TestDefaults:
     def test_empty_parse_gives_full_scale_defaults(self):
         cfg = parse_config()
@@ -30,13 +37,13 @@ class TestDefaults:
         # untouched keys keep full-scale values
         assert cfg.get("array", "num_antennas") == 32
 
-    def test_file_beats_overlay(self):
-        cfg = parse_config(text="[array]\nnum_subcarriers = 480\n", desk=True)
+    def test_file_beats_overlay(self, tmp_path):
+        cfg = parse_text(tmp_path, "[array]\nnum_subcarriers = 480\n", desk=True)
         assert cfg.get("array", "num_subcarriers") == 480
 
-    def test_inline_comments_ignored(self):
+    def test_inline_comments_ignored(self, tmp_path):
         text = "[link]\nchannel_gains = 1.0, 0.5, 2.0   ; per user\nsnr_db = -7.0  # quiet\n"
-        cfg = parse_config(text=text)
+        cfg = parse_text(tmp_path, text)
         assert cfg.get("link", "channel_gains") == (1.0, 0.5, 2.0)
         assert cfg.get("link", "snr_db") == -7.0
 
@@ -73,8 +80,8 @@ class TestOverrides:
         assert cfg.get("sweep", "beams") == ("slanted", "stepped")
         assert cfg.base_trial().range_override == pytest.approx(20 * DEG)
 
-    def test_set_beats_file(self):
-        cfg = parse_config(text="[frame]\nnum_steps = 7\n", overrides=["frame.num_steps=9"])
+    def test_set_beats_file(self, tmp_path):
+        cfg = parse_text(tmp_path, "[frame]\nnum_steps = 7\n", overrides=["frame.num_steps=9"])
         assert cfg.get("frame", "num_steps") == 9
 
     def test_malformed_override(self):
@@ -83,17 +90,17 @@ class TestOverrides:
 
 
 class TestRejections:
-    def test_unknown_key_named(self):
+    def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[array\] warp_factor"):
-            parse_config(text="[array]\nwarp_factor = 9\n")
+            parse_text(tmp_path, "[array]\nwarp_factor = 9\n")
 
-    def test_unknown_section(self):
+    def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[engine\]"):
-            parse_config(text="[engine]\npower = 1\n")
+            parse_text(tmp_path, "[engine]\npower = 1\n")
 
-    def test_type_mismatch_named(self):
+    def test_type_mismatch_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[frame\] num_steps"):
-            parse_config(text="[frame]\nnum_steps = many\n")
+            parse_text(tmp_path, "[frame]\nnum_steps = many\n")
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigError, match=r"\[frame\] num_steps"):
@@ -128,9 +135,9 @@ class TestRejections:
         with pytest.raises(ConfigError, match=rf"{named}: must be finite, got {shown}$"):
             parse_config(overrides=[item])
 
-    def test_non_finite_number_in_file_named(self):
+    def test_non_finite_number_in_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[frame\] duration_ms: must be finite"):
-            parse_config(text="[frame]\nduration_ms = inf\n")
+            parse_text(tmp_path, "[frame]\nduration_ms = inf\n")
 
     def test_unset_optional_float_still_parses(self):
         assert parse_config(overrides=["design.tau_max_ns=none"]).get("design", "tau_max_ns") is None
@@ -224,12 +231,12 @@ class TestFieldKeys:
 
 
 class TestRoundTrip:
-    def test_defaults_round_trip(self):
+    def test_defaults_round_trip(self, tmp_path):
         cfg = parse_config()
-        again = parse_config(text=serialize_config(cfg))
+        again = parse_text(tmp_path, serialize_config(cfg))
         assert again == cfg
 
-    def test_modified_round_trip(self):
+    def test_modified_round_trip(self, tmp_path):
         cfg = parse_config(
             desk=True,
             overrides=[
@@ -240,7 +247,7 @@ class TestRoundTrip:
                 "mobility.var_theta_deg2=0",
             ],
         )
-        again = parse_config(text=serialize_config(cfg))
+        again = parse_text(tmp_path, serialize_config(cfg))
         assert again == cfg
 
     def test_hash_is_stable_and_sensitive(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -18,7 +19,6 @@ from slantbeam.montecarlo import (
     apply_axis,
     capacity_cdf,
     design_trial,
-    run_cells,
     run_sweep,
     run_trial,
     sweep_cells,
@@ -288,15 +288,21 @@ class TestApplyAxis:
 
 class TestRunSweep:
     def test_single_cell_reduces_to_run_trial(self):
-        sweep = SweepConfig(axis="offset_range", values=(10 * DEG,), trials=1,
+        # cells[value index][trial id] is that cell's run_trial, in that order
+        values = (0.0, 10 * DEG)
+        sweep = SweepConfig(axis="offset_range", values=values, trials=2,
                             master_seed=9, beams=("stepped", "digital_genie"))
         result = run_sweep(sweep, SMALL)
-        cell = run_trial(
-            apply_axis(dataclasses.replace(SMALL, beams=sweep.beams), "offset_range", 10 * DEG),
-            9, 0,
-        )
-        assert result.minima["stepped"][0, 0] == cell.min_capacity("stepped")
-        assert result.minima["digital_genie"][0, 0] == cell.min_capacity("digital_genie")
+        assert result.sweep is sweep
+        assert [len(row) for row in result.cells] == [2, 2]
+        base = dataclasses.replace(SMALL, beams=sweep.beams)
+        for vi, value in enumerate(values):
+            for t in range(2):
+                cell = run_trial(apply_axis(base, "offset_range", value), 9, t)
+                assert result.cells[vi][t].trial_id == t
+                records_equal(result.cells[vi][t], cell)
+                for kind in sweep.beams:
+                    assert result.minima(kind)[vi, t] == cell.min_capacity(kind)
 
     def test_worker_count_invariant(self):
         sweep = SweepConfig(axis="offset_range", values=(0.0, 10 * DEG), trials=3,
@@ -304,7 +310,32 @@ class TestRunSweep:
         serial = run_sweep(sweep, SMALL, workers=None)
         parallel = run_sweep(sweep, SMALL, workers=2)
         for kind in sweep.beams:
-            np.testing.assert_array_equal(serial.minima[kind], parallel.minima[kind])
+            np.testing.assert_array_equal(serial.minima(kind), parallel.minima(kind))
+
+    def test_pool_is_never_larger_than_the_cell_count(self, monkeypatch):
+        # a fake pool records its size and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        sweep = SweepConfig(axis="offset_range", values=(0.0, 10 * DEG), trials=1,
+                            master_seed=5, beams=("rainbow",))
+        pooled = run_sweep(sweep, SMALL, workers=64)
+        assert sizes == [2]
+        np.testing.assert_array_equal(pooled.minima("rainbow"),
+                                      run_sweep(sweep, SMALL).minima("rainbow"))
 
     def test_zero_offset_value_upper_bounds_wider_ones(self):
         # the zero-offset evaluation set {0} is a subset of every odd-count
@@ -318,7 +349,7 @@ class TestRunSweep:
         )
         result = run_sweep(sweep, SMALL)
         for kind in sweep.beams:
-            block = result.minima[kind]
+            block = result.minima(kind)
             assert np.all(block[0] >= block[1] - 1e-9)
             assert np.all(block[0] >= block[2] - 1e-9)
 
@@ -326,7 +357,7 @@ class TestRunSweep:
         sweep = SweepConfig(axis="offset_range", values=(0.0, 10 * DEG), trials=4,
                             master_seed=0, beams=("rainbow",))
         result = run_sweep(sweep, SMALL)
-        block = result.minima["rainbow"]
+        block = result.minima("rainbow")
         np.testing.assert_array_equal(result.min_over_trials("rainbow"), block.min(axis=1))
         np.testing.assert_array_equal(result.mean_of_minima("rainbow"), block.mean(axis=1))
 
@@ -366,7 +397,7 @@ class TestRunSweep:
         sweep = SweepConfig(axis="num_users", values=(2.0, 3.0), trials=1, beams=("rainbow",))
         message = r"^num_users=2: channel_gains need one value or one per user \(2\), got 3$"
         with pytest.raises(ValueError, match=message):
-            run_cells(sweep, base)
+            run_sweep(sweep, base)
         with pytest.raises(ValueError, match=message):
             sweep_cells(sweep, base)
         assert calls == []
@@ -385,7 +416,7 @@ class TestCapacityCdf:
         result = run_sweep(sweep, SMALL)
         cdf = capacity_cdf(result)
         for series in cdf:
-            vi = result.values.index(series.axis_value)
+            vi = result.sweep.values.index(series.axis_value)
             assert series.values[0] == result.min_over_trials(series.beam)[vi]
             assert series.probabilities[-1] == 1.0
             assert np.all(np.diff(series.probabilities) > 0)
