@@ -137,12 +137,12 @@ def _load_config(args) -> RunConfig:
 
 
 def _analog_designs(args):
-    """The config, seed (default 0), base trial and trial 0's analog designs: only the
-    design stage runs, and its (N, K) policies are dropped, not held through the run."""
+    """The config, seed (default 0), base trial and trial 0's analog designs from
+    the design stage alone."""
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     base = cfg.base_trial()
-    return cfg, seed, base, design_trial(base, seed, 0).designs
+    return cfg, seed, base, design_trial(base, seed, 0).beams
 
 
 def cmd_design(args) -> int:

@@ -14,7 +14,6 @@ the config key.
 from __future__ import annotations
 
 import configparser
-import copy
 import hashlib
 import io
 from dataclasses import dataclass
@@ -230,6 +229,7 @@ def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunCon
         for (sec, key), v in DESK_OVERLAY.items():
             values[sec][key] = v
 
+    items = []  # (section, key, raw) from the file, then from the overrides
     if path is not None:
         parser = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=(";", "#"))
@@ -242,25 +242,19 @@ def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunCon
         for section in parser.sections():
             if section not in _SCHEMA:
                 raise ConfigError(f"[{section}]: unknown section")
-            for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"[{section}] {key}: unknown key")
-                kind = _SCHEMA[section][key][0]
-                values[section][key] = _parse_value(kind, raw, section, key)
-
+            items += [(section, key, raw) for key, raw in parser.items(section)]
     for item in overrides or ():
-        if "=" not in item:
+        dotted, eq, raw = item.partition("=")
+        if not eq or "." not in dotted:
             raise ConfigError(f"override {item!r}: expected section.key=value")
-        dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override {item!r}: expected section.key=value")
-        section, key = dotted.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"[{section}] {key}: unknown key")
-        kind = _SCHEMA[section][key][0]
-        values[section][key] = _parse_value(kind, raw, section, key)
+        items.append((*dotted.split(".", 1), raw))
 
-    cfg = RunConfig(copy.deepcopy(values))
+    for section, key, raw in items:
+        if key not in _SCHEMA.get(section, ()):
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        values[section][key] = _parse_value(_SCHEMA[section][key][0], raw, section, key)
+
+    cfg = RunConfig(values)
     try:
         sweep = cfg.sweep(0)
         base = cfg.base_trial()

@@ -101,12 +101,12 @@ def design_slanted(
         aod_range=r,
         assignment=assignment,
     )
-    return _solve_anchor(anchor, cfg, opts or SolverOptions(), "slanted")
+    return _solve_anchor(anchor, cfg, opts, "slanted")
 
 
 def design_slanted_at(anchor: AnchorSpec, cfg: ArrayConfig, opts: SolverOptions = None) -> BeamDesign:
     """Slanted design from an explicit anchor, bypassing coverage prediction."""
-    return _solve_anchor(anchor, cfg, opts or SolverOptions(), "slanted")
+    return _solve_anchor(anchor, cfg, opts, "slanted")
 
 
 def design_stepped(
@@ -118,7 +118,7 @@ def design_stepped(
     """Stepped beams: constant direction per sub-band at the estimated AoDs
     (a slanted design with the range forced to zero)."""
     anchor = AnchorSpec(centers=aod_estimates, aod_range=0.0, assignment=assignment)
-    return _solve_anchor(anchor, cfg, opts or SolverOptions(), "stepped")
+    return _solve_anchor(anchor, cfg, opts, "stepped")
 
 
 def design_rainbow(cfg: ArrayConfig) -> BeamDesign:
@@ -159,7 +159,7 @@ def genie_stepped(aods, cfg: ArrayConfig, opts: SolverOptions = None, assignment
     """Stepped design re-pointed at one instant's per-user true AoDs, from an
     independent (cold-started) solve."""
     anchor = AnchorSpec(centers=aods, aod_range=0.0, assignment=assignment)
-    return _solve_anchor(anchor, cfg, opts or SolverOptions(), "stepped_genie")
+    return _solve_anchor(anchor, cfg, opts, "stepped_genie")
 
 
 class FixedBeamPolicy:
@@ -179,21 +179,20 @@ class FixedBeamPolicy:
 
 
 class SteppedGeniePolicy:
-    """Oracle baseline: re-solves a stepped design at the true directions of
-    every evaluated instant.  Each solve is cold-started, so results do not
-    depend on how evaluation points are split across workers."""
+    """Oracle baseline: re-solves a stepped design at the true directions of every
+    evaluated instant and scores it as a ``FixedBeamPolicy``.  Solves start cold,
+    so results do not depend on how evaluation points split across workers."""
 
     kind = "stepped_genie"
 
     def __init__(self, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None):
         self.cfg = cfg
-        self.opts = opts or SolverOptions()
+        self.opts = opts
         self.assignment = assignment
 
     def gains(self, b, angles) -> np.ndarray:
         design = genie_stepped(angles, self.cfg, self.opts, self.assignment)
-        rows = awv_matrix(design.weights, self.cfg.subcarrier_centers(), self.cfg)
-        return _matched_gains(b, rows.T)
+        return FixedBeamPolicy(design, self.cfg).gains(b, angles)
 
 
 class DigitalGeniePolicy:

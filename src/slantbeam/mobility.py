@@ -2,13 +2,14 @@
 
 A user's angle of departure evolves with constant angular acceleration over
 one scheduling frame.  The base station only holds noisy estimates of the
-initial angle, angular velocity, and acceleration; prediction propagates both
-the mean and the variance of the angle forward in time, and anchor selection
+initial angle, angular velocity, and acceleration (a ``KinematicsEstimate`` is
+a ``UserKinematics`` plus their error variances); the predicted mean follows the
+same motion polynomial, the variance propagates forward, and anchor selection
 turns the predicted spread into a per-user coverage interval that the beam
 designs consume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -46,16 +47,13 @@ class UserKinematics:
 
 
 @dataclass(frozen=True)
-class KinematicsEstimate:
+class KinematicsEstimate(UserKinematics):
     """Estimated motion state plus the error variances of each estimate.
 
     Variances are rad^2, rad^2/s^2 and rad^2/s^4 for the angle, velocity and
     acceleration estimates respectively.
     """
 
-    theta0: float
-    omega0: float
-    alpha: float
     var_theta: float
     var_omega: float
     var_alpha: float
@@ -72,9 +70,8 @@ def true_aod(kin: UserKinematics, i, timing: FrameTiming):
 
 
 def predicted_mean(est: KinematicsEstimate, i, timing: FrameTiming):
-    """Predicted AoD mean at step i from the estimated state."""
-    t = timing.elapsed(i)
-    return est.theta0 + t * est.omega0 + 0.5 * t**2 * est.alpha
+    """Predicted AoD mean at step i: the motion polynomial of the estimated state."""
+    return true_aod(est, i, timing)
 
 
 def predicted_variance(est: KinematicsEstimate, i, timing: FrameTiming):

@@ -6,10 +6,9 @@ worker processes. Within a trial all beam designs see the identical scenario,
 sub-band assignment, and evaluation points; comparisons between beams are
 therefore paired.
 
-A trial runs in two stages: the design stage (``design_trial``) samples the
-scenario and builds every requested beam from the estimates, and the evaluation
-stage (``link.capacity_records``) scores each beam by user capacity. ``run_trial``
-runs both and keeps only the records.
+A trial runs in two stages: ``design_trial`` samples the scenario and builds
+every requested beam (a BeamDesign or a genie policy), and ``run_trial`` scores
+each by ``link.capacity_records``, an analog design as a ``FixedBeamPolicy``.
 
 ``run_sweep`` runs every (axis value, trial) cell of a sweep. Its ``SweepResult``
 holds the sweep and each cell's TrialResult, and ``minima(beam)`` folds them.
@@ -93,7 +92,7 @@ class TrialConfig:
     coverage_p: float = 0.97
     range_override: float = None
     qpd_peak: float = np.pi
-    solver: SolverOptions = SolverOptions()
+    solver: SolverOptions = None  # None: jpta_solve's defaults
     channel_gains: tuple = None
 
     def __post_init__(self):
@@ -125,20 +124,23 @@ class TrialConfig:
             raise ValueError("range_override must be non-negative")
         if self.qpd_peak < 0:
             raise ValueError("qpd_peak must be non-negative")
-        lo, hi = self.scenario.aod_range
-        reach = max(abs(lo), abs(hi))
-        if self.plan.mode == "offset":
-            # offset_grid spans [-max_offset, max_offset], or holds 0 alone
-            reach += self.plan.max_offset if self.plan.offset_count > 1 else 0.0
-            moved = "the largest offset"
-        else:
-            t = self.timing.duration
-            reach += self.scenario.velocity_range[1] * t + 0.5 * abs(self.scenario.accel_mean) * t * t
-            moved = "the frame's travel at the largest speed and the mean acceleration"
-        if reach > np.pi / 2:
-            raise ValueError(
-                f"aod_range: max(|aod_min|, |aod_max|) plus {moved} reaches "
-                f"{np.rad2deg(reach):g} deg, beyond 90 deg")
+
+
+def _check_angle_reach(config: TrialConfig) -> None:
+    """Reject a trial whose deterministic motion carries a direction past 90 deg."""
+    lo, hi = config.scenario.aod_range
+    bound, reach = ("aod_max", abs(hi)) if abs(hi) >= abs(lo) else ("aod_min", abs(lo))
+    if config.plan.mode == "offset":
+        # offset_grid spans [-max_offset, max_offset], or holds 0 alone
+        reach += config.plan.max_offset if config.plan.offset_count > 1 else 0.0
+        moved = "the largest offset"
+    else:
+        t = config.timing.duration
+        reach += config.scenario.velocity_range[1] * t + 0.5 * abs(config.scenario.accel_mean) * t * t
+        moved = "the frame's travel at the largest speed and the mean acceleration"
+    if reach > np.pi / 2:
+        raise ValueError(
+            f"aod_range: |{bound}| plus {moved} reaches {np.rad2deg(reach):g} deg, beyond 90 deg")
 
 
 @dataclass(frozen=True)
@@ -154,13 +156,13 @@ class TrialResult:
 
 class TrialDesign(NamedTuple):
     """One trial's design stage: the (kinematics, estimate) pairs, the sub-band
-    assignment, the (P, U) evaluation directions, policies and analog designs by kind."""
+    assignment, the (P, U) evaluation directions, and by kind what the
+    ``POLICY_BUILDERS`` entry returned: a BeamDesign or a genie policy."""
 
     scenario: tuple
     assignment: np.ndarray
     true_aods: np.ndarray
-    policies: dict
-    designs: dict
+    beams: dict
 
 
 def _trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
@@ -210,8 +212,7 @@ POLICY_BUILDERS = {
 
 
 def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialDesign:
-    """The design stage of one seeded trial: sample, then build every requested
-    beam; an analog design is kept by kind and also wrapped as a policy."""
+    """The design stage of one seeded trial: sample, then build every requested beam."""
     rng = _trial_rng(master_seed, trial_id)
     try:
         scenario = tuple(sample_scenario(rng, config.scenario))
@@ -220,22 +221,19 @@ def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialD
     assignment = rng.permutation(config.scenario.num_users)
     estimates = [est for _, est in scenario]
     true_aods = _evaluation_points(config, [kin for kin, _ in scenario], estimates)
-    policies, designs = {}, {}
-    for kind in config.beams:
-        built = POLICY_BUILDERS[kind](config, estimates, assignment)
-        if isinstance(built, BeamDesign):
-            designs[kind] = built
-            built = FixedBeamPolicy(built, config.array)
-        policies[kind] = built
-    return TrialDesign(scenario, assignment, true_aods, policies, designs)
+    beams = {kind: POLICY_BUILDERS[kind](config, estimates, assignment) for kind in config.beams}
+    return TrialDesign(scenario, assignment, true_aods, beams)
 
 
 def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResult:
-    """Run one seeded trial: the design stage, then every policy scored by
-    ``capacity_records``."""
+    """Run one seeded trial: check its angle reach, run the design stage, then score
+    every beam by ``capacity_records``, an analog design as a ``FixedBeamPolicy``."""
+    _check_angle_reach(config)
     trial = design_trial(config, master_seed, trial_id)
+    policies = {kind: FixedBeamPolicy(beam, config.array) if isinstance(beam, BeamDesign) else beam
+                for kind, beam in trial.beams.items()}
     try:
-        records = capacity_records(trial.policies, trial.true_aods, config.array, config.budget,
+        records = capacity_records(policies, trial.true_aods, config.array, config.budget,
                                    assignment=trial.assignment, channel_gains=config.channel_gains)
     except ValueError as exc:
         raise ValueError(f"trial {trial_id}: {exc}") from exc
@@ -341,9 +339,11 @@ def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
     for v in sweep.values:
         label = _axis_label(sweep.axis, v)
         try:
-            cells.append((label, apply_axis(base, sweep.axis, v)))
+            config = apply_axis(base, sweep.axis, v)
+            _check_angle_reach(config)
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from exc
+        cells.append((label, config))
     return cells
 
 

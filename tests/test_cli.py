@@ -84,6 +84,19 @@ class TestDesignCommand:
         assert manifest["artifacts"] == written
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["run_manifest.json"])
 
+    @pytest.mark.parametrize("command, ext", [("design", "json"), ("pattern", "csv")])
+    def test_writes_designs_without_building_policies(self, tmp_path, monkeypatch, command, ext):
+        # the analog designs go out as built; none is wrapped as a FixedBeamPolicy
+        def wrap(*args, **kwargs):
+            raise RuntimeError("FixedBeamPolicy built")
+
+        monkeypatch.setattr(montecarlo, "FixedBeamPolicy", wrap)
+        assert main([command, "--out", str(tmp_path), *TINY]) == 0
+        written = sorted(f"{command}_{kind}.{ext}" for kind in ANALOG_KINDS)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["run_manifest.json"])
+
     @pytest.mark.parametrize("command", ["design", "pattern", "sweep"])
     def test_duplicate_beam_kinds_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -287,6 +300,25 @@ class TestSweepCommand:
         assert not (tmp_path / "sweep_offset_range.csv").exists()
         err = capsys.readouterr().err
         assert "[sweep] values: offset_range=20 deg: aod_range:" in err
+
+    @pytest.mark.parametrize("axis, values", [("mean_velocity", "0"), ("offset_range", "0,2")])
+    def test_angle_reach_judges_only_the_cells_that_run(self, tmp_path, axis, values):
+        # the base trial's 10 deg offset grid would reach 95 deg, but no cell runs it
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1", "--axis", axis,
+                     "--values", values, "--set", "mobility.aod_max_deg=85",
+                     "--set", "sweep.trials=2", "--set", "frame.num_steps=3", *K48_N8])
+        assert code == 0
+        assert (tmp_path / f"sweep_{axis}.csv").exists()
+
+    @pytest.mark.parametrize("item, bound", [("mobility.aod_max_deg=85", "aod_max"),
+                                             ("mobility.aod_min_deg=-85", "aod_min")])
+    def test_angle_reach_names_the_bound_that_reaches(self, tmp_path, capsys, item, bound):
+        code = main(["sweep", "--out", str(tmp_path), "--seed", "1", "--axis", "offset_range",
+                     "--values", "0,12", "--set", item, *K48_N8])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert (f"[sweep] values: offset_range=12 deg: aod_range: |{bound}| plus the largest "
+                f"offset reaches 97 deg, beyond 90 deg") in capsys.readouterr().err
 
     def test_bad_set_key(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path), "--seed", "0",

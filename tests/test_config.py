@@ -88,6 +88,25 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="section.key=value"):
             parse_config(overrides=["num_antennas=64"])
 
+    @pytest.mark.parametrize("item, message", [
+        ("frame.num_steps", "override 'frame.num_steps': expected section.key=value"),
+        ("=5", "override '=5': expected section.key=value"),
+        ("nosuch.key=1", "[nosuch] key: unknown key"),
+    ])
+    def test_override_syntax(self, item, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides=[item])
+
+    def test_file_items_then_overrides_go_through_one_check(self, tmp_path):
+        # every override's syntax is read before any item is checked, and items
+        # are checked file first: a malformed override wins over a bad file value,
+        # and a bad file value over a bad override value
+        text = "[frame]\nnum_steps = many\n"
+        with pytest.raises(ConfigError, match="expected section.key=value"):
+            parse_text(tmp_path, text, overrides=["frame.num_steps"])
+        with pytest.raises(ConfigError, match=r"^\[frame\] num_steps: cannot parse 'many'"):
+            parse_text(tmp_path, text, overrides=["link.snr_db=loud"])
+
 
 class TestRejections:
     def test_unknown_key_named(self, tmp_path):
@@ -199,10 +218,10 @@ SWEEP_VALUE_ROWS = [
     (["sweep.axis=mean_velocity", "sweep.values=-10,0"], "mean_velocity=-10 deg/s: velocity_range"),
     (["sweep.values=-5,0"], "offset_range=-5 deg: max_offset must be non-negative"),
     (["mobility.aod_max_deg=80", "sweep.values=0,20"],
-     "offset_range=20 deg: aod_range: max(|aod_min|, |aod_max|) plus the largest offset "
+     "offset_range=20 deg: aod_range: |aod_max| plus the largest offset "
      "reaches 100 deg, beyond 90 deg"),
     (["mobility.aod_min_deg=-80", "sweep.axis=mean_velocity", "sweep.values=0,80"],
-     "mean_velocity=80 deg/s: aod_range: max(|aod_min|, |aod_max|) plus the frame's travel"),
+     "mean_velocity=80 deg/s: aod_range: |aod_min| plus the frame's travel"),
 ]
 
 

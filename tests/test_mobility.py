@@ -89,6 +89,18 @@ class TestKinematics:
         # same polynomial applied to the estimated state
         assert predicted_mean(EXAMPLE_EST, 100, TABLE_TIMING) == pytest.approx(24.6 * DEG, rel=1e-12)
 
+    def test_estimate_is_a_kinematic_state_plus_variances(self):
+        # positional order: the state, then the three variances
+        est = KinematicsEstimate(0.1, -0.7, 3.0, 1e-4, 1e-3, 1e-2)
+        assert isinstance(est, UserKinematics)
+        assert (est.theta0, est.omega0, est.alpha) == (0.1, -0.7, 3.0)
+        assert (est.var_theta, est.var_omega, est.var_alpha) == (1e-4, 1e-3, 1e-2)
+        steps = np.arange(101)
+        mean = predicted_mean(est, steps, TABLE_TIMING)
+        np.testing.assert_array_equal(mean, true_aod(est, steps, TABLE_TIMING))
+        np.testing.assert_array_equal(mean, true_aod(UserKinematics(0.1, -0.7, 3.0), steps,
+                                                     TABLE_TIMING))
+
     def test_prediction_unbiased_monte_carlo(self):
         rng = np.random.default_rng(42)
         n = 10_000

@@ -6,7 +6,14 @@ import pytest
 
 from slantbeam import montecarlo
 from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile
-from slantbeam.designs import BEAM_KINDS, genie_stepped
+from slantbeam.designs import (
+    ANALOG_KINDS,
+    BEAM_KINDS,
+    BeamDesign,
+    FixedBeamPolicy,
+    SteppedGeniePolicy,
+    genie_stepped,
+)
 from slantbeam.link import LinkBudget, capacity_records, subband_users, user_capacity
 from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
@@ -44,21 +51,24 @@ def records_equal(a, b):
 
 class TestRunTrial:
     def test_bit_identical_repeat(self):
-        # run_trial is the design stage followed by capacity_records
+        # run_trial is the design stage followed by capacity_records, with every
+        # analog design scored through FixedBeamPolicy
         res = run_trial(SMALL, 42, 3)
         records_equal(res, run_trial(SMALL, 42, 3))
         a = design_trial(SMALL, 42, 3)
         b = design_trial(SMALL, 42, 3)
-        records = capacity_records(a.policies, a.true_aods, SMALL.array, SMALL.budget,
+        policies = {kind: FixedBeamPolicy(beam, SMALL.array) if kind in ANALOG_KINDS else beam
+                    for kind, beam in a.beams.items()}
+        records = capacity_records(policies, a.true_aods, SMALL.array, SMALL.budget,
                                    assignment=a.assignment)
         records_equal(res, TrialResult(3, records))
         np.testing.assert_array_equal(a.true_aods, b.true_aods)
         np.testing.assert_array_equal(a.assignment, b.assignment)
-        for kind in a.designs:
-            np.testing.assert_array_equal(a.designs[kind].weights.phases,
-                                          b.designs[kind].weights.phases)
-            np.testing.assert_array_equal(a.designs[kind].weights.delays,
-                                          b.designs[kind].weights.delays)
+        for kind in ANALOG_KINDS:
+            np.testing.assert_array_equal(a.beams[kind].weights.phases,
+                                          b.beams[kind].weights.phases)
+            np.testing.assert_array_equal(a.beams[kind].weights.delays,
+                                          b.beams[kind].weights.delays)
 
     def test_different_trials_differ(self):
         a = design_trial(SMALL, 42, 0)
@@ -142,9 +152,9 @@ class TestRunTrial:
         assert not np.array_equal(trial.assignment, np.arange(3))
         freqs = cfg.array.subcarrier_centers()
         users = subband_users(trial.assignment, cfg.array.num_subcarriers, 3)
-        assert tuple(res.records) == tuple(trial.policies) == cfg.beams == BEAM_KINDS
+        assert tuple(res.records) == tuple(trial.beams) == cfg.beams == BEAM_KINDS
         tol = capacity_tolerance(cfg.array, cfg.budget, max(cfg.channel_gains), 3)
-        for kind in trial.policies:
+        for kind in trial.beams:
             expected = np.empty(trial.true_aods.shape)
             for p, row in enumerate(trial.true_aods):
                 if kind == "digital_genie":
@@ -154,8 +164,8 @@ class TestRunTrial:
                     np.testing.assert_allclose(gains, n, rtol=matched_gain_rtol(n), atol=0)
                     gains = np.full(users.size, float(n))
                 else:
-                    design = trial.designs.get(kind) or genie_stepped(row, cfg.array, cfg.solver,
-                                                                      trial.assignment)
+                    design = (trial.beams[kind] if kind in ANALOG_KINDS else
+                              genie_stepped(row, cfg.array, cfg.solver, trial.assignment))
                     rows = awv_matrix(design.weights, freqs, cfg.array)
                     gains = gain_profile(row[users], freqs, rows, cfg.array)
                 for u in range(3):
@@ -214,10 +224,13 @@ class TestPolicyBuilders:
         np.testing.assert_array_equal(calls[0], trial.assignment)
 
     def test_analog_designs_carry_trial_assignment_and_report(self):
+        # an analog kind holds its BeamDesign, a genie kind its policy
         trial = design_trial(SMALL, 5, 1)
-        assert set(trial.designs) == {"slanted", "stepped", "rainbow", "qpd"}
+        analog = {kind for kind, beam in trial.beams.items() if isinstance(beam, BeamDesign)}
+        assert analog == set(ANALOG_KINDS) == {"slanted", "stepped", "rainbow", "qpd"}
+        assert isinstance(trial.beams["stepped_genie"], SteppedGeniePolicy)
         for kind in ("slanted", "stepped"):
-            design = trial.designs[kind]
+            design = trial.beams[kind]
             np.testing.assert_array_equal(design.anchor.assignment, trial.assignment)
             assert design.report.weights is design.weights
 
@@ -226,16 +239,34 @@ class TestAngleReach:
     """Evaluation directions must stay in the half-plane, checked up front from
     the deterministic part of the motion."""
 
-    def reach(self, aod_max_deg, **changes):
-        scen = dataclasses.replace(SMALL.scenario, aod_range=(-45 * DEG, aod_max_deg * DEG),
+    def reach(self, aod_max_deg, aod_min_deg=-45.0, **changes):
+        scen = dataclasses.replace(SMALL.scenario, aod_range=(aod_min_deg * DEG, aod_max_deg * DEG),
                                    **changes.pop("scenario", {}))
-        return dataclasses.replace(SMALL, scenario=scen, **changes)
+        montecarlo._check_angle_reach(dataclasses.replace(SMALL, scenario=scen, **changes))
 
     def test_offset_grid_may_reach_exactly_90(self):
         # 80 + 10 deg adds up to pi/2 exactly
         self.reach(80.0)
         with pytest.raises(ValueError, match=r"^aod_range: .* largest offset reaches 90\.1 deg"):
             self.reach(80.1)
+
+    @pytest.mark.parametrize("aod_min_deg, aod_max_deg, bound", [
+        (-45.0, 85.0, "aod_max"),
+        (-85.0, 45.0, "aod_min"),
+        (-85.0, -60.0, "aod_min"),
+        (-85.0, 85.0, "aod_max"),
+    ])
+    def test_message_names_the_bound_that_reaches(self, aod_min_deg, aod_max_deg, bound):
+        with pytest.raises(ValueError, match=rf"^aod_range: \|{bound}\| plus the largest offset "
+                                             r"reaches 95 deg, beyond 90 deg$"):
+            self.reach(aod_max_deg, aod_min_deg)
+
+    def test_run_trial_checks_the_reach_of_a_config_that_builds(self):
+        # building a config checks no reach; running a trial does, before any work
+        scen = dataclasses.replace(SMALL.scenario, aod_range=(-45 * DEG, 85 * DEG))
+        cfg = dataclasses.replace(SMALL, scenario=scen)
+        with pytest.raises(ValueError, match=r"^aod_range: \|aod_max\| plus the largest offset"):
+            run_trial(cfg, 0, 0)
 
     def test_single_offset_sits_at_the_estimate(self):
         self.reach(90.0, plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=1))
@@ -367,7 +398,7 @@ class TestRunSweep:
                             master_seed=1, beams=("slanted",))
         ((_, cell),) = sweep_cells(sweep, cfg)
         trial = design_trial(cell, 1, 0)
-        assert trial.designs["slanted"].anchor.aod_range == 20 * DEG
+        assert trial.beams["slanted"].anchor.aod_range == 20 * DEG
 
     def test_zero_velocity_zero_var_collapses_slanted_range(self):
         base = dataclasses.replace(
@@ -378,7 +409,7 @@ class TestRunSweep:
         cfg = apply_axis(base, "mean_velocity", 0.0)
         trial = design_trial(cfg, 6, 0)
         expected = 2 * coverage_halfwidth(0.97) * np.sqrt(base.scenario.var_theta)
-        assert trial.designs["slanted"].anchor.aod_range == pytest.approx(expected, rel=1e-12)
+        assert trial.beams["slanted"].anchor.aod_range == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
