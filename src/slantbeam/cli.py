@@ -1,10 +1,12 @@
 """Command line front end: design, pattern, sweep, and cdf subcommands.
 
-Every run reads the layered configuration (defaults, optional desk-scale
-overlay, config file, ``--set`` overrides), emits its artifacts into the
-output directory, and writes a JSON manifest recording the seed, the config
-hash, and the artifact list. CSV artifacts start with a comment line
-``# seed=<seed> config=sha256:<hash>`` tying them back to the manifest.
+``main`` wraps every run in one envelope: it reads the layered configuration
+(defaults, optional desk-scale overlay, config file, ``--set`` overrides),
+picks the seed and hashes the config once, runs the command, and writes a
+JSON manifest of the seed, the config hash and the artifact names the command
+returns. Each artifact goes out through ``_emit``; a CSV starts with a comment
+line ``# seed=<seed> config=sha256:<hash>`` tying it back to the manifest.
+``sweep`` and ``cdf`` judge every sweep cell before any runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import __version__
 from .arrays import pattern_heatmap
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .designs import ANALOG_KINDS
-from .montecarlo import SWEEP_AXES, capacity_cdf, design_trial, run_sweep
+from .montecarlo import SWEEP_AXES, capacity_cdf, design_trial, run_sweep, sweep_cells
 from .montecarlo import run_trial  # noqa: F401  perfbench wraps cli.run_trial
 
 
@@ -53,7 +55,7 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def write_design_json(path, design, seed, cfg_hash):
+def write_design_json(path, seed, cfg_hash, design):
     _write_json(path, {**design.to_json_dict(), "seed": int(seed), "config_sha256": cfg_hash})
 
 
@@ -99,11 +101,11 @@ def write_cdf_csv(path, seed, cfg_hash, series_list, display_of):
     _write_csv(path, seed, cfg_hash, "beam,axis_value,capacity_bps,cum_prob", rows())
 
 
-def write_manifest(path, command, seed, cfg: RunConfig, artifacts):
+def write_manifest(path, seed, cfg_hash, command, cfg: RunConfig, artifacts):
     _write_json(path, {
         "command": command,
         "seed": int(seed),
-        "config_sha256": config_hash(cfg),
+        "config_sha256": cfg_hash,
         "config": serialize_config(cfg),
         "version": __version__,
         "artifacts": sorted(artifacts),
@@ -136,83 +138,67 @@ def _load_config(args) -> RunConfig:
     return parse_config(path=args.config, overrides=sets, desk=not args.full)
 
 
-def _analog_designs(args):
-    """The config, seed (default 0), base trial and trial 0's analog designs from
-    the design stage alone."""
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else 0
+def _emit(out, name, writer, seed, cfg_hash, *payload):
+    """Write one artifact as ``writer(path, seed, cfg_hash, *payload)`` into
+    ``out``, report its path, and return its name for the manifest."""
+    path = os.path.join(out, name)
+    writer(path, seed, cfg_hash, *payload)
+    print(f"wrote {path}")
+    return name
+
+
+def _analog_designs(cfg: RunConfig, seed):
+    """The base trial and trial 0's analog designs from the design stage alone."""
     base = cfg.base_trial()
-    return cfg, seed, base, design_trial(base, seed, 0).beams
+    return base, design_trial(base, seed, 0).beams
 
 
-def cmd_design(args) -> int:
-    cfg, seed, base, designs = _analog_designs(args)
-    h = config_hash(cfg)
-    artifacts = []
-    for kind in base.beams:
-        path = os.path.join(args.out, f"design_{kind}.json")
-        write_design_json(path, designs[kind], seed, h)
-        artifacts.append(os.path.basename(path))
-        print(f"wrote {path}")
-    write_manifest(os.path.join(args.out, "run_manifest.json"), "design", seed, cfg, artifacts)
-    return 0
+def cmd_design(args, cfg, seed, h) -> list:
+    base, designs = _analog_designs(cfg, seed)
+    return [_emit(args.out, f"design_{kind}.json", write_design_json, seed, h, designs[kind])
+            for kind in base.beams]
 
 
-def cmd_pattern(args) -> int:
-    cfg, seed, base, designs = _analog_designs(args)
+def cmd_pattern(args, cfg, seed, h) -> list:
+    base, designs = _analog_designs(cfg, seed)
     arr = base.array
     thetas_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     grid = np.deg2rad(thetas_deg)
     freqs = arr.subcarrier_centers()
-    h = config_hash(cfg)
-    artifacts = []
-    for kind in base.beams:
-        gains = pattern_heatmap(designs[kind].weights, grid, arr)
-        path = os.path.join(args.out, f"pattern_{kind}.csv")
-        write_heatmap_csv(path, seed, h, thetas_deg, freqs, gains)
-        artifacts.append(os.path.basename(path))
-        print(f"wrote {path}")
-    write_manifest(os.path.join(args.out, "run_manifest.json"), "pattern", seed, cfg, artifacts)
-    return 0
+    # each heatmap is an argument only, so it is freed once written
+    return [_emit(args.out, f"pattern_{kind}.csv", write_heatmap_csv, seed, h, thetas_deg, freqs,
+                  pattern_heatmap(designs[kind].weights, grid, arr))
+            for kind in base.beams]
 
 
-def _swept(args):
-    """The config, its hash and the sweep run over ``--workers`` processes."""
-    cfg = _load_config(args)
-    result = run_sweep(cfg.sweep(master_seed=args.seed), cfg.base_trial(), workers=args.workers)
-    return cfg, config_hash(cfg), result
+def _swept(args, cfg: RunConfig, seed):
+    """The sweep run over ``--workers`` processes once every cell is judged
+    runnable, so a value that cannot run exits 2 before any trial does."""
+    sweep, base = cfg.sweep(master_seed=seed), cfg.base_trial()
+    try:
+        sweep_cells(sweep, base)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep] values: {exc}") from exc
+    return run_sweep(sweep, base, workers=args.workers)
 
 
-def cmd_sweep(args) -> int:
-    cfg, h, result = _swept(args)
-    path = os.path.join(args.out, f"sweep_{result.sweep.axis}.csv")
-    write_sweep_csv(path, args.seed, h, result, cfg.get("sweep", "values"))
-    print(f"wrote {path}")
-    write_manifest(
-        os.path.join(args.out, "run_manifest.json"), "sweep", args.seed, cfg,
-        [os.path.basename(path)],
-    )
-    return 0
+def cmd_sweep(args, cfg, seed, h) -> list:
+    result = _swept(args, cfg, seed)
+    return [_emit(args.out, f"sweep_{result.sweep.axis}.csv", write_sweep_csv, seed, h, result,
+                  cfg.get("sweep", "values"))]
 
 
-def cmd_cdf(args) -> int:
-    cfg, h, result = _swept(args)
+def cmd_cdf(args, cfg, seed, h) -> list:
+    result = _swept(args, cfg, seed)
     sweep = result.sweep
     display_of = dict(zip(sweep.values, cfg.get("sweep", "values")))
-    path = os.path.join(args.out, f"cdf_{sweep.axis}.csv")
-    write_cdf_csv(path, args.seed, h, capacity_cdf(result), display_of)
-    artifacts = [os.path.basename(path)]
-    print(f"wrote {path}")
+    names = [_emit(args.out, f"cdf_{sweep.axis}.csv", write_cdf_csv, seed, h,
+                   capacity_cdf(result), display_of)]
     for vi, trials in enumerate(result.cells):
-        detail = os.path.join(args.out, f"capacity_detail_{vi}.csv")
-        summary = os.path.join(args.out, f"capacity_summary_{vi}.csv")
-        write_capacity_csv(detail, args.seed, h, trials, sweep.beams)
-        write_capacity_summary_csv(summary, args.seed, h, trials, sweep.beams)
-        artifacts += [os.path.basename(detail), os.path.basename(summary)]
-        print(f"wrote {detail}")
-        print(f"wrote {summary}")
-    write_manifest(os.path.join(args.out, "run_manifest.json"), "cdf", args.seed, cfg, artifacts)
-    return 0
+        names += [_emit(args.out, f"capacity_{part}_{vi}.csv", writer, seed, h, trials, sweep.beams)
+                  for part, writer in (("detail", write_capacity_csv),
+                                       ("summary", write_capacity_summary_csv))]
+    return names
 
 
 def _add_common(sub):
@@ -269,7 +255,13 @@ def main(argv=None) -> int:
             return 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        cfg = _load_config(args)
+        seed = args.seed if args.seed is not None else 0
+        h = config_hash(cfg)
+        artifacts = args.func(args, cfg, seed, h)
+        write_manifest(os.path.join(args.out, "run_manifest.json"), seed, h, args.command, cfg,
+                       artifacts)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

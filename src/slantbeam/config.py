@@ -6,9 +6,9 @@ has a default; an empty file therefore parses to the full-scale defaults.
 A desk-scale overlay (fewer subcarriers, steps, trials, offsets) can be
 applied before file values so quick runs stay quick unless the file or a
 ``--set`` override says otherwise. Range and consistency rules live in the
-library's dataclasses: parsing builds them, down to the trial config of every
-sweep value, and turns any error they raise into a ``ConfigError`` that names
-the config key.
+library's dataclasses: parsing builds them (the sweep and the base trial) and
+turns any error they raise into a ``ConfigError`` that names the config key.
+Whether every sweep value can run is judged by the commands that run sweeps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .designs import BEAM_KINDS
 from .jpta import SolverOptions
 from .link import LinkBudget
 from .mobility import FrameTiming, ScenarioConfig
-from .montecarlo import DEGREE_AXES, EvalPlan, SweepConfig, TrialConfig, sweep_cells
+from .montecarlo import DEGREE_AXES, EvalPlan, SweepConfig, TrialConfig
 
 
 class ConfigError(ValueError):
@@ -256,15 +256,11 @@ def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunCon
 
     cfg = RunConfig(values)
     try:
-        sweep = cfg.sweep(0)
-        base = cfg.base_trial()
+        cfg.sweep(0)
+        cfg.base_trial()
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
         raise ConfigError(f"{_FIELD_KEYS[field.rstrip(':')]}: {rest}") from exc
-    try:
-        sweep_cells(sweep, base)
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] values: {exc}") from exc
     return cfg
 
 

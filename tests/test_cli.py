@@ -30,11 +30,6 @@ TINY = [
 ]
 
 
-def run_cli(args, capsys=None):
-    code = main(args)
-    return code
-
-
 class TestDesignCommand:
     def test_emits_json_per_kind(self, tmp_path):
         out = str(tmp_path)
@@ -395,6 +390,73 @@ class TestParity:
         assert "cannot read config" in capsys.readouterr().err
 
 
+# the angle reach of the desk sweep's 20 deg offset cell: 75 + 20 = 95 deg
+REACH_95 = ["--set", "mobility.aod_max_deg=75", *K48_N8]
+REACH_95_MESSAGE = ("[sweep] values: offset_range=20 deg: aod_range: |aod_max| plus the largest "
+                    "offset reaches 95 deg, beyond 90 deg")
+
+
+class TestRunEnvelope:
+    @pytest.mark.parametrize("command, extra", [
+        ("design", []),
+        ("pattern", ["--beams", "rainbow,qpd"]),
+        ("sweep", ["--seed", "2", "--values", "0,10"]),
+        ("cdf", ["--seed", "2", "--axis", "mean_velocity", "--values", "0,40"]),
+    ])
+    def test_wrote_lines_files_and_manifest_name_the_same_artifacts(self, tmp_path, capsys,
+                                                                   command, extra):
+        assert main([command, "--out", str(tmp_path), *extra, *TINY]) == 0
+        wrote = capsys.readouterr().out.splitlines()
+        assert all(line.startswith(f"wrote {tmp_path}{os.sep}") for line in wrote)
+        reported = sorted(Path(line[len("wrote "):]).name for line in wrote)
+        files = sorted(p.name for p in tmp_path.iterdir() if p.name != "run_manifest.json")
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert reported and reported == files == manifest["artifacts"]
+        assert manifest["command"] == command
+
+    @pytest.mark.parametrize("args, code, message", [
+        (TestSweepCommand.NOISY_EDGE, 1, "mean_velocity=60 deg/s: trial 0: beam slanted"),
+        (["--seed", "1", *REACH_95], 2, REACH_95_MESSAGE),
+    ], ids=["exit_1", "exit_2"])
+    def test_failed_run_writes_no_file_and_no_manifest(self, tmp_path, capsys, args, code,
+                                                       message):
+        assert main(["sweep", *args, "--out", str(tmp_path)]) == code
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, ext", [("design", "json"), ("pattern", "csv")])
+    def test_design_and_pattern_do_not_judge_sweep_cells(self, tmp_path, command, ext):
+        # they run no sweep, so a sweep value that cannot run does not stop them
+        assert main([command, "--out", str(tmp_path), *REACH_95]) == 0
+        written = sorted(f"{command}_{kind}.{ext}" for kind in ANALOG_KINDS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["run_manifest.json"])
+
+
+def run_python(*args):
+    """A fresh interpreter that imports slantbeam from the tree under test."""
+    src = str(Path(slantbeam.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+class TestModuleEntryPoint:
+    def test_design_writes_manifest(self, tmp_path):
+        proc = run_python("-m", "slantbeam.cli", "design", "--beams", "rainbow",
+                          "--out", str(tmp_path), *TINY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {tmp_path / 'design_rainbow.json'}\n"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == ["design_rainbow.json"]
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_python("-m", "slantbeam.cli", "design", "--seed", "-1", "--out", str(out),
+                          *TINY)
+        assert proc.returncode == 2
+        assert "error: --seed must be at least 0, got -1" in proc.stderr
+        assert not out.exists()
+
+
 # The writers' byte formats before they were batched, kept as oracles: every
 # float is ``repr(float(x))``, one row at a time.
 def _head(seed, h, header):
@@ -511,9 +573,8 @@ class TestWriters:
 def test_fresh_import_leaves_scipy_out():
     # numpy is the only runtime dependency, and the process pool (about 20 ms of
     # imports) loads only when a run asks for workers
-    src = str(Path(slantbeam.__file__).resolve().parents[1])
     code = ("import sys, slantbeam.cli; print([m for m in sys.modules"
             " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

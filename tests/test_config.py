@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from slantbeam.cli import main
 from slantbeam.config import _FIELD_KEYS, ConfigError, config_hash, parse_config, serialize_config
 
 DEG = np.pi / 180.0
@@ -240,9 +241,23 @@ class TestFieldKeys:
         assert not str(info.value)[len(key) + 2:].startswith(field)
 
     @pytest.mark.parametrize("overrides, detail", SWEEP_VALUE_ROWS)
-    def test_sweep_value_that_cannot_run_is_named(self, overrides, detail):
-        with pytest.raises(ConfigError, match=re.escape(f"[sweep] values: {detail}")):
-            parse_config(overrides=overrides)
+    def test_sweep_value_that_cannot_run_is_named(self, tmp_path, capsys, overrides, detail):
+        # a sweep run judges every cell before any runs, so it exits 2 with no file
+        out = tmp_path / "out"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["sweep", "--full", "--seed", "0", "--out", str(out), *sets]) == 2
+        assert f"error: [sweep] values: {detail}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_parse_judges_no_sweep_cell(self):
+        # whole numbers on a count axis are a SweepConfig rule; every other row
+        # is a cell that only a sweep or cdf run builds
+        for overrides, detail in SWEEP_VALUE_ROWS:
+            if detail.startswith("must be whole numbers"):
+                with pytest.raises(ConfigError, match=re.escape(f"[sweep] values: {detail}")):
+                    parse_config(overrides=overrides)
+            else:
+                parse_config(overrides=overrides)
 
     def test_every_sweep_value_that_can_run_passes(self):
         cfg = parse_config(overrides=["sweep.axis=num_users", "sweep.values=1,2,3,4,5"])
