@@ -55,7 +55,6 @@ from .mobility import (
 from .montecarlo import (
     SWEEP_AXES,
     CdfSeries,
-    EvalPlan,
     SweepConfig,
     SweepResult,
     TrialConfig,

@@ -65,13 +65,13 @@ class ArrayConfig:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise ValueError("spacing must be positive")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
-        if self.carrier_freq <= self.bandwidth / 2:
+        if not self.carrier_freq > self.bandwidth / 2:
             raise ValueError("carrier_freq must exceed half the bandwidth")
 
     @property

@@ -25,7 +25,7 @@ from .designs import BEAM_KINDS
 from .jpta import SolverOptions
 from .link import LinkBudget
 from .mobility import FrameTiming, ScenarioConfig
-from .montecarlo import DEGREE_AXES, EvalPlan, SweepConfig, TrialConfig
+from .montecarlo import DEGREE_AXES, SweepConfig, TrialConfig
 
 
 class ConfigError(ValueError):
@@ -190,11 +190,8 @@ class RunConfig:
             scenario=self.scenario(),
             timing=self.timing(),
             budget=self.budget(),
-            plan=EvalPlan(
-                mode="offset",
-                max_offset=np.deg2rad(s["max_offset_deg"]),
-                offset_count=s["offset_count"],
-            ),
+            max_offset=np.deg2rad(s["max_offset_deg"]),
+            offset_count=s["offset_count"],
             beams=tuple(beams) if beams is not None else tuple(s["beams"]),
             coverage_p=d["coverage_p"],
             range_override=np.deg2rad(override) if override is not None else None,

@@ -101,9 +101,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.objective_tolerance is not None and self.objective_tolerance <= 0:
+        if self.objective_tolerance is not None and not self.objective_tolerance > 0:
             raise ValueError("objective_tolerance must be positive")
-        if self.tau_max is not None and self.tau_max <= 0:
+        if self.tau_max is not None and not self.tau_max > 0:
             raise ValueError("tau_max must be positive")
         if self.delay_search_resolution < 2:
             raise ValueError("delay_search_resolution must be >= 2")

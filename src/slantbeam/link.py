@@ -67,7 +67,7 @@ def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, channel_gain: flo
 
 def offset_grid(max_offset: float, count: int) -> np.ndarray:
     """Symmetric grid of pointing offsets; a single point sits at zero."""
-    if max_offset < 0:
+    if not max_offset >= 0:
         raise ValueError("max_offset must be non-negative")
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -116,7 +116,7 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     num_points, num_users = true_aods.shape
     users = subband_users(assignment, cfg.num_subcarriers, num_users)
     h2 = np.asarray(1.0 if channel_gains is None else channel_gains, dtype=float)
-    if h2.shape not in ((), (1,), (num_users,)) or np.any(h2 <= 0):
+    if h2.shape not in ((), (1,), (num_users,)) or not np.all(h2 > 0):
         raise ValueError("channel_gains must be positive, one per user")
     h2 = np.broadcast_to(h2, (num_users,))[users]  # one per subcarrier
     band_users = users[::cfg.num_subcarriers // num_users]

@@ -23,7 +23,7 @@ class FrameTiming:
     num_steps: int
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
@@ -59,7 +59,7 @@ class KinematicsEstimate(UserKinematics):
     var_alpha: float
 
     def __post_init__(self):
-        if min(self.var_theta, self.var_omega, self.var_alpha) < 0:
+        if not all(v >= 0 for v in (self.var_theta, self.var_omega, self.var_alpha)):
             raise ValueError("variances must be non-negative")
 
 
@@ -105,7 +105,7 @@ class AnchorSpec:
 
     def __post_init__(self):
         centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
-        if self.aod_range < 0:
+        if not self.aod_range >= 0:
             raise ValueError("aod_range must be non-negative")
         if self.assignment is None:
             assignment = np.arange(centers.size)
@@ -170,15 +170,17 @@ class ScenarioConfig:
             raise ValueError("aod_range must be a non-empty interval")
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
-        if self.min_spacing < 0:
+        if not self.min_spacing >= 0:
             raise ValueError("min_spacing must be non-negative")
         if (self.num_users - 1) * self.min_spacing >= (hi - lo):
             raise ValueError("min_spacing infeasible for num_users in aod_range")
         vlo, vhi = self.velocity_range
-        if vlo > vhi or vlo < 0:
+        if not 0 <= vlo <= vhi:
             raise ValueError("velocity_range must satisfy 0 <= lo <= hi")
+        if not np.isfinite(self.accel_mean):
+            raise ValueError("accel_mean must be finite")
         for name in ("var_theta", "var_omega", "var_alpha"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
 

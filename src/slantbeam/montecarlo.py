@@ -13,11 +13,12 @@ each by ``link.capacity_records``, an analog design as a ``FixedBeamPolicy``.
 ``run_sweep`` runs every (axis value, trial) cell of a sweep. Its ``SweepResult``
 holds the sweep and each cell's TrialResult, and ``minima(beam)`` folds them.
 
-Two evaluation modes exist. In ``offset`` mode the designed beams are probed
-over a deterministic grid of joint pointing offsets around the estimated
-directions (the grid plays the role of the AoD error, so the true directions
-coincide with the estimates). In ``trajectory`` mode the sampled kinematics
-are rolled forward and capacity is measured at each scheduling step.
+A trial's ``mode`` field picks one of two evaluation modes. In ``offset`` mode
+the designed beams are probed over a grid of ``offset_count`` joint pointing
+offsets in [-max_offset, max_offset] around the estimated directions (the grid
+plays the role of the AoD error, so the true directions coincide with the
+estimates). In ``trajectory`` mode the sampled kinematics are rolled forward
+and capacity is measured at each scheduling step; the offset fields are unused.
 """
 
 from __future__ import annotations
@@ -63,31 +64,17 @@ EVAL_MODES = ("offset", "trajectory")
 
 
 @dataclass(frozen=True)
-class EvalPlan:
-    """How a trial's beams are probed: offset grid or rolled trajectory."""
-
-    mode: str = "offset"
-    max_offset: float = np.deg2rad(20.0)
-    offset_count: int = 25
-
-    def __post_init__(self):
-        if self.mode not in EVAL_MODES:
-            raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        if self.max_offset < 0:
-            raise ValueError("max_offset must be non-negative")
-        if self.offset_count < 1:
-            raise ValueError("offset_count must be >= 1")
-
-
-@dataclass(frozen=True)
 class TrialConfig:
-    """Everything a trial needs besides its random stream."""
+    """Everything a trial needs besides its random stream, the evaluation
+    ``mode`` and its offset grid included (see the module docstring)."""
 
     array: ArrayConfig
     scenario: ScenarioConfig = ScenarioConfig()
     timing: FrameTiming = FrameTiming(0.16, 100)
     budget: LinkBudget = LinkBudget()
-    plan: EvalPlan = EvalPlan()
+    mode: str = "offset"
+    max_offset: float = np.deg2rad(20.0)
+    offset_count: int = 25
     beams: tuple = BEAM_KINDS
     coverage_p: float = 0.97
     range_override: float = None
@@ -96,6 +83,12 @@ class TrialConfig:
     channel_gains: tuple = None
 
     def __post_init__(self):
+        if self.mode not in EVAL_MODES:
+            raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
+        if not self.max_offset >= 0:
+            raise ValueError("max_offset must be non-negative")
+        if self.offset_count < 1:
+            raise ValueError("offset_count must be >= 1")
         if not self.beams:
             raise ValueError("beams must list at least one beam kind")
         if self.channel_gains is not None:
@@ -104,7 +97,7 @@ class TrialConfig:
             if len(h2) not in (1, users):
                 raise ValueError(
                     f"channel_gains need one value or one per user ({users}), got {len(h2)}")
-            if min(h2) <= 0:
+            if not all(h > 0 for h in h2):
                 raise ValueError("channel_gains must be positive")
             object.__setattr__(self, "channel_gains", h2)
         unknown = [b for b in self.beams if b not in BEAM_KINDS]
@@ -120,9 +113,9 @@ class TrialConfig:
                 f"num_subcarriers {self.array.num_subcarriers} not divisible by "
                 f"num_users {self.scenario.num_users}"
             )
-        if self.range_override is not None and self.range_override < 0:
+        if self.range_override is not None and not self.range_override >= 0:
             raise ValueError("range_override must be non-negative")
-        if self.qpd_peak < 0:
+        if not self.qpd_peak >= 0:
             raise ValueError("qpd_peak must be non-negative")
 
 
@@ -130,9 +123,9 @@ def _check_angle_reach(config: TrialConfig) -> None:
     """Reject a trial whose deterministic motion carries a direction past 90 deg."""
     lo, hi = config.scenario.aod_range
     bound, reach = ("aod_max", abs(hi)) if abs(hi) >= abs(lo) else ("aod_min", abs(lo))
-    if config.plan.mode == "offset":
+    if config.mode == "offset":
         # offset_grid spans [-max_offset, max_offset], or holds 0 alone
-        reach += config.plan.max_offset if config.plan.offset_count > 1 else 0.0
+        reach += config.max_offset if config.offset_count > 1 else 0.0
         moved = "the largest offset"
     else:
         t = config.timing.duration
@@ -165,6 +158,16 @@ class TrialDesign(NamedTuple):
     beams: dict
 
 
+def _labelled(label: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError or RuntimeError it raises is
+    re-raised as that builtin class with ``"<label>: "`` in front."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        cls = ValueError if isinstance(exc, ValueError) else RuntimeError
+        raise cls(f"{label}: {exc}") from exc
+
+
 def _trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(trial_id)])
 
@@ -174,8 +177,8 @@ def _theta_hat(estimates) -> np.ndarray:
 
 
 def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
-    if config.plan.mode == "offset":
-        grid = offset_grid(config.plan.max_offset, config.plan.offset_count)
+    if config.mode == "offset":
+        grid = offset_grid(config.max_offset, config.offset_count)
         return _theta_hat(estimates)[None, :] + grid[:, None]
     steps = np.arange(1, config.timing.num_steps + 1)
     return np.stack([true_aod(kin, steps, config.timing) for kin in kins], axis=1)
@@ -184,7 +187,7 @@ def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
 def _build_slanted(config: TrialConfig, estimates, assignment) -> BeamDesign:
     """Offset mode anchors at the estimates with the predicted coverage width
     (or the override); trajectory mode runs the full anchor selection."""
-    if config.plan.mode != "offset":
+    if config.mode != "offset":
         return design_slanted(estimates, config.coverage_p, config.array, config.timing,
                               config.solver, assignment=assignment,
                               range_override=config.range_override)
@@ -214,10 +217,7 @@ POLICY_BUILDERS = {
 def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialDesign:
     """The design stage of one seeded trial: sample, then build every requested beam."""
     rng = _trial_rng(master_seed, trial_id)
-    try:
-        scenario = tuple(sample_scenario(rng, config.scenario))
-    except RuntimeError as exc:
-        raise RuntimeError(f"trial {trial_id}: {exc}") from exc
+    scenario = tuple(_labelled(f"trial {trial_id}", sample_scenario, rng, config.scenario))
     assignment = rng.permutation(config.scenario.num_users)
     estimates = [est for _, est in scenario]
     true_aods = _evaluation_points(config, [kin for kin, _ in scenario], estimates)
@@ -232,11 +232,9 @@ def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResu
     trial = design_trial(config, master_seed, trial_id)
     policies = {kind: FixedBeamPolicy(beam, config.array) if isinstance(beam, BeamDesign) else beam
                 for kind, beam in trial.beams.items()}
-    try:
-        records = capacity_records(policies, trial.true_aods, config.array, config.budget,
-                                   assignment=trial.assignment, channel_gains=config.channel_gains)
-    except ValueError as exc:
-        raise ValueError(f"trial {trial_id}: {exc}") from exc
+    records = _labelled(f"trial {trial_id}", capacity_records, policies, trial.true_aods,
+                        config.array, config.budget, assignment=trial.assignment,
+                        channel_gains=config.channel_gains)
     return TrialResult(trial_id, records)
 
 
@@ -276,21 +274,17 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
     user's initial angular speed to the axis value exactly (random sign).
     """
     if axis == "offset_range":
-        plan = dataclasses.replace(base.plan, mode="offset", max_offset=float(value))
-        return dataclasses.replace(base, plan=plan)
+        return dataclasses.replace(base, mode="offset", max_offset=float(value))
     if axis == "num_antennas":
         arr = dataclasses.replace(base.array, num_antennas=int(value))
-        plan = dataclasses.replace(base.plan, mode="offset")
-        return dataclasses.replace(base, array=arr, plan=plan)
+        return dataclasses.replace(base, array=arr, mode="offset")
     if axis == "num_users":
         scen = dataclasses.replace(base.scenario, num_users=int(value))
-        plan = dataclasses.replace(base.plan, mode="offset")
-        return dataclasses.replace(base, scenario=scen, plan=plan)
+        return dataclasses.replace(base, scenario=scen, mode="offset")
     if axis == "mean_velocity":
         v = float(value)
         scen = dataclasses.replace(base.scenario, velocity_range=(v, v))
-        plan = dataclasses.replace(base.plan, mode="trajectory")
-        return dataclasses.replace(base, scenario=scen, plan=plan)
+        return dataclasses.replace(base, scenario=scen, mode="trajectory")
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
@@ -322,12 +316,7 @@ def _axis_label(axis: str, value: float) -> str:
 def _cell_job(args):
     """One cell; a failure names the cell's axis value in front of the trial."""
     label, config, master_seed, trial_id = args
-    try:
-        return run_trial(config, master_seed, trial_id)
-    except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from exc
-    except RuntimeError as exc:
-        raise RuntimeError(f"{label}: {exc}") from exc
+    return _labelled(label, run_trial, config, master_seed, trial_id)
 
 
 def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
@@ -338,11 +327,8 @@ def sweep_cells(sweep: SweepConfig, base: TrialConfig) -> list:
     cells = []
     for v in sweep.values:
         label = _axis_label(sweep.axis, v)
-        try:
-            config = apply_axis(base, sweep.axis, v)
-            _check_angle_reach(config)
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from exc
+        config = _labelled(label, apply_axis, base, sweep.axis, v)
+        _labelled(label, _check_angle_reach, config)
         cells.append((label, config))
     return cells
 

@@ -23,7 +23,6 @@ from slantbeam.mobility import (
     predicted_variance,
 )
 from slantbeam.montecarlo import (
-    EvalPlan,
     SweepConfig,
     TrialConfig,
     run_sweep,
@@ -51,7 +50,7 @@ def offset_run():
         scenario=ScenarioConfig(),
         timing=DESK_TIMING,
         budget=BUDGET,
-        plan=EvalPlan(mode="offset", max_offset=20 * DEG, offset_count=25),
+        mode="offset", max_offset=20 * DEG, offset_count=25,
         range_override=20 * DEG,
     )
     return [run_trial(config, 0, t) for t in range(TRIALS)]
@@ -124,7 +123,7 @@ def test_criterion_5_dominance_and_degeneracy(offset_run):
         ),
         timing=DESK_TIMING,
         budget=BUDGET,
-        plan=EvalPlan(mode="offset", max_offset=0.0, offset_count=1),
+        mode="offset", max_offset=0.0, offset_count=1,
         beams=("slanted", "stepped", "stepped_genie"),
     )
     worst_rel = 0.0
@@ -157,7 +156,7 @@ def test_criterion_7_array_size_trend():
         scenario=ScenarioConfig(),
         timing=DESK_TIMING,
         budget=BUDGET,
-        plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=25),
+        mode="offset", max_offset=10 * DEG, offset_count=25,
         range_override=20 * DEG,
     )
     sweep = SweepConfig(
@@ -180,7 +179,7 @@ def test_criterion_8_mobility_robustness():
         scenario=ScenarioConfig(velocity_range=(80 * DEG, 80 * DEG)),
         timing=DESK_TIMING,
         budget=BUDGET,
-        plan=EvalPlan(mode="trajectory"),
+        mode="trajectory",
         beams=("slanted", "stepped"),
     )
     wins = 0

@@ -3,8 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from slantbeam.arrays import ArrayConfig
 from slantbeam.cli import main
 from slantbeam.config import _FIELD_KEYS, ConfigError, config_hash, parse_config, serialize_config
+from slantbeam.jpta import SolverOptions
+from slantbeam.link import LinkBudget, capacity_records, offset_grid
+from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate, ScenarioConfig
+from slantbeam.montecarlo import TrialConfig
 
 DEG = np.pi / 180.0
 
@@ -59,7 +64,7 @@ class TestDefaults:
         assert cfg.timing().duration == pytest.approx(0.16)
         assert cfg.budget().snr_db == -10.0
         base = cfg.base_trial()
-        assert base.plan.offset_count == 100
+        assert base.offset_count == 100
         assert base.qpd_peak == pytest.approx(np.pi)
         assert base.range_override is None
 
@@ -224,6 +229,48 @@ SWEEP_VALUE_ROWS = [
     (["mobility.aod_min_deg=-80", "sweep.axis=mean_velocity", "sweep.values=0,80"],
      "mean_velocity=80 deg/s: aod_range: |aod_min| plus the frame's travel"),
 ]
+
+
+NAN = float("nan")
+ARRAY = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
+
+# one call per float range check with NaN where the check reads; each error
+# starts with the checked field's name, which _FIELD_KEYS maps to its key
+NAN_ROWS = {
+    "ArrayConfig.spacing": ("spacing", lambda: ArrayConfig(16, NAN, 60e9, 2e9, 48)),
+    "ArrayConfig.carrier_freq": ("carrier_freq", lambda: ArrayConfig(16, 0.5, NAN, 2e9, 48)),
+    "ArrayConfig.bandwidth": ("bandwidth", lambda: ArrayConfig(16, 0.5, 60e9, NAN, 48)),
+    "FrameTiming.duration": ("duration", lambda: FrameTiming(NAN, 5)),
+    "ScenarioConfig.min_spacing": ("min_spacing", lambda: ScenarioConfig(min_spacing=NAN)),
+    "ScenarioConfig.velocity_range": (
+        "velocity_range", lambda: ScenarioConfig(velocity_range=(0.0, NAN))),
+    "ScenarioConfig.accel_mean": ("accel_mean", lambda: ScenarioConfig(accel_mean=NAN)),
+    "ScenarioConfig.var_theta": ("var_theta", lambda: ScenarioConfig(var_theta=NAN)),
+    "ScenarioConfig.var_omega": ("var_omega", lambda: ScenarioConfig(var_omega=NAN)),
+    "ScenarioConfig.var_alpha": ("var_alpha", lambda: ScenarioConfig(var_alpha=NAN)),
+    "KinematicsEstimate.var_omega": (
+        "variances", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, NAN, 1.0)),
+    "AnchorSpec.aod_range": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=NAN)),
+    "SolverOptions.tau_max": ("tau_max", lambda: SolverOptions(tau_max=NAN)),
+    "SolverOptions.objective_tolerance": (
+        "objective_tolerance", lambda: SolverOptions(objective_tolerance=NAN)),
+    "TrialConfig.max_offset": ("max_offset", lambda: TrialConfig(ARRAY, max_offset=NAN)),
+    "TrialConfig.range_override": (
+        "range_override", lambda: TrialConfig(ARRAY, range_override=NAN)),
+    "TrialConfig.qpd_peak": ("qpd_peak", lambda: TrialConfig(ARRAY, qpd_peak=NAN)),
+    "TrialConfig.channel_gains": (
+        "channel_gains", lambda: TrialConfig(ARRAY, channel_gains=(1.0, NAN, 1.0))),
+    "capacity_records.channel_gains": ("channel_gains", lambda: capacity_records(
+        {}, np.zeros((1, 3)), ARRAY, LinkBudget(), channel_gains=(1.0, NAN, 1.0))),
+    "offset_grid.max_offset": ("max_offset", lambda: offset_grid(NAN, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_ROWS))
+def test_nan_fails_the_range_check(case):
+    field, build = NAN_ROWS[case]
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
 
 
 class TestFieldKeys:

@@ -19,7 +19,6 @@ from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
     POLICY_BUILDERS,
     EVAL_MODES,
-    EvalPlan,
     SweepConfig,
     TrialConfig,
     TrialResult,
@@ -39,7 +38,7 @@ SMALL = TrialConfig(
     array=ArrayConfig(16, 0.5, 60e9, 2e9, 48),
     scenario=ScenarioConfig(num_users=3),
     timing=FrameTiming(0.16, 5),
-    plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=5),
+    mode="offset", max_offset=10 * DEG, offset_count=5,
 )
 
 
@@ -107,7 +106,7 @@ class TestRunTrial:
                 var_alpha=0.0,
             ),
             timing=FrameTiming(0.16, 5),
-            plan=EvalPlan(mode="offset", max_offset=0.0, offset_count=1),
+            mode="offset", max_offset=0.0, offset_count=1,
             beams=("slanted", "stepped", "stepped_genie"),
         )
         for trial in range(3):
@@ -119,19 +118,15 @@ class TestRunTrial:
     def test_offset_grid_superset_never_raises_minimum(self):
         # a 13-point grid is contained in the 25-point grid over the same
         # span, so every beam's minimum can only drop on the finer grid
-        coarse_cfg = dataclasses.replace(
-            SMALL, plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=13)
-        )
-        fine_cfg = dataclasses.replace(
-            SMALL, plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=25)
-        )
+        coarse_cfg = dataclasses.replace(SMALL, mode="offset", max_offset=10 * DEG, offset_count=13)
+        fine_cfg = dataclasses.replace(SMALL, mode="offset", max_offset=10 * DEG, offset_count=25)
         coarse = run_trial(coarse_cfg, 3, 0)
         fine = run_trial(fine_cfg, 3, 0)
         for kind in SMALL.beams:
             assert fine.min_capacity(kind) <= coarse.min_capacity(kind) + 1e-9
 
     def test_trajectory_mode_shapes(self):
-        cfg = dataclasses.replace(SMALL, plan=EvalPlan(mode="trajectory"))
+        cfg = dataclasses.replace(SMALL, mode="trajectory")
         assert design_trial(cfg, 1, 0).true_aods.shape == (5, 3)
         res = run_trial(cfg, 1, 0)
         for kind in cfg.beams:
@@ -145,8 +140,7 @@ class TestRunTrial:
         # subcarriers, so analog beams agree to the kernels' rounding bound.
         # The digital genie's gains are the closed form N; its matched-filter
         # rows reach N only to rounding, checked at the summation bound
-        cfg = dataclasses.replace(SMALL, plan=dataclasses.replace(SMALL.plan, mode=mode),
-                                  channel_gains=(1.0, 0.5, 2.0))
+        cfg = dataclasses.replace(SMALL, mode=mode, channel_gains=(1.0, 0.5, 2.0))
         res = run_trial(cfg, 3, 1)
         trial = design_trial(cfg, 3, 1)
         assert not np.array_equal(trial.assignment, np.arange(3))
@@ -177,16 +171,35 @@ class TestRunTrial:
                 np.testing.assert_allclose(res.records[kind].capacities, expected, **tol, err_msg=kind)
 
     def test_scenario_failure_names_the_trial(self, monkeypatch):
-        import slantbeam.montecarlo as mc
+        draw = montecarlo.sample_scenario
+        seventh = montecarlo._trial_rng(0, 7).bit_generator.state
 
         def boom(rng, scen):
-            raise RuntimeError("could not draw spaced AoDs")
+            # only trial 7's stream fails, so a sweep runs trials 0-6 first
+            if rng.bit_generator.state == seventh:
+                raise RuntimeError("could not draw spaced AoDs")
+            return draw(rng, scen)
 
-        monkeypatch.setattr(mc, "sample_scenario", boom)
+        monkeypatch.setattr(montecarlo, "sample_scenario", boom)
         with pytest.raises(RuntimeError, match="^trial 7: could not draw"):
             design_trial(SMALL, 0, 7)
         with pytest.raises(RuntimeError, match="^trial 7: could not draw"):
             run_trial(SMALL, 0, 7)
+        sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=8, beams=("rainbow",))
+        with pytest.raises(RuntimeError, match="^offset_range=0 deg: trial 7: could not draw"):
+            run_sweep(sweep, SMALL)
+
+    @pytest.mark.parametrize("name, error", [("sample_scenario", ValueError),
+                                             ("capacity_records", RuntimeError)])
+    def test_either_stage_error_class_names_the_trial(self, monkeypatch, name, error):
+        # a ValueError or RuntimeError keeps its builtin class and gains the label
+        def boom(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(montecarlo, name, boom)
+        with pytest.raises(error, match="^trial 2: boom$") as info:
+            run_trial(dataclasses.replace(SMALL, beams=("rainbow",)), 0, 2)
+        assert type(info.value) is error
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,10 +212,10 @@ class TestRunTrial:
             run_sweep(sweep, SMALL)
         with pytest.raises(ValueError):
             dataclasses.replace(SMALL, scenario=ScenarioConfig(num_users=5))
-        with pytest.raises(ValueError):
-            EvalPlan(mode="drive")
-        with pytest.raises(ValueError):
-            EvalPlan(offset_count=0)
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            dataclasses.replace(SMALL, mode="drive")
+        with pytest.raises(ValueError, match="^offset_count must be >= 1"):
+            dataclasses.replace(SMALL, offset_count=0)
 
 
 class TestPolicyBuilders:
@@ -269,28 +282,27 @@ class TestAngleReach:
             run_trial(cfg, 0, 0)
 
     def test_single_offset_sits_at_the_estimate(self):
-        self.reach(90.0, plan=EvalPlan(mode="offset", max_offset=10 * DEG, offset_count=1))
+        self.reach(90.0, mode="offset", max_offset=10 * DEG, offset_count=1)
 
     def test_trajectory_adds_speed_and_mean_acceleration_over_the_frame(self):
-        plan = EvalPlan(mode="trajectory")
         # 0.16 s at 50 deg/s is 8 deg, and 125 deg/s^2 adds 1.6 deg
-        self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG)})
-        self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG),
-                                              "accel_mean": -125 * DEG})
+        self.reach(80.0, mode="trajectory", scenario={"velocity_range": (0.0, 50 * DEG)})
+        self.reach(80.0, mode="trajectory", scenario={"velocity_range": (0.0, 50 * DEG),
+                                                      "accel_mean": -125 * DEG})
         with pytest.raises(ValueError, match=r"^aod_range: .* frame's travel"):
-            self.reach(80.0, plan=plan, scenario={"velocity_range": (0.0, 50 * DEG),
-                                                  "accel_mean": -200 * DEG})
+            self.reach(80.0, mode="trajectory", scenario={"velocity_range": (0.0, 50 * DEG),
+                                                          "accel_mean": -200 * DEG})
 
     def test_trajectory_ignores_the_offset_grid(self):
-        self.reach(85.0, plan=EvalPlan(mode="trajectory", max_offset=20 * DEG),
+        self.reach(85.0, mode="trajectory", max_offset=20 * DEG,
                    scenario={"velocity_range": (0.0, 0.0)})
 
 
 class TestApplyAxis:
     def test_offset_range(self):
         cfg = apply_axis(SMALL, "offset_range", 5 * DEG)
-        assert cfg.plan.max_offset == 5 * DEG
-        assert cfg.plan.mode == "offset"
+        assert cfg.max_offset == 5 * DEG
+        assert cfg.mode == "offset"
 
     def test_num_antennas(self):
         cfg = apply_axis(SMALL, "num_antennas", 64)
@@ -304,7 +316,7 @@ class TestApplyAxis:
     def test_mean_velocity_pins_speed_and_mode(self):
         cfg = apply_axis(SMALL, "mean_velocity", 40 * DEG)
         assert cfg.scenario.velocity_range == (40 * DEG, 40 * DEG)
-        assert cfg.plan.mode == "trajectory"
+        assert cfg.mode == "trajectory"
         trial = design_trial(dataclasses.replace(cfg, beams=("rainbow",)), 0, 0)
         speeds = [abs(kin.omega0 - 0) for kin, est in trial.scenario]
         # estimates carry the pinned magnitude exactly; truths add noise
@@ -458,7 +470,7 @@ class TestCapacityCdf:
     def test_digital_genie_degenerate_without_offsets(self):
         base = dataclasses.replace(
             SMALL,
-            plan=EvalPlan(mode="offset", max_offset=0.0, offset_count=1),
+            mode="offset", max_offset=0.0, offset_count=1,
             beams=("digital_genie",),
         )
         sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=4,
