@@ -18,6 +18,7 @@ each sub-band (its conjugate, (N, K)).  ``awv_matrix`` keeps plain ``np.exp``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,15 @@ TWO_PI = 2.0 * np.pi
 def wrap_phase(phi):
     """Wrap phase (scalar or array) into [-pi, pi)."""
     return np.mod(np.asarray(phi, dtype=float) + np.pi, TWO_PI) - np.pi
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Raise a ValueError that starts with ``name`` unless ``value`` is an
+    integer (numpy integers included) of at least ``low``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -63,14 +73,12 @@ class ArrayConfig:
     num_subcarriers: int
 
     def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
+        _check_count("num_antennas", self.num_antennas)
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.num_subcarriers < 1:
-            raise ValueError("num_subcarriers must be >= 1")
+        _check_count("num_subcarriers", self.num_subcarriers)
         if not self.carrier_freq > self.bandwidth / 2:
             raise ValueError("carrier_freq must exceed half the bandwidth")
 

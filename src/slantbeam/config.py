@@ -5,9 +5,12 @@ mobility, frame, design, sweep). Every key carries its unit as a suffix and
 has a default; an empty file therefore parses to the full-scale defaults.
 A desk-scale overlay (fewer subcarriers, steps, trials, offsets) can be
 applied before file values so quick runs stay quick unless the file or a
-``--set`` override says otherwise. Range and consistency rules live in the
-library's dataclasses: parsing builds them (the sweep and the base trial) and
-turns any error they raise into a ``ConfigError`` that names the config key.
+``--set`` override says otherwise. One ``_SCHEMA`` row per key gives its
+kind, its default, the dataclass field it builds and the factor from its unit
+to the field's SI unit; ``RunConfig`` builds every dataclass from that table.
+Range and consistency rules live in the library's dataclasses: parsing builds
+them (the sweep and the base trial) and turns any error they raise into a
+``ConfigError`` that names the config key.
 Whether every sweep value can run is judged by the commands that run sweeps.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,58 +35,65 @@ class ConfigError(ValueError):
     """Configuration problem, message always names the offending key."""
 
 
-# section -> key -> (kind, default, the dataclass field built from the key or
-# None); a range or consistency error raised by a dataclass starts with the
-# field's name
+# degrees and square degrees to radians; x * _DEG equals np.deg2rad(x) bit for bit
+_DEG = float(np.deg2rad(1.0))
+_DEG2 = float(np.deg2rad(1.0) ** 2)
+
+# section -> key -> (kind, default, the dataclass field built from the key,
+# the factor from the key's unit to the field's or None to use the value as
+# parsed); two keys naming one field build a (low, high) pair in this order
 _SCHEMA = {
     "array": {
-        "carrier_freq_ghz": ("float", 60.0, "carrier_freq"),
-        "bandwidth_ghz": ("float", 2.0, "bandwidth"),
-        "num_subcarriers": ("int", 1200, "num_subcarriers"),
-        "num_antennas": ("int", 32, "num_antennas"),
-        "spacing_wavelengths": ("float", 0.5, "spacing"),
+        "carrier_freq_ghz": ("float", 60.0, "carrier_freq", 1e9),
+        "bandwidth_ghz": ("float", 2.0, "bandwidth", 1e9),
+        "num_subcarriers": ("int", 1200, "num_subcarriers", None),
+        "num_antennas": ("int", 32, "num_antennas", None),
+        "spacing_wavelengths": ("float", 0.5, "spacing", None),
     },
     "link": {
-        "snr_db": ("float", -10.0, None),
-        "channel_gains": ("float_list", (1.0,), "channel_gains"),
+        "snr_db": ("float", -10.0, "snr_db", None),
+        "channel_gains": ("float_list", (1.0,), "channel_gains", None),
     },
     "mobility": {
-        "num_users": ("int", 3, "num_users"),
-        "aod_min_deg": ("float", -45.0, "aod_range"),
-        "aod_max_deg": ("float", 45.0, None),
-        "min_spacing_deg": ("float", 10.0, "min_spacing"),
-        "velocity_min_deg_s": ("float", 0.0, "velocity_range"),
-        "velocity_max_deg_s": ("float", 80.0, None),
-        "accel_mean_deg_s2": ("float", 0.0, None),
-        "var_theta_deg2": ("float", 2.0, "var_theta"),
-        "var_omega_deg2_s2": ("float", 10.0, "var_omega"),
-        "var_alpha_deg2_s4": ("float", 5.0, "var_alpha"),
+        "num_users": ("int", 3, "num_users", None),
+        "aod_min_deg": ("float", -45.0, "aod_range", _DEG),
+        "aod_max_deg": ("float", 45.0, "aod_range", _DEG),
+        "min_spacing_deg": ("float", 10.0, "min_spacing", _DEG),
+        "velocity_min_deg_s": ("float", 0.0, "velocity_range", _DEG),
+        "velocity_max_deg_s": ("float", 80.0, "velocity_range", _DEG),
+        "accel_mean_deg_s2": ("float", 0.0, "accel_mean", _DEG),
+        "var_theta_deg2": ("float", 2.0, "var_theta", _DEG2),
+        "var_omega_deg2_s2": ("float", 10.0, "var_omega", _DEG2),
+        "var_alpha_deg2_s4": ("float", 5.0, "var_alpha", _DEG2),
     },
     "frame": {
-        "duration_ms": ("float", 160.0, "duration"),
-        "num_steps": ("int", 100, "num_steps"),
+        "duration_ms": ("float", 160.0, "duration", 1e-3),
+        "num_steps": ("int", 100, "num_steps", None),
     },
     "design": {
-        "coverage_p": ("float", 0.97, "coverage_p"),
-        "range_override_deg": ("opt_float", None, "range_override"),
-        "tau_max_ns": ("opt_float", None, "tau_max"),
-        "max_iters": ("int", 100, "max_iters"),
-        "objective_tolerance": ("opt_float", None, "objective_tolerance"),
-        "delay_search_resolution": ("int", 256, "delay_search_resolution"),
-        "qpd_peak_rad": ("float", float(np.pi), "qpd_peak"),
+        "coverage_p": ("float", 0.97, "coverage_p", None),
+        "range_override_deg": ("opt_float", None, "range_override", _DEG),
+        "tau_max_ns": ("opt_float", None, "tau_max", 1e-9),
+        "max_iters": ("int", 100, "max_iters", None),
+        "objective_tolerance": ("opt_float", None, "objective_tolerance", None),
+        "delay_search_resolution": ("int", 256, "delay_search_resolution", None),
+        "qpd_peak_rad": ("float", float(np.pi), "qpd_peak", None),
     },
     "sweep": {
-        "axis": ("str", "offset_range", "axis"),
-        "values": ("float_list", (0.0, 5.0, 10.0, 15.0, 20.0), "values"),
-        "trials": ("int", 100, "trials"),
-        "max_offset_deg": ("float", 10.0, "max_offset"),
-        "offset_count": ("int", 100, "offset_count"),
-        "beams": ("str_list", tuple(BEAM_KINDS), "beams"),
+        "axis": ("str", "offset_range", "axis", None),
+        # in degrees or deg/s on a DEGREE_AXES axis, which sweep() converts
+        "values": ("float_list", (0.0, 5.0, 10.0, 15.0, 20.0), "values", None),
+        "trials": ("int", 100, "trials", None),
+        "max_offset_deg": ("float", 10.0, "max_offset", _DEG),
+        "offset_count": ("int", 100, "offset_count", None),
+        "beams": ("str_list", tuple(BEAM_KINDS), "beams", None),
     },
 }
 
-_FIELD_KEYS = {field: f"[{sec}] {key}" for sec, keys in _SCHEMA.items()
-               for key, (_, _, field) in keys.items() if field is not None}
+# a range or consistency error raised by a dataclass starts with the field's
+# name; the first key that names a field labels it
+_FIELD_KEYS = dict(reversed([(field, f"[{sec}] {key}") for sec, keys in _SCHEMA.items()
+                             for key, (_, _, field, _) in keys.items()]))
 
 DESK_OVERLAY = {
     ("array", "num_subcarriers"): 240,
@@ -135,93 +145,46 @@ class RunConfig:
     def get(self, section: str, key: str):
         return self.sections[section][key]
 
-    # materializers into the library's own types
+    def _build(self, cls, **given):
+        """``cls`` from every key that names one of its fields, the value times
+        the key's unit factor; an argument in ``given`` other than None is
+        used as passed."""
+        names = {f.name for f in fields(cls)}
+        built = {}
+        for section, keys in _SCHEMA.items():
+            for key, (_, _, field, factor) in keys.items():
+                if field in names:
+                    v = self.sections[section][key]
+                    if v is not None and factor is not None:
+                        v = v * factor
+                    built.setdefault(field, []).append(v)
+        kwargs = {field: vs[0] if len(vs) == 1 else tuple(vs) for field, vs in built.items()}
+        kwargs.update((name, v) for name, v in given.items() if v is not None)
+        return cls(**kwargs)
 
     def array(self) -> ArrayConfig:
-        a = self.sections["array"]
-        return ArrayConfig(
-            num_antennas=a["num_antennas"],
-            spacing=a["spacing_wavelengths"],
-            carrier_freq=a["carrier_freq_ghz"] * 1e9,
-            bandwidth=a["bandwidth_ghz"] * 1e9,
-            num_subcarriers=a["num_subcarriers"],
-        )
-
-    def budget(self) -> LinkBudget:
-        return LinkBudget(snr_db=self.get("link", "snr_db"))
-
-    def scenario(self) -> ScenarioConfig:
-        m = self.sections["mobility"]
-        unit_var = np.deg2rad(1.0) ** 2
-        return ScenarioConfig(
-            num_users=m["num_users"],
-            aod_range=(np.deg2rad(m["aod_min_deg"]), np.deg2rad(m["aod_max_deg"])),
-            min_spacing=np.deg2rad(m["min_spacing_deg"]),
-            velocity_range=(
-                np.deg2rad(m["velocity_min_deg_s"]),
-                np.deg2rad(m["velocity_max_deg_s"]),
-            ),
-            accel_mean=np.deg2rad(m["accel_mean_deg_s2"]),
-            var_theta=m["var_theta_deg2"] * unit_var,
-            var_omega=m["var_omega_deg2_s2"] * unit_var,
-            var_alpha=m["var_alpha_deg2_s4"] * unit_var,
-        )
-
-    def timing(self) -> FrameTiming:
-        f = self.sections["frame"]
-        return FrameTiming(duration=f["duration_ms"] * 1e-3, num_steps=f["num_steps"])
-
-    def solver(self) -> SolverOptions:
-        d = self.sections["design"]
-        tau = d["tau_max_ns"]
-        return SolverOptions(
-            max_iters=d["max_iters"],
-            objective_tolerance=d["objective_tolerance"],
-            tau_max=tau * 1e-9 if tau is not None else None,
-            delay_search_resolution=d["delay_search_resolution"],
-        )
+        return self._build(ArrayConfig)
 
     def base_trial(self, beams=None) -> TrialConfig:
-        d = self.sections["design"]
-        s = self.sections["sweep"]
-        override = d["range_override_deg"]
-        return TrialConfig(
-            array=self.array(),
-            scenario=self.scenario(),
-            timing=self.timing(),
-            budget=self.budget(),
-            max_offset=np.deg2rad(s["max_offset_deg"]),
-            offset_count=s["offset_count"],
-            beams=tuple(beams) if beams is not None else tuple(s["beams"]),
-            coverage_p=d["coverage_p"],
-            range_override=np.deg2rad(override) if override is not None else None,
-            qpd_peak=d["qpd_peak_rad"],
-            solver=self.solver(),
-            channel_gains=tuple(self.get("link", "channel_gains")),
-        )
+        return self._build(
+            TrialConfig, array=self.array(), scenario=self._build(ScenarioConfig),
+            timing=self._build(FrameTiming), budget=self._build(LinkBudget),
+            solver=self._build(SolverOptions), beams=None if beams is None else tuple(beams))
 
     def sweep(self, master_seed: int, axis=None, values=None, beams=None) -> SweepConfig:
-        s = self.sections["sweep"]
-        axis = axis if axis is not None else s["axis"]
-        raw = tuple(values) if values is not None else s["values"]
+        axis = self.get("sweep", "axis") if axis is None else axis
+        values = self.get("sweep", "values") if values is None else values
         if axis in DEGREE_AXES:
-            converted = tuple(np.deg2rad(v) for v in raw)
-        else:
-            converted = raw
-        return SweepConfig(
-            axis=axis,
-            values=converted,
-            trials=s["trials"],
-            master_seed=master_seed,
-            beams=tuple(beams) if beams is not None else tuple(s["beams"]),
-        )
+            values = tuple(v * _DEG for v in values)
+        return self._build(SweepConfig, axis=axis, values=values, master_seed=master_seed,
+                           beams=None if beams is None else tuple(beams))
 
 
 def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunConfig:
     """Build a RunConfig from defaults, optional desk overlay, file, and
     ``section.key=value`` override strings (applied in that order)."""
 
-    values = {sec: {k: v for k, (_, v, _) in keys.items()} for sec, keys in _SCHEMA.items()}
+    values = {sec: {k: row[1] for k, row in keys.items()} for sec, keys in _SCHEMA.items()}
     if desk:
         for (sec, key), v in DESK_OVERLAY.items():
             values[sec][key] = v
@@ -266,7 +229,7 @@ def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, (kind, _, _) in keys.items():
+        for key, (kind, *_) in keys.items():
             out.write(f"{key} = {_format_value(kind, cfg.sections[section][key])}\n")
         out.write("\n")
     return out.getvalue()

@@ -51,6 +51,7 @@ from .arrays import (
     TWO_PI,
     AnalogWeights,
     ArrayConfig,
+    _check_count,
     _phasor_ramp,
     response_matrix,
     wrap_phase,
@@ -99,14 +100,12 @@ class SolverOptions:
     delay_search_resolution: int = 256
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count("max_iters", self.max_iters)
         if self.objective_tolerance is not None and not self.objective_tolerance > 0:
             raise ValueError("objective_tolerance must be positive")
         if self.tau_max is not None and not self.tau_max > 0:
             raise ValueError("tau_max must be positive")
-        if self.delay_search_resolution < 2:
-            raise ValueError("delay_search_resolution must be >= 2")
+        _check_count("delay_search_resolution", self.delay_search_resolution, 2)
 
     def resolved(self, cfg: ArrayConfig) -> tuple[float, float]:
         tol = self.objective_tolerance

@@ -14,6 +14,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .arrays import _check_count
+
 
 @dataclass(frozen=True)
 class FrameTiming:
@@ -25,8 +27,7 @@ class FrameTiming:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+        _check_count("num_steps", self.num_steps)
 
     def elapsed(self, i):
         """Elapsed time i*duration/num_steps at step index i (scalar or array)."""
@@ -168,8 +169,7 @@ class ScenarioConfig:
         lo, hi = self.aod_range
         if not lo < hi:
             raise ValueError("aod_range must be a non-empty interval")
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
+        _check_count("num_users", self.num_users)
         if not self.min_spacing >= 0:
             raise ValueError("min_spacing must be non-negative")
         if (self.num_users - 1) * self.min_spacing >= (hi - lo):

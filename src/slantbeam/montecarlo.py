@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, _check_count
 from .designs import (
     BEAM_KINDS,
     BeamDesign,
@@ -87,8 +87,7 @@ class TrialConfig:
             raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
         if not self.max_offset >= 0:
             raise ValueError("max_offset must be non-negative")
-        if self.offset_count < 1:
-            raise ValueError("offset_count must be >= 1")
+        _check_count("offset_count", self.offset_count)
         if not self.beams:
             raise ValueError("beams must list at least one beam kind")
         if self.channel_gains is not None:
@@ -261,8 +260,8 @@ class SweepConfig:
             if bad:
                 raise ValueError(
                     f"values must be whole numbers on axis {self.axis}, got {bad[0]!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_count("trials", self.trials)
+        _check_count("master_seed", self.master_seed, 0)
         object.__setattr__(self, "values", values)
 
 

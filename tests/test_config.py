@@ -1,15 +1,24 @@
+import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from slantbeam.arrays import ArrayConfig
 from slantbeam.cli import main
-from slantbeam.config import _FIELD_KEYS, ConfigError, config_hash, parse_config, serialize_config
+from slantbeam.config import (
+    _FIELD_KEYS,
+    _SCHEMA,
+    ConfigError,
+    config_hash,
+    parse_config,
+    serialize_config,
+)
 from slantbeam.jpta import SolverOptions
 from slantbeam.link import LinkBudget, capacity_records, offset_grid
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate, ScenarioConfig
-from slantbeam.montecarlo import TrialConfig
+from slantbeam.montecarlo import SweepConfig, TrialConfig
 
 DEG = np.pi / 180.0
 
@@ -58,12 +67,13 @@ class TestDefaults:
         arr = cfg.array()
         assert arr.carrier_freq == 60e9
         assert arr.num_subcarriers == 1200
-        scen = cfg.scenario()
+        base = cfg.base_trial()
+        scen = base.scenario
         assert scen.var_theta == pytest.approx(2 * DEG**2)
         assert scen.velocity_range[1] == pytest.approx(80 * DEG)
-        assert cfg.timing().duration == pytest.approx(0.16)
-        assert cfg.budget().snr_db == -10.0
-        base = cfg.base_trial()
+        assert base.timing.duration == pytest.approx(0.16)
+        assert base.budget.snr_db == -10.0
+        assert base.solver == SolverOptions()
         assert base.offset_count == 100
         assert base.qpd_peak == pytest.approx(np.pi)
         assert base.range_override is None
@@ -114,6 +124,18 @@ class TestOverrides:
             parse_text(tmp_path, text, overrides=["link.snr_db=loud"])
 
 
+NON_FINITE_ROWS = [
+    ("link.snr_db=nan", r"\[link\] snr_db", "nan"),
+    ("array.spacing_wavelengths=inf", r"\[array\] spacing_wavelengths", "inf"),
+    ("design.qpd_peak_rad=inf", r"\[design\] qpd_peak_rad", "inf"),
+    ("mobility.var_theta_deg2=inf", r"\[mobility\] var_theta_deg2", "inf"),
+    ("design.range_override_deg=-inf", r"\[design\] range_override_deg", "-inf"),
+    ("sweep.values=0,nan", r"\[sweep\] values", "nan"),
+    ("link.channel_gains=1,inf,1", r"\[link\] channel_gains", "inf"),
+    ("mobility.accel_mean_deg_s2=inf", r"\[mobility\] accel_mean_deg_s2", "inf"),
+]
+
+
 class TestRejections:
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[array\] warp_factor"):
@@ -147,15 +169,7 @@ class TestRejections:
         with pytest.raises(ConfigError, match=r"\[design\] coverage_p"):
             parse_config(overrides=["design.coverage_p=1.5"])
 
-    @pytest.mark.parametrize("item, named, shown", [
-        ("link.snr_db=nan", r"\[link\] snr_db", "nan"),
-        ("array.spacing_wavelengths=inf", r"\[array\] spacing_wavelengths", "inf"),
-        ("design.qpd_peak_rad=inf", r"\[design\] qpd_peak_rad", "inf"),
-        ("mobility.var_theta_deg2=inf", r"\[mobility\] var_theta_deg2", "inf"),
-        ("design.range_override_deg=-inf", r"\[design\] range_override_deg", "-inf"),
-        ("sweep.values=0,nan", r"\[sweep\] values", "nan"),
-        ("link.channel_gains=1,inf,1", r"\[link\] channel_gains", "inf"),
-    ])
+    @pytest.mark.parametrize("item, named, shown", NON_FINITE_ROWS)
     def test_non_finite_number_named(self, item, named, shown):
         with pytest.raises(ConfigError, match=rf"{named}: must be finite, got {shown}$"):
             parse_config(overrides=[item])
@@ -208,6 +222,14 @@ OUT_OF_RANGE = {
     "max_offset": "sweep.max_offset_deg=-1",
     "offset_count": "sweep.offset_count=0",
     "beams": "sweep.beams=",
+}
+
+# fields whose only check rejects non-finite numbers; the parser rejects those
+# first, so no config value reaches the check, and a NON_FINITE_ROWS row holds
+# each override instead
+FINITE_ONLY = {
+    "snr_db": "link.snr_db=nan",
+    "accel_mean": "mobility.accel_mean_deg_s2=inf",
 }
 
 # sweep values that pass every base-config check but cannot run
@@ -273,9 +295,48 @@ def test_nan_fails_the_range_check(case):
         build()
 
 
+# one call per integer field with a value that is not a whole number, or below
+# the field's bound where the check had none; each error starts with the field
+INTEGER_ROWS = {
+    "ArrayConfig.num_antennas": ("num_antennas", lambda: ArrayConfig(NAN, 0.5, 60e9, 2e9, 48)),
+    "ArrayConfig.num_subcarriers": (
+        "num_subcarriers", lambda: ArrayConfig(16, 0.5, 60e9, 2e9, 2.5)),
+    "FrameTiming.num_steps": ("num_steps", lambda: FrameTiming(0.16, NAN)),
+    "ScenarioConfig.num_users": ("num_users", lambda: ScenarioConfig(num_users=NAN)),
+    "SolverOptions.max_iters": ("max_iters", lambda: SolverOptions(max_iters=NAN)),
+    "SolverOptions.delay_search_resolution": (
+        "delay_search_resolution", lambda: SolverOptions(delay_search_resolution="256")),
+    "SweepConfig.trials": ("trials", lambda: SweepConfig("offset_range", (0.0,), trials=2.0)),
+    "SweepConfig.master_seed fraction": (
+        "master_seed", lambda: SweepConfig("offset_range", (0.0,), master_seed=1.5)),
+    "SweepConfig.master_seed negative": (
+        "master_seed", lambda: SweepConfig("offset_range", (0.0,), master_seed=-1)),
+    "TrialConfig.offset_count": ("offset_count", lambda: TrialConfig(ARRAY, offset_count=NAN)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ROWS))
+def test_integer_field_rejects_other_values(case):
+    field, build = INTEGER_ROWS[case]
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    arr = ArrayConfig(np.int64(16), 0.5, 60e9, 2e9, np.int32(48))
+    assert TrialConfig(arr, offset_count=np.int64(5)).offset_count == 5
+    assert SweepConfig("offset_range", (0.0,), trials=np.int16(2), master_seed=np.uint8(0)).trials == 2
+
+
 class TestFieldKeys:
     def test_every_field_has_an_out_of_range_row(self):
-        assert set(OUT_OF_RANGE) == set(_FIELD_KEYS)
+        assert set(OUT_OF_RANGE) | set(FINITE_ONLY) == set(_FIELD_KEYS)
+        assert not set(OUT_OF_RANGE) & set(FINITE_ONLY)
+        non_finite = [item for item, _, _ in NON_FINITE_ROWS]
+        for field, item in FINITE_ONLY.items():
+            assert item in non_finite
+            section, key = item.partition("=")[0].split(".")
+            assert _FIELD_KEYS[field] == f"[{section}] {key}"
 
     @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
     def test_dataclass_error_names_its_key(self, field):
@@ -363,3 +424,77 @@ class TestSweepMaterializer:
         assert sw.axis == "mean_velocity"
         np.testing.assert_allclose(sw.values, (0.0, 40 * DEG))
         assert sw.beams == ("stepped",)
+
+
+# every key set away from its default; the expected fields below are written out
+# in SI units rather than read from the schema
+EVERY_KEY = [
+    "array.carrier_freq_ghz=28", "array.bandwidth_ghz=0.8", "array.num_subcarriers=96",
+    "array.num_antennas=8", "array.spacing_wavelengths=0.6",
+    "link.snr_db=-5.5", "link.channel_gains=0.5,2",
+    "mobility.num_users=2", "mobility.aod_min_deg=-30.3", "mobility.aod_max_deg=35.1",
+    "mobility.min_spacing_deg=12.7", "mobility.velocity_min_deg_s=5.9",
+    "mobility.velocity_max_deg_s=60.2", "mobility.accel_mean_deg_s2=-3.3",
+    "mobility.var_theta_deg2=3.1", "mobility.var_omega_deg2_s2=7.3",
+    "mobility.var_alpha_deg2_s4=4.7",
+    "frame.duration_ms=120.7", "frame.num_steps=40",
+    "design.coverage_p=0.9", "design.range_override_deg=7.3", "design.tau_max_ns=3.7",
+    "design.max_iters=50", "design.objective_tolerance=0.002",
+    "design.delay_search_resolution=128", "design.qpd_peak_rad=2.5",
+    "sweep.axis=mean_velocity", "sweep.values=10.1,20.3", "sweep.trials=7",
+    "sweep.max_offset_deg=15.1", "sweep.offset_count=9", "sweep.beams=stepped,slanted",
+]
+
+
+class TestEveryKeyReachesItsField:
+    def test_every_key_is_set(self):
+        keys = {item.partition("=")[0] for item in EVERY_KEY}
+        assert keys == {f"{sec}.{key}" for sec, rows in _SCHEMA.items() for key in rows}
+        defaults = parse_config()
+        cfg = parse_config(overrides=EVERY_KEY)
+        for item in EVERY_KEY:
+            section, key = item.partition("=")[0].split(".")
+            assert cfg.get(section, key) != defaults.get(section, key), item
+
+    def test_base_trial_fields_in_si_units(self):
+        base = parse_config(overrides=EVERY_KEY).base_trial()
+        deg2 = np.deg2rad(1.0) ** 2
+        assert base.array == ArrayConfig(
+            num_antennas=8, spacing=0.6, carrier_freq=28.0 * 1e9, bandwidth=0.8 * 1e9,
+            num_subcarriers=96)
+        assert base.scenario == ScenarioConfig(
+            num_users=2,
+            aod_range=(np.deg2rad(-30.3), np.deg2rad(35.1)),
+            min_spacing=np.deg2rad(12.7),
+            velocity_range=(np.deg2rad(5.9), np.deg2rad(60.2)),
+            accel_mean=np.deg2rad(-3.3),
+            var_theta=deg2 * 3.1, var_omega=deg2 * 7.3, var_alpha=deg2 * 4.7)
+        assert base.timing == FrameTiming(duration=120.7 * 1e-3, num_steps=40)
+        assert base.budget == LinkBudget(snr_db=-5.5)
+        assert base.solver == SolverOptions(
+            max_iters=50, objective_tolerance=0.002, tau_max=3.7 * 1e-9,
+            delay_search_resolution=128)
+        assert base.mode == "offset"
+        assert base.max_offset == np.deg2rad(15.1)
+        assert base.offset_count == 9
+        assert base.beams == ("stepped", "slanted")
+        assert base.coverage_p == 0.9
+        assert base.range_override == np.deg2rad(7.3)
+        assert base.qpd_peak == 2.5
+        assert base.channel_gains == (0.5, 2.0)
+
+    def test_sweep_fields_in_si_units(self):
+        sweep = parse_config(overrides=EVERY_KEY).sweep(0)
+        assert sweep == SweepConfig(
+            axis="mean_velocity", values=(np.deg2rad(10.1), np.deg2rad(20.3)), trials=7,
+            master_seed=0, beams=("stepped", "slanted"))
+
+    def test_only_beams_names_a_field_of_two_built_classes(self):
+        # a field name routes a key to every built class that has it
+        built = (ArrayConfig, ScenarioConfig, FrameTiming, LinkBudget, SolverOptions,
+                 TrialConfig, SweepConfig)
+        named = {row[2] for rows in _SCHEMA.values() for row in rows.values()}
+        owners = Counter(f.name for cls in built for f in dataclasses.fields(cls)
+                         if f.name in named)
+        assert set(owners) == named
+        assert {name for name, n in owners.items() if n > 1} == {"beams"}
