@@ -6,9 +6,7 @@ from .arrays import (
     AnalogWeights,
     ArrayConfig,
     awv_matrix,
-    db_to_linear,
     gain_profile,
-    linear_to_db,
     pattern_heatmap,
     wrap_phase,
 )
@@ -47,7 +45,6 @@ from .mobility import (
     UserKinematics,
     anchor_selection,
     coverage_halfwidth,
-    predicted_mean,
     predicted_variance,
     sample_scenario,
     true_aod,

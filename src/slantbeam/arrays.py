@@ -40,14 +40,6 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
-
-
 @dataclass(frozen=True)
 class ArrayConfig:
     """Geometry and OFDM numerology of the transmit array.

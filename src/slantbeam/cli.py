@@ -82,8 +82,9 @@ def write_capacity_summary_csv(path, seed, cfg_hash, results, beams):
 def write_sweep_csv(path, seed, cfg_hash, result, display_values):
     """Aggregated statistics: axis,axis_value,beam,statistic,value_bps."""
     sweep = result.sweep
-    mins = {b: result.min_over_trials(b).tolist() for b in sweep.beams}
-    means = {b: result.mean_of_minima(b).tolist() for b in sweep.beams}
+    minima = {b: result.minima(b) for b in sweep.beams}
+    mins = {b: block.min(axis=1).tolist() for b, block in minima.items()}
+    means = {b: block.mean(axis=1).tolist() for b, block in minima.items()}
     heads = [f"{sweep.axis},{dv!r}," for dv in np.asarray(display_values, dtype=float).tolist()]
     rows = (f"{head}{beam},min,{mins[beam][vi]!r}\n{head}{beam},mean_min,{means[beam][vi]!r}\n"
             for vi, head in enumerate(heads) for beam in sweep.beams)

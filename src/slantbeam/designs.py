@@ -201,10 +201,8 @@ class DigitalGeniePolicy:
 
     kind = "digital_genie"
 
-    def __init__(self, cfg: ArrayConfig, assignment=None):
+    def __init__(self, cfg: ArrayConfig):
         self.cfg = cfg
-        self.assignment = assignment
 
     def gains(self, b, angles) -> np.ndarray:
-        subband_users(self.assignment, self.cfg.num_subcarriers, np.size(angles))
         return np.full(self.cfg.num_subcarriers, float(self.cfg.num_antennas))

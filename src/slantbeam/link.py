@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, band_steering, db_to_linear
+from .arrays import ArrayConfig, band_steering
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -32,7 +32,7 @@ class LinkBudget:
 
     @property
     def snr_linear(self) -> float:
-        return db_to_linear(self.snr_db)
+        return 10.0 ** (self.snr_db / 10.0)
 
 
 def subband_users(assignment, num_subcarriers: int, num_users: int) -> np.ndarray:

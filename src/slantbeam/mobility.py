@@ -70,11 +70,6 @@ def true_aod(kin: UserKinematics, i, timing: FrameTiming):
     return kin.theta0 + t * kin.omega0 + 0.5 * t**2 * kin.alpha
 
 
-def predicted_mean(est: KinematicsEstimate, i, timing: FrameTiming):
-    """Predicted AoD mean at step i: the motion polynomial of the estimated state."""
-    return true_aod(est, i, timing)
-
-
 def predicted_variance(est: KinematicsEstimate, i, timing: FrameTiming):
     """Predicted AoD variance at step i.
 
@@ -137,7 +132,7 @@ def anchor_selection(estimates, p: float, timing: FrameTiming) -> AnchorSpec:
     centers = np.empty(len(estimates))
     widths = np.empty(len(estimates))
     for u, est in enumerate(estimates):
-        mean = predicted_mean(est, steps, timing)
+        mean = true_aod(est, steps, timing)
         half = ell * np.sqrt(predicted_variance(est, steps, timing))
         lo = np.min(mean - half)
         hi = np.max(mean + half)

@@ -168,7 +168,9 @@ def _labelled(label: str, fn, *args, **kwargs):
 
 
 def _trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
-    return np.random.default_rng([int(master_seed), int(trial_id)])
+    _check_count("master_seed", master_seed, 0)
+    _check_count("trial_id", trial_id, 0)
+    return np.random.default_rng([master_seed, trial_id])
 
 
 def _theta_hat(estimates) -> np.ndarray:
@@ -208,8 +210,7 @@ POLICY_BUILDERS = {
         _theta_hat(estimates)[0], config.qpd_peak, config.array),
     "stepped_genie": lambda config, estimates, assignment: SteppedGeniePolicy(
         config.array, config.solver, assignment=assignment),
-    "digital_genie": lambda config, estimates, assignment: DigitalGeniePolicy(
-        config.array, assignment=assignment),
+    "digital_genie": lambda config, estimates, assignment: DigitalGeniePolicy(config.array),
 }
 
 
@@ -253,8 +254,8 @@ class SweepConfig:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("values must be non-empty")
-        if list(values) != sorted(values):
-            raise ValueError("values must be sorted ascending")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("values must be strictly ascending")
         if self.axis in ("num_antennas", "num_users"):
             bad = [v for v in values if not v.is_integer()]
             if bad:
@@ -289,8 +290,7 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
 
 class SweepResult(NamedTuple):
     """A sweep and its trial results: ``cells[value index][trial id]`` is the
-    TrialResult of that cell. The aggregation methods fold the per-trial
-    minimum capacities into the exported statistics."""
+    TrialResult of that cell."""
 
     sweep: SweepConfig
     cells: tuple
@@ -298,12 +298,6 @@ class SweepResult(NamedTuple):
     def minima(self, beam: str) -> np.ndarray:
         """Per-trial minimum capacities of ``beam``, shape (num values, num trials)."""
         return np.array([[res.min_capacity(beam) for res in row] for row in self.cells])
-
-    def min_over_trials(self, beam: str) -> np.ndarray:
-        return self.minima(beam).min(axis=1)
-
-    def mean_of_minima(self, beam: str) -> np.ndarray:
-        return self.minima(beam).mean(axis=1)
 
 
 def _axis_label(axis: str, value: float) -> str:

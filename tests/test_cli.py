@@ -153,6 +153,9 @@ K48_N8 = ["--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8"]
     pytest.param(["sweep", "--axis", "num_users", "--values", "2.7", *K48_N8],
                  "[sweep] values: must be whole numbers on axis num_users, got 2.7",
                  id="fractional_user_count"),
+    pytest.param(["sweep", "--axis", "offset_range", "--values", "0,0,5", *K48_N8],
+                 "[sweep] values: must be strictly ascending",
+                 id="repeated_value"),
 ])
 def test_config_that_cannot_run_exits_2_naming_key_before_any_file(tmp_path, capsys, args,
                                                                    named):
@@ -493,8 +496,8 @@ def capacity_summary_oracle(seed, h, results, beams):
 def sweep_oracle(seed, h, result, display_values):
     out = [_head(seed, h, "axis,axis_value,beam,statistic,value_bps")]
     sweep = result.sweep
-    mins = {b: result.min_over_trials(b) for b in sweep.beams}
-    means = {b: result.mean_of_minima(b) for b in sweep.beams}
+    mins = {b: result.minima(b).min(axis=1) for b in sweep.beams}
+    means = {b: result.minima(b).mean(axis=1) for b in sweep.beams}
     for vi, dv in enumerate(display_values):
         for beam in sweep.beams:
             out.append(f"{sweep.axis},{repr(float(dv))},{beam},min,{repr(float(mins[beam][vi]))}\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ class TestMinCapacity:
             design = design_rainbow(CFG48)
             pol = FixedBeamPolicy(design, CFG48)
         else:
-            pol = DigitalGeniePolicy(CFG48, assignment=assignment)
+            pol = DigitalGeniePolicy(CFG48)
         h2 = (1.0, 0.5, 2.0)
         aods = np.array([[-30.0, 0.0, 30.0], [-27.0, 4.0, 33.0], [-35.0, -2.0, 20.0]]) * DEG
         rec = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
@@ -226,7 +228,7 @@ class TestMinCapacity:
         policies = {
             "stepped": FixedBeamPolicy(design_stepped(np.array([-0.3, 0.0, 0.4]), CFG48), CFG48),
             "rainbow": FixedBeamPolicy(design_rainbow(CFG48), CFG48),
-            "digital_genie": DigitalGeniePolicy(CFG48, assignment=assignment),
+            "digital_genie": DigitalGeniePolicy(CFG48),
         }
         aods = np.array([[-0.3, 0.0, 0.4], [-0.25, 0.1, 0.35]])
         recs = capacity_records(policies, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
@@ -234,6 +236,17 @@ class TestMinCapacity:
         for kind, pol in policies.items():
             alone = min_capacity(pol, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
             np.testing.assert_array_equal(recs[kind].capacities, alone.capacities)
+
+    def test_digital_genie_capacities_ignore_the_assignment(self):
+        # the genie's gain is N on every subcarrier, so each user's capacity
+        # is the same sum wherever its sub-band lies
+        pol = {"digital_genie": DigitalGeniePolicy(CFG48)}
+        aods = np.array([[-0.3, 0.0, 0.4], [-0.25, 0.1, 0.35]])
+        tables = [capacity_records(pol, aods, CFG48, BUDGET, assignment, (1.0, 0.5, 2.0))
+                  ["digital_genie"].capacities for assignment in itertools.permutations(range(3))]
+        assert len(tables) == 6
+        for table in tables[1:]:
+            np.testing.assert_array_equal(table, tables[0])
 
     def test_bad_direction_names_first_beam(self):
         policies = {kind: DigitalGeniePolicy(CFG48) for kind in ("first", "second")}

@@ -13,7 +13,6 @@ from slantbeam.mobility import (
     UserKinematics,
     anchor_selection,
     coverage_halfwidth,
-    predicted_mean,
     predicted_variance,
     sample_scenario,
     true_aod,
@@ -87,7 +86,7 @@ class TestKinematics:
 
     def test_predicted_mean_matches_true_form(self):
         # same polynomial applied to the estimated state
-        assert predicted_mean(EXAMPLE_EST, 100, TABLE_TIMING) == pytest.approx(24.6 * DEG, rel=1e-12)
+        assert true_aod(EXAMPLE_EST, 100, TABLE_TIMING) == pytest.approx(24.6 * DEG, rel=1e-12)
 
     def test_estimate_is_a_kinematic_state_plus_variances(self):
         # positional order: the state, then the three variances
@@ -96,10 +95,8 @@ class TestKinematics:
         assert (est.theta0, est.omega0, est.alpha) == (0.1, -0.7, 3.0)
         assert (est.var_theta, est.var_omega, est.var_alpha) == (1e-4, 1e-3, 1e-2)
         steps = np.arange(101)
-        mean = predicted_mean(est, steps, TABLE_TIMING)
-        np.testing.assert_array_equal(mean, true_aod(est, steps, TABLE_TIMING))
-        np.testing.assert_array_equal(mean, true_aod(UserKinematics(0.1, -0.7, 3.0), steps,
-                                                     TABLE_TIMING))
+        np.testing.assert_array_equal(true_aod(est, steps, TABLE_TIMING),
+                                      true_aod(UserKinematics(0.1, -0.7, 3.0), steps, TABLE_TIMING))
 
     def test_prediction_unbiased_monte_carlo(self):
         rng = np.random.default_rng(42)
@@ -110,7 +107,7 @@ class TestKinematics:
         t = TABLE_TIMING.elapsed(100)
         final = theta + t * omega + 0.5 * t * t * alpha
         se = np.std(final) / math.sqrt(n)
-        assert abs(np.mean(final) - predicted_mean(EXAMPLE_EST, 100, TABLE_TIMING)) < 3 * se
+        assert abs(np.mean(final) - true_aod(EXAMPLE_EST, 100, TABLE_TIMING)) < 3 * se
 
 
 class TestPredictedVariance:
@@ -255,7 +252,7 @@ class TestPerStepCoverage:
         steps = np.arange(101)
         t = TABLE_TIMING.elapsed(steps)
         traj = theta[:, None] + np.outer(omega, t) + 0.5 * np.outer(alpha, t * t)
-        mean = predicted_mean(est, steps, TABLE_TIMING)
+        mean = true_aod(est, steps, TABLE_TIMING)
         half = ell * np.sqrt(predicted_variance(est, steps, TABLE_TIMING))
         inside = np.abs(traj - mean[None, :]) <= half[None, :]
         frac = inside.mean(axis=0)

@@ -12,7 +12,9 @@ JPTA solver can amplify last-bit rounding differences.
     python3 tools/pinned_digests.py            # artifacts in a temporary directory
     python3 tools/pinned_digests.py OUT_DIR    # keep the artifacts in OUT_DIR
 
-Every file under OUT_DIR is listed, so give it an empty or new directory.
+Every file under OUT_DIR is listed, so OUT_DIR must be new or empty: the exit
+code is 2 if it holds anything, since a file left by an earlier run would be
+listed as if this run wrote it.
 
 The library is imported from ``src/`` of the checkout this script sits in.
 The CLI's ``wrote ...`` lines go to stderr. The exit code is 1 if any
@@ -81,10 +83,14 @@ def main(argv=None) -> int:
         print("usage: pinned_digests.py [OUT_DIR]", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
-    if argv:
-        return report(Path(argv[0]))
-    with tempfile.TemporaryDirectory() as tmp:
-        return report(Path(tmp))
+    if not argv:
+        with tempfile.TemporaryDirectory() as tmp:
+            return report(Path(tmp))
+    out = Path(argv[0])
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"pinned_digests: {out} is not an empty directory", file=sys.stderr)
+        return 2
+    return report(out)
 
 
 if __name__ == "__main__":
