@@ -94,20 +94,24 @@ class ArrayConfig:
         return self.num_antennas / self.bandwidth
 
 
-def _phasor_ramp(start, step, m: int) -> np.ndarray:
+def _phasor_ramp(start, step, m: int, dtype=complex) -> np.ndarray:
     """exp(j(start_r + step_r * i)) for i = 0..m-1, shape (R, m).
 
     ``start`` and ``step`` are scalars or length-R vectors (broadcast against
     each other).  Writing i = a*B + b with B = ceil(sqrt(m)) takes one
     exponential per (r, a) and one per (r, b); each entry is their product.
-    The padded tail past m is sliced off, so any m >= 1 works.
+    The padded tail past m is sliced off, so any m >= 1 works.  With
+    ``dtype=np.complex64`` each complex128 product is rounded as it is
+    written, as ``.astype(np.complex64)`` of the complex128 ramp would round
+    it, and the complex128 ramp is never held.
     """
     start, step = np.reshape(start, (-1, 1)), np.reshape(step, (-1, 1))
     fine_len = math.isqrt(m - 1) + 1
     coarse_len = -(-m // fine_len)
     coarse = np.exp(1j * (start + step * (fine_len * np.arange(coarse_len))))  # (R, A)
     fine = np.exp(1j * step * np.arange(fine_len))  # (R, B)
-    out = coarse[:, :, None] * fine[:, None, :]
+    out = np.empty((coarse.shape[0], coarse_len, fine_len), dtype)
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out, casting="same_kind")
     return out.reshape(out.shape[0], -1)[:, :m]
 
 

@@ -39,6 +39,22 @@ S'' stays below one unit roundoff of their scale (16 at N = 32). Each Newton
 point then costs O(N M) per block, and an iteration builds four (N, K) ramps:
 the expansion, the current delays' sums, the phase step and the inner
 products.
+
+The grid scan runs in single precision, and its (G, K) matrix exists only in
+complex64: ``_phasor_ramp`` rounds each entry as it writes it, as a cast of
+the complex128 matrix would. The refinement and the take rule compare in
+float64, so the scan matters only through which grid index wins, and that
+index is the complex128 scan's: ``_scan_error_bound`` bounds the float32 error
+of every element's |S| by 4 (K+2) 2^-24 sum_k |u0[n, k]|, and where a second
+grid index lies within twice that bound of the float32 top, only those
+candidate rows are rebuilt in complex128 and the first index of their largest
+|S| wins (the smallest delay, as in a complex128 scan).
+
+Each iteration allocates c_t, its complex64 copy for the scan and the four
+ramps as (N, K) arrays; every product with c_t or u0 is written into the ramp
+it multiplies, and a ramp lives only inside the step that built it. The
+expansion multiplies into a zero-padded buffer instead when its moment blocks
+do not tile K.
 """
 
 import math
@@ -91,7 +107,8 @@ class SolverOptions:
     """Stopping and search controls.
 
     ``objective_tolerance`` and ``tau_max`` may be left as None to use the
-    defaults 1e-6 * K and num_antennas / bandwidth respectively.
+    defaults 1e-6 * K and num_antennas / bandwidth respectively; a value given
+    must be positive and finite.
     """
 
     max_iters: int = 100
@@ -101,10 +118,10 @@ class SolverOptions:
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        if self.objective_tolerance is not None and not self.objective_tolerance > 0:
-            raise ValueError("objective_tolerance must be positive")
-        if self.tau_max is not None and not self.tau_max > 0:
-            raise ValueError("tau_max must be positive")
+        for name in ("objective_tolerance", "tau_max"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         _check_count("delay_search_resolution", self.delay_search_resolution, 2)
 
     def resolved(self, cfg: ArrayConfig) -> tuple[float, float]:
@@ -184,7 +201,7 @@ def _delay_sums(c_t: np.ndarray, band: _Baseband, tau: np.ndarray) -> np.ndarray
     and one product with the band's (K, 3) derivative weights.
     """
     rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
-    return (rot * c_t) @ band.weights
+    return np.multiply(rot, c_t, out=rot) @ band.weights
 
 
 class _Moments(NamedTuple):
@@ -239,9 +256,13 @@ def _moment_expansion(c_t: np.ndarray, band: _Baseband, moments: _Moments, tau0:
     num_n, num_k = c_t.shape
     block_len, terms = moments.table.shape
     num_blocks = moments.centers.size
-    padded = np.zeros((num_n, num_blocks * block_len), dtype=complex)
     rot = _phasor_ramp(TWO_PI * tau0 * band.start, TWO_PI * tau0 * band.step, num_k)
-    sums = np.multiply(rot, c_t, out=padded[:, :num_k]) @ band.weights
+    if num_blocks * block_len == num_k:  # the blocks tile the band (one block by default)
+        padded = np.multiply(rot, c_t, out=rot)
+    else:  # zero-pad the ragged last block
+        padded = np.zeros((num_n, num_blocks * block_len), dtype=complex)
+        np.multiply(rot, c_t, out=padded[:, :num_k])
+    sums = padded[:, :num_k] @ band.weights
     p = (padded.reshape(-1, block_len) @ moments.table).reshape(num_n, num_blocks, terms)
     # block b adds exp(j w_b x) P_b(x) to S, so exp(j w_b x) multiplies
     # P, P' + jw P and P'' + 2jw P' + (jw)^2 P in S, dS/dx and d2S/dx2;
@@ -301,6 +322,48 @@ def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np
     return cand, g_cand
 
 
+def _scan_error_bound(u0: np.ndarray) -> np.ndarray:
+    """Per-element bound on | |S|_32 - |S|_64 | over the delay grid, (N,).
+
+    |S|_32 is ``_grid_argmax``'s single-precision |e_grid @ c_t[n]| and |S|_64
+    the same product in complex128, over K terms with |e| = 1 and
+    |c_t[n, k]| = |u0[n, k]| (psi only rotates). With u = 2^-24 and
+    A = sum_k |u0[n, k]|, rounding e and c_t to complex64 moves each product
+    by at most 2u|e||c|, the complex64 dot product errs by at most
+    sqrt(2) gamma_(K+2) A in any summation order (Higham, complex inner
+    products), and |.| in float32 by at most 2u A: about (sqrt(2)(K+2) + 4)u A
+    in all. The complex128 product errs by 2^-29 times as much. 4(K+2)u A
+    covers the sum for every K >= 1 with room for the last bits of |e| and A.
+    """
+    return 4.0 * (u0.shape[1] + 2) * 2.0**-24 * np.abs(u0).sum(axis=1)
+
+
+def _grid_argmax(grid: np.ndarray, e_grid32: np.ndarray, band: _Baseband, c_t: np.ndarray,
+                 bound: np.ndarray) -> np.ndarray:
+    """Each element's first grid index of the complex128 maximum of |S(grid[g])|, (N,).
+
+    Scans |e_grid32 @ c_t.T| in complex64. An element whose float32 magnitudes
+    put a second grid index within 2*bound[n] of its top may have its
+    complex128 maximum at any index so near, and only there: those candidate
+    rows are rebuilt in complex128 (bit for bit the rows of the complex128
+    grid matrix) and the first candidate with the largest complex128 |S| wins.
+    Indices that tie in exact arithmetic are told apart by the last bits of
+    the (C, K) product, which BLAS may round differently from a (G, K) one.
+    """
+    num_n, num_k = c_t.shape
+    mag = np.abs(e_grid32 @ c_t.T.astype(np.complex64))  # (G, N) float32
+    best = np.argmax(mag, axis=0)
+    near = mag >= mag[best, np.arange(num_n)] - 2.0 * bound
+    tied = np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
+    if tied.size:
+        rows = np.flatnonzero(near[:, tied].any(axis=1))
+        e_rows = _phasor_ramp(TWO_PI * grid[rows] * band.start, TWO_PI * grid[rows] * band.step,
+                              num_k)
+        exact = np.where(near[rows], np.abs(e_rows @ c_t.T), -1.0)  # (C, N)
+        best[tied] = rows[np.argmax(exact[:, tied], axis=0)]
+    return best
+
+
 def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverReport:
     """Alternating maximization of the per-subcarrier alignment objective.
 
@@ -331,14 +394,22 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
 
     grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
     moments = _taylor_moments(band, grid[1] - grid[0], num_k)
-    e_grid = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k)  # (G, K)
+    e_grid32 = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k,
+                            np.complex64)  # (G, K)
+    bound = _scan_error_bound(u0)
 
     def full_band_ramp(ta, ph=0.0):
         """exp(j(2 pi ta_n f_k - ph_n)) at the full subcarrier frequencies, (N, K)."""
         return _phasor_ramp(TWO_PI * ta * freqs[0] - ph, TWO_PI * ta * band.step, num_k)
 
     def inner_products(ph, ta):
-        return np.mean(u0 * full_band_ramp(ta, ph), axis=0)
+        ramp = full_band_ramp(ta, ph)
+        return np.mean(np.multiply(u0, ramp, out=ramp), axis=0)
+
+    def aligned_phases(c_t, ta):
+        """Phases of the per-element sums at the full (not baseband) frequencies."""
+        ramp = full_band_ramp(ta)
+        return wrap_phase(np.angle(np.sum(np.multiply(ramp, c_t, out=ramp), axis=1)))
 
     ip = inner_products(phases, delays)
     trace = [float(np.sum(np.abs(ip)))]
@@ -349,14 +420,13 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         c_t = u0 * np.exp(1j * psi)  # (N, K) coefficients of the per-element sums
 
         # coarse grid: first index wins ties, i.e. the smallest delay
-        mag = np.abs(e_grid @ c_t.T)  # (G, N)
-        cand, g_cand = _refine_delays(c_t, band, moments, grid, np.argmax(mag, axis=0))
+        best = _grid_argmax(grid, e_grid32, band, c_t, bound)
+        cand, g_cand = _refine_delays(c_t, band, moments, grid, best)
         g_cur = np.abs(_delay_sums(c_t, band, delays)[:, 0])
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))
         delays = np.where(take, cand, delays)
 
-        # aligned per-element sums at the full (not baseband) frequencies
-        phases = wrap_phase(np.angle(np.sum(full_band_ramp(delays) * c_t, axis=1)))
+        phases = aligned_phases(c_t, delays)
 
         ip = inner_products(phases, delays)
         trace.append(float(np.sum(np.abs(ip))))

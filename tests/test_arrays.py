@@ -118,6 +118,16 @@ class TestPhasorRamp:
         assert ramp.shape == (9, m)
         assert np.max(np.abs(ramp - direct)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 241, 1200])
+    def test_complex64_ramp_rounds_the_complex128_ramp(self, m):
+        rng = np.random.default_rng(m)
+        start = rng.uniform(5.5e3, 6.5e3, 9)
+        step = rng.uniform(-0.5, 0.5, 9)
+        ramp = _phasor_ramp(start, step, m, np.complex64)
+        assert ramp.dtype == np.complex64
+        expected = _phasor_ramp(start, step, m).astype(np.complex64)
+        np.testing.assert_array_equal(ramp.view(np.float32), expected.view(np.float32))
+
 
 class TestResponseMatrix:
     @pytest.mark.parametrize("num_antennas", [1, 7, 32])

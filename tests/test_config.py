@@ -254,10 +254,12 @@ SWEEP_VALUE_ROWS = [
 
 
 NAN = float("nan")
+INF = float("inf")
 ARRAY = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
 
-# one call per float range check with NaN where the check reads; each error
-# starts with the checked field's name, which _FIELD_KEYS maps to its key
+# one call per float range check with NaN where the check reads, and with inf
+# where the check bounds a value the library could not use; each error starts
+# with the checked field's name, which _FIELD_KEYS maps to its key
 NAN_ROWS = {
     "ArrayConfig.spacing": ("spacing", lambda: ArrayConfig(16, NAN, 60e9, 2e9, 48)),
     "ArrayConfig.carrier_freq": ("carrier_freq", lambda: ArrayConfig(16, 0.5, NAN, 2e9, 48)),
@@ -276,6 +278,9 @@ NAN_ROWS = {
     "SolverOptions.tau_max": ("tau_max", lambda: SolverOptions(tau_max=NAN)),
     "SolverOptions.objective_tolerance": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=NAN)),
+    "SolverOptions.tau_max=inf": ("tau_max", lambda: SolverOptions(tau_max=INF)),
+    "SolverOptions.objective_tolerance=inf": (
+        "objective_tolerance", lambda: SolverOptions(objective_tolerance=INF)),
     "TrialConfig.max_offset": ("max_offset", lambda: TrialConfig(ARRAY, max_offset=NAN)),
     "TrialConfig.range_override": (
         "range_override", lambda: TrialConfig(ARRAY, range_override=NAN)),

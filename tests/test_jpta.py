@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from slantbeam.arrays import AnalogWeights, ArrayConfig
+from slantbeam import jpta
+from slantbeam.arrays import TWO_PI, AnalogWeights, ArrayConfig, _phasor_ramp, response_matrix
 from slantbeam.jpta import (
     SolverOptions,
     SolverReport,
     TargetProfile,
     _baseband,
     _delay_sums,
+    _grid_argmax,
     _moment_expansion,
     _moment_sums,
     _refine_delays,
+    _scan_error_bound,
     _taylor_moments,
     jpta_solve,
     line_fit_delays,
@@ -203,6 +208,10 @@ def test_moment_sums_match_direct_sums(geometry, num_subcarriers):
     c, fb, band, grid, moments, best = refinement_case(num_subcarriers, 6, **geometry)
     tau0 = grid[best]
     head, coef = _moment_expansion(c, band, moments, tau0)
+    # the expansion multiplies into its ramp where the blocks tile K (one
+    # block, or 64 subcarriers in 4 or 64 blocks) and into a zero-padded
+    # buffer where they do not (241 subcarriers in several blocks); either
+    # way the grid point's sums are _delay_sums' to the bit
     np.testing.assert_array_equal(head, _delay_sums(c, band, tau0))
     # relative to each sum's scale sum_k |c_k| |2 pi fb_k|^d: one sum can
     # cancel far below it, and both sides round the phases 2 pi fb tau
@@ -228,6 +237,117 @@ def test_delay_sums_match_direct_sums_with_ragged_tail():
         terms = c[n] * np.exp(jw * tau[n])
         assert abs(sums[n, 0]) == pytest.approx(abs_sum(c[n], fb, tau[n:n + 1])[0], rel=1e-12)
         np.testing.assert_allclose(sums[n], [terms.sum(), terms @ jw, terms @ jw**2], rtol=1e-11)
+
+
+def scan_case(num_subcarriers: int, num_antennas: int, resolution: int):
+    """The baseband axis, a default-budget delay grid of ``resolution`` points
+    and its grid matrix in complex128 and, as the solver scans it, complex64."""
+    cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
+    band = _baseband(cfg)
+    grid = np.linspace(0.0, cfg.default_tau_max(), resolution)
+    start, step = TWO_PI * grid * band.start, TWO_PI * grid * band.step
+    e128 = _phasor_ramp(start, step, num_subcarriers)
+    e32 = _phasor_ramp(start, step, num_subcarriers, np.complex64)
+    return cfg, band, grid, e128, e32
+
+
+def solver_coefficients(cfg: ArrayConfig, resolution: int, monkeypatch) -> list:
+    """The (c_t, bound) of every grid scan in two iterations of a solve of a
+    seeded four-step profile."""
+    seen = []
+    scan = jpta._grid_argmax
+
+    def record(grid, e_grid32, band, c_t, bound):
+        seen.append((c_t, bound))
+        return scan(grid, e_grid32, band, c_t, bound)
+
+    monkeypatch.setattr(jpta, "_grid_argmax", record)
+    k = cfg.num_subcarriers
+    steps = np.random.default_rng(k).uniform(-0.6, 0.6, 4)[np.arange(k) * 4 // k]
+    opts = SolverOptions(max_iters=2, delay_search_resolution=resolution)
+    jpta_solve(TargetProfile(steps, cfg), opts)
+    return seen
+
+
+@pytest.mark.parametrize("resolution", [8, 64, 256])
+@pytest.mark.parametrize("num_antennas", [8, 32, 256])
+@pytest.mark.parametrize("num_subcarriers", [64, 240, 241, 1200])
+def test_scan_error_bound_holds(num_subcarriers, num_antennas, resolution, monkeypatch):
+    cfg, band, grid, e128, e32 = scan_case(num_subcarriers, num_antennas, resolution)
+    rng = np.random.default_rng(num_subcarriers + num_antennas)
+    u0 = response_matrix(rng.uniform(-1.2, 1.2, num_subcarriers), cfg.subcarrier_centers(), cfg).T
+    c_random = u0 * np.exp(1j * rng.uniform(-np.pi, np.pi, num_subcarriers))
+    cases = [(c_random, _scan_error_bound(u0))]
+    cases += solver_coefficients(cfg, resolution, monkeypatch)
+    worst = 0.0
+    for c_t, bound in cases:
+        err = np.abs(np.abs(e32 @ c_t.T.astype(np.complex64)) - np.abs(e128 @ c_t.T))
+        assert np.all(err <= bound)
+        worst = max(worst, float(np.max(err / bound)))
+    # the bound takes every rounding at its worst; the observed error is far below
+    assert worst < 0.05
+
+
+@pytest.mark.parametrize("resolution", [8, 64, 256])
+@pytest.mark.parametrize("num_subcarriers", [64, 240, 241, 1200])
+def test_grid_argmax_decides_ties_in_complex128(num_subcarriers, resolution):
+    cfg, band, grid, e128, e32 = scan_case(num_subcarriers, 8, resolution)
+    rng = np.random.default_rng(resolution)
+    # one even and one odd grid index per element, so no grid point is the midpoint
+    i, j = 2 * rng.integers(0, resolution // 2, (2, 8)) + [[0], [1]]
+    cols = np.arange(8)
+    # the fallback rebuilds a candidate row bit for bit as the grid matrix holds it
+    rows = np.concatenate([i, j])
+    rebuilt = _phasor_ramp(TWO_PI * grid[rows] * band.start, TWO_PI * grid[rows] * band.step,
+                           num_subcarriers)
+    np.testing.assert_array_equal(rebuilt, e128[rows])
+    for scale in (1.0, 1.0 + 1e-9, 1.0 - 1e-9):
+        # S(g) = D(g - i) + scale D(g - j) with D real and even (the band is
+        # symmetric about the carrier), so at scale 1 the grid points g and
+        # i + j - g tie in exact arithmetic, the top pair included; at 1 +- 1e-9
+        # float32 cannot resolve the pair and complex128 can
+        c = np.conj(e128[i] + scale * e128[j])
+        bound = _scan_error_bound(c)
+        mag32 = np.abs(e32 @ c.T.astype(np.complex64))
+        near = mag32 >= mag32.max(axis=0) - 2 * bound
+        assert np.all(np.count_nonzero(near, axis=0) > 1)  # every element takes the fallback
+        mag128 = np.abs(e128 @ c.T)
+        got = _grid_argmax(grid, e32, band, c, bound)
+        if scale == 1.0 and num_subcarriers % 2:
+            # an exact tie is decided by the last bits of the complex128
+            # products, and BLAS may round the few candidate rows' product
+            # differently from the full grid's (OpenBLAS 0.3.31 does on odd K):
+            # the choice is then a complex128 maximum to the product's rounding
+            gap = mag128.max(axis=0) - mag128[got, cols]
+            assert np.all(gap <= 2.0**-50 * num_subcarriers * np.abs(c).sum(axis=1))
+        else:
+            np.testing.assert_array_equal(got, np.argmax(mag128, axis=0))
+
+
+def test_full_scale_solve_holds_the_grid_only_in_complex64():
+    # one solve at K=1200, N=32 on the default 256-point grid. Live at its
+    # peak: the complex64 grid matrix and about four (N, K) complex128 arrays
+    # (u0, c_t, the refinement's ramp and the (K, 16) moment table, half of
+    # one), plus numpy's ufunc buffers, the ramps' padding and the (G, N)
+    # scan, within 1 MiB. A complex128 grid matrix alone is 4.7 MiB.
+    num_k, num_n, num_g = 1200, 32, 256
+    cfg = ArrayConfig(num_n, 0.5, 60e9, 2e9, num_k)
+    profile = TargetProfile(np.repeat(np.deg2rad([-30.0, -5.0, 12.0, 38.0]), num_k // 4), cfg)
+    jpta_solve(TargetProfile(np.zeros(64), CFG64))  # numpy's first-call allocations
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        jpta_solve(profile)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    grid_bytes = num_g * num_k * np.dtype(np.complex64).itemsize
+    nk_bytes = num_n * num_k * np.dtype(complex).itemsize
+    assert peak <= grid_bytes + 4 * nk_bytes + 2**20
 
 
 class TestSolver:
