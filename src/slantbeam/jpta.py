@@ -19,12 +19,25 @@ S(tau) = sum_k c_k exp(j 2 pi tau f_k) has closed-form derivatives.  A step is
 taken only where the second derivative is negative, is clamped to one grid
 cell either side of the grid maximum (within [0, tau_max]), and the best point
 seen, the grid maximum included, is kept.  Each full iteration cannot decrease
-the objective, which the returned trace records.
+the objective beyond rounding, which the returned trace records.
 
 The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
-scan, delay sums, phase step, inner products) is a row-wise phasor ramp with
-start 2 pi tau f_0 and step 2 pi tau df, built by ``arrays._phasor_ramp`` from
-about 2*sqrt(K) exponentials per row instead of K.
+scan, moment expansion, steered product) is a row-wise phasor ramp with start
+2 pi tau f_0 and step 2 pi tau df, built by ``arrays._phasor_ramp`` from about
+2*sqrt(K) exponentials per row instead of K.
+
+One (N, K) array lives across iterations: the steered product
+prod[n, k] = u0[n, k] exp(j 2 pi tau_n f_k) at the current delays, with u0
+C-contiguous. With rot = exp(j psi) for the auxiliary phases psi, prod @ rot
+is every element's sum at the full frequencies, which differs from the
+baseband S_n by one phase per row: its magnitude is the current delays' |S|
+for the take rule, and once the delays have moved and prod is rebuilt, its
+argument is the phase step. exp(-j phi) @ prod / N gives the inner products.
+The take rule thus compares the refinement's |S| (the expansion's ramp times
+the baseband derivative weights) with the current |S| from prod @ rot; the two
+add the same terms in different orders, so they agree only to rounding, and
+where rounding decides the comparison the objective may fall by a few units
+of roundoff, far inside the 1e-9 slack the trace is held to.
 
 Newton points never leave one grid cell of the grid maximum tau0, so the
 refinement expands each delay sum once about tau0 instead of summing over the
@@ -36,9 +49,9 @@ block's radius at most 1, so the series never cancels: the default grid
 (r = 2 pi max|fb| cell = pi N/255) needs one block, a coarse grid or a long
 delay budget more. M is the least term count whose truncation of S, S' and
 S'' stays below one unit roundoff of their scale (16 at N = 32). Each Newton
-point then costs O(N M) per block, and an iteration builds four (N, K) ramps:
-the expansion, the current delays' sums, the phase step and the inner
-products.
+point then costs O(N M) per block, and an iteration builds two (N, K) ramps,
+the expansion and the rebuilt steered product; the current |S|, the phase
+step and the inner products are matrix-vector products with prod.
 
 The grid scan runs in single precision, and its (G, K) matrix exists only in
 complex64: ``_phasor_ramp`` rounds each entry as it writes it, as a cast of
@@ -50,11 +63,14 @@ grid index lies within twice that bound of the float32 top, only those
 candidate rows are rebuilt in complex128 and the first index of their largest
 |S| wins (the smallest delay, as in a complex128 scan).
 
-Each iteration allocates c_t, its complex64 copy for the scan and the four
-ramps as (N, K) arrays; every product with c_t or u0 is written into the ramp
-it multiplies, and a ramp lives only inside the step that built it. The
-expansion multiplies into a zero-padded buffer instead when its moment blocks
-do not tile K.
+Each iteration allocates c_t's complex64 copy for the scan and the two ramps
+as (N, K) arrays. c_t = u0 rot is written into prod's buffer once the current
+|S| is read, and that buffer is freed before the rebuilt prod is built; the
+expansion's product with c_t is written into its ramp (into a zero-padded
+buffer instead when its moment blocks do not tile K), and the rebuilt prod's
+product with u0 into its ramp. One full-scale solve (K = 1200, N = 32, the
+default 256-point grid) peaks at 4.91 MiB traced, 2.34 MiB of it the
+complex64 grid matrix.
 """
 
 import math
@@ -194,16 +210,6 @@ def _baseband(cfg: ArrayConfig) -> _Baseband:
     return _Baseband(fb[0], cfg.subcarrier_spacing, weights)
 
 
-def _delay_sums(c_t: np.ndarray, band: _Baseband, tau: np.ndarray) -> np.ndarray:
-    """S, S' and S'' of every element's delay sum, as the columns of an (N, 3) array.
-
-    S_n(tau) = sum_k c_t[n, k] exp(j 2 pi tau_n fb_k): one (N, K) phasor ramp
-    and one product with the band's (K, 3) derivative weights.
-    """
-    rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
-    return np.multiply(rot, c_t, out=rot) @ band.weights
-
-
 class _Moments(NamedTuple):
     """Taylor moments of exp(j 2 pi d fb_k) for delay offsets |d| <= ``cell``.
 
@@ -249,9 +255,9 @@ def _moment_expansion(c_t: np.ndarray, band: _Baseband, moments: _Moments, tau0:
     """Expand every element's delay sum about its own tau0 = tau0[n].
 
     One (N, K) phasor ramp moves the terms to tau0. Their product with the
-    band's derivative weights gives S, S' and S'' at tau0 as ``_delay_sums``
-    does, (N, 3); their product with the moment table gives the coefficients
-    that ``_moment_sums`` evaluates at any tau0 + x*cell, |x| <= 1.
+    band's (K, 3) derivative weights gives S, S' and S'' at tau0, (N, 3); their
+    product with the moment table gives the coefficients that ``_moment_sums``
+    evaluates at any tau0 + x*cell, |x| <= 1.
     """
     num_n, num_k = c_t.shape
     block_len, terms = moments.table.shape
@@ -297,8 +303,8 @@ def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np
     either side of ``grid[best]`` within [grid[0], grid[-1]]. Returns the best
     delay seen per element and its |S|; the grid point itself is the first
     point seen, so the result is never worse than the coarse scan. The grid
-    point's sums come from the expansion's ramp as ``_delay_sums`` would give
-    them, and every Newton point's from the expansion's moments.
+    point's sums are the expansion's ramp times the band's derivative weights,
+    and every Newton point's come from the expansion's moments.
     """
     cell = moments.cell
     tau0 = grid[best]
@@ -378,7 +384,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     -------
     SolverReport
         Weights with phases wrapped to [-pi, pi] and delays in [0, tau_max],
-        plus the non-decreasing objective trace.
+        plus the objective trace, non-decreasing up to rounding.
     """
     cfg = profile.cfg
     opts = opts or SolverOptions()
@@ -387,7 +393,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     freqs = cfg.subcarrier_centers()
     num_k = cfg.num_subcarriers
     band = _baseband(cfg)
-    u0 = response_matrix(profile.directions, freqs, cfg).T  # (N, K)
+    u0 = np.ascontiguousarray(response_matrix(profile.directions, freqs, cfg).T)  # (N, K)
 
     phases = np.zeros(cfg.num_antennas)
     delays = line_fit_delays(profile, tau_max)
@@ -398,37 +404,35 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
                             np.complex64)  # (G, K)
     bound = _scan_error_bound(u0)
 
-    def full_band_ramp(ta, ph=0.0):
-        """exp(j(2 pi ta_n f_k - ph_n)) at the full subcarrier frequencies, (N, K)."""
-        return _phasor_ramp(TWO_PI * ta * freqs[0] - ph, TWO_PI * ta * band.step, num_k)
+    def steered(ta):
+        """u0[n, k] exp(j 2 pi ta_n f_k) at the full subcarrier frequencies, written
+        into its ramp, (N, K)."""
+        ramp = _phasor_ramp(TWO_PI * ta * freqs[0], TWO_PI * ta * band.step, num_k)
+        return np.multiply(ramp, u0, out=ramp)
 
-    def inner_products(ph, ta):
-        ramp = full_band_ramp(ta, ph)
-        return np.mean(np.multiply(u0, ramp, out=ramp), axis=0)
-
-    def aligned_phases(c_t, ta):
-        """Phases of the per-element sums at the full (not baseband) frequencies."""
-        ramp = full_band_ramp(ta)
-        return wrap_phase(np.angle(np.sum(np.multiply(ramp, c_t, out=ramp), axis=1)))
-
-    ip = inner_products(phases, delays)
+    prod = steered(delays)
+    ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
     trace = [float(np.sum(np.abs(ip)))]
     converged = False
 
     for _ in range(opts.max_iters):
-        psi = -np.angle(ip)
-        c_t = u0 * np.exp(1j * psi)  # (N, K) coefficients of the per-element sums
+        rot = np.exp(-1j * np.angle(ip))  # exp(j psi), psi the auxiliary phases
+        # |S_n| at the current delays, at the full frequencies: the baseband
+        # sums differ by the phase exp(j 2 pi delays_n f_c) alone
+        g_cur = np.abs(prod @ rot)
+        c_t = np.multiply(u0, rot, out=prod)  # (N, K) coefficients of the per-element sums
 
         # coarse grid: first index wins ties, i.e. the smallest delay
         best = _grid_argmax(grid, e_grid32, band, c_t, bound)
         cand, g_cand = _refine_delays(c_t, band, moments, grid, best)
-        g_cur = np.abs(_delay_sums(c_t, band, delays)[:, 0])
+        # g_cand and g_cur add the same terms in different orders: equal to rounding
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))
         delays = np.where(take, cand, delays)
 
-        phases = aligned_phases(c_t, delays)
-
-        ip = inner_products(phases, delays)
+        del c_t, prod  # free the buffer before the rebuilt product takes one
+        prod = steered(delays)
+        phases = wrap_phase(np.angle(prod @ rot))
+        ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
         trace.append(float(np.sum(np.abs(ip))))
         if trace[-1] - trace[-2] < tol:
             converged = True

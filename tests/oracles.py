@@ -1,7 +1,10 @@
 """Scalar, one-frequency forms of the array model, written straight from the
-formulas. Tests compare the library's matrix kernels against them."""
+formulas, and the JPTA delay sums in plain ramp form. Tests compare the
+library's matrix kernels against them."""
 
 import numpy as np
+
+from slantbeam.arrays import TWO_PI, _phasor_ramp
 
 
 def array_response(theta, f, cfg):
@@ -30,6 +33,17 @@ def jpta_objective(weights, profile):
     u_norm = np.sqrt(cfg.num_antennas)
     return float(sum(abs(np.vdot(awv(weights, f, cfg), array_response(theta, f, cfg))) / u_norm
                      for theta, f in zip(profile.directions, cfg.subcarrier_centers())))
+
+
+def delay_sums(c_t, band, tau):
+    """S, S' and S'' of every element's delay sum at tau[n], as the columns of an
+    (N, 3) array: S_n(tau) = sum_k c_t[n, k] exp(j 2 pi tau fb_k) over the
+    solver's baseband axis ``band`` (a ``jpta._Baseband``), and its first two
+    tau-derivatives: c_t times one (N, K) phasor ramp, times the band's (K, 3)
+    derivative weights. The refinement's grid-point sums must equal it to the
+    bit, and a direct sum checks it to rounding."""
+    rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
+    return np.multiply(rot, c_t, out=rot) @ band.weights
 
 
 def matched_filter(angles, assignment, cfg):

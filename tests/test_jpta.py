@@ -10,7 +10,6 @@ from slantbeam.jpta import (
     SolverReport,
     TargetProfile,
     _baseband,
-    _delay_sums,
     _grid_argmax,
     _moment_expansion,
     _moment_sums,
@@ -21,7 +20,7 @@ from slantbeam.jpta import (
     line_fit_delays,
 )
 
-from oracles import jpta_objective
+from oracles import delay_sums, jpta_objective
 
 CFG64 = ArrayConfig(num_antennas=32, spacing=0.5, carrier_freq=60e9, bandwidth=2e9, num_subcarriers=64)
 
@@ -154,7 +153,7 @@ class TestDelayRefinement:
     def test_never_worse_than_grid_point(self, num_subcarriers, seed, geometry):
         c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
         _, g_cand = _refine_delays(c, band, moments, grid, best)
-        g_grid = np.abs(_delay_sums(c, band, grid[best])[:, 0])
+        g_grid = np.abs(delay_sums(c, band, grid[best])[:, 0])
         assert np.all(g_cand >= g_grid)
 
 
@@ -211,8 +210,8 @@ def test_moment_sums_match_direct_sums(geometry, num_subcarriers):
     # the expansion multiplies into its ramp where the blocks tile K (one
     # block, or 64 subcarriers in 4 or 64 blocks) and into a zero-padded
     # buffer where they do not (241 subcarriers in several blocks); either
-    # way the grid point's sums are _delay_sums' to the bit
-    np.testing.assert_array_equal(head, _delay_sums(c, band, tau0))
+    # way the grid point's sums are delay_sums' to the bit
+    np.testing.assert_array_equal(head, delay_sums(c, band, tau0))
     # relative to each sum's scale sum_k |c_k| |2 pi fb_k|^d: one sum can
     # cancel far below it, and both sides round the phases 2 pi fb tau
     jw = 2j * np.pi * fb
@@ -231,7 +230,7 @@ def test_delay_sums_match_direct_sums_with_ragged_tail():
     # behind the delay sums pads its last block and slices it off
     c, fb, band, grid, _, _ = refinement_case(241, 4)
     tau = np.random.default_rng(5).uniform(0.0, grid[-1], c.shape[0])
-    sums = _delay_sums(c, band, tau)
+    sums = delay_sums(c, band, tau)
     jw = 2j * np.pi * fb
     for n in range(c.shape[0]):
         terms = c[n] * np.exp(jw * tau[n])
@@ -326,10 +325,11 @@ def test_grid_argmax_decides_ties_in_complex128(num_subcarriers, resolution):
 
 def test_full_scale_solve_holds_the_grid_only_in_complex64():
     # one solve at K=1200, N=32 on the default 256-point grid. Live at its
-    # peak: the complex64 grid matrix and about four (N, K) complex128 arrays
-    # (u0, c_t, the refinement's ramp and the (K, 16) moment table, half of
-    # one), plus numpy's ufunc buffers, the ramps' padding and the (G, N)
-    # scan, within 1 MiB. A complex128 grid matrix alone is 4.7 MiB.
+    # peak, inside the refinement: the complex64 grid matrix and about four
+    # (N, K) complex128 arrays (u0, c_t in the steered product's buffer, the
+    # expansion's ramp and the (K, 16) moment table, half of one), plus
+    # numpy's ufunc buffers, the ramps' padding and the (G, N) scan, within
+    # 1 MiB. A complex128 grid matrix alone is 4.7 MiB.
     num_k, num_n, num_g = 1200, 32, 256
     cfg = ArrayConfig(num_n, 0.5, 60e9, 2e9, num_k)
     profile = TargetProfile(np.repeat(np.deg2rad([-30.0, -5.0, 12.0, 38.0]), num_k // 4), cfg)
@@ -348,6 +348,54 @@ def test_full_scale_solve_holds_the_grid_only_in_complex64():
     grid_bytes = num_g * num_k * np.dtype(np.complex64).itemsize
     nk_bytes = num_n * num_k * np.dtype(complex).itemsize
     assert peak <= grid_bytes + 4 * nk_bytes + 2**20
+
+
+def test_iteration_builds_two_steered_ramps(monkeypatch):
+    # the solve's set-up ramps are the (G, K) complex64 grid matrix and the
+    # first steered product; after it, an iteration builds the expansion's
+    # ramp and the rebuilt product, and the scan's tie fallback its own rows
+    num_k, num_n = 1200, 32
+    cfg = ArrayConfig(num_n, 0.5, 60e9, 2e9, num_k)
+    built, in_scan = [], [False]
+    ramp, scan = jpta._phasor_ramp, jpta._grid_argmax
+
+    def record_ramp(*args, **kwargs):
+        out = ramp(*args, **kwargs)
+        if not in_scan[0]:
+            built.append((out.shape, out.dtype))
+        return out
+
+    def record_scan(*args):
+        in_scan[0] = True
+        try:
+            return scan(*args)
+        finally:
+            in_scan[0] = False
+
+    monkeypatch.setattr(jpta, "_phasor_ramp", record_ramp)
+    monkeypatch.setattr(jpta, "_grid_argmax", record_scan)
+    steps = np.random.default_rng(3).uniform(-0.6, 0.6, 4)[np.arange(num_k) * 4 // num_k]
+    report = jpta_solve(TargetProfile(steps, cfg))
+    assert report.iterations >= 2
+    assert built[0] == ((256, num_k), np.complex64)
+    assert built[1:] == [((num_n, num_k), np.complex128)] * (1 + 2 * report.iterations)
+
+
+@pytest.mark.parametrize("num_subcarriers", [240, 1200])
+@pytest.mark.parametrize("kind", ["stepped", "slanted"])
+def test_report_objective_is_the_oracle_objective(kind, num_subcarriers):
+    # the trace's last entry comes from exp(-j phi) @ prod / N, not from a
+    # per-subcarrier sum: it must still be the objective of the weights returned
+    cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
+    rng = np.random.default_rng(num_subcarriers)
+    k = np.arange(num_subcarriers)
+    if kind == "stepped":
+        directions = rng.uniform(-0.6, 0.6, 4)[k * 4 // num_subcarriers]
+    else:
+        directions = np.linspace(*np.sort(rng.uniform(-0.6, 0.6, 2)), num_subcarriers)
+    profile = TargetProfile(directions, cfg)
+    report = jpta_solve(profile)
+    assert abs(report.objective - jpta_objective(report.weights, profile)) <= 1e-12 * num_subcarriers
 
 
 class TestSolver:

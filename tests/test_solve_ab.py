@@ -2,6 +2,7 @@
 flags any bit that differs."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -32,6 +33,7 @@ def test_same_tree_is_bit_identical(small, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("small offset cell")
     assert out[-1] == "bit-identical: 5 of 5 solves"
+    assert not any(line.startswith("drift: ") for line in out)
 
 
 def test_changed_solver_is_flagged(small, capsys, tmp_path):
@@ -43,7 +45,10 @@ def test_changed_solver_is_flagged(small, capsys, tmp_path):
     assert solve_ab.main([str(ROOT / "src"), str(changed)]) == 1
     captured = capsys.readouterr()
     assert "solve_ab: small offset cell: solve 0 differs in trace, delays" in captured.err
-    assert captured.out.splitlines()[-1].startswith("bit-identical: ")
+    out = captured.out.splitlines()
+    assert out[-1].startswith("bit-identical: ")
+    assert re.fullmatch(r"drift: objective changed by at most \S+ relative; iteration count or "
+                        r"converged flag changed in \d+ of 5 solves", out[-2])
 
 
 @pytest.mark.parametrize("argv", [[], ["src"], ["src", "tools"]])

@@ -21,7 +21,9 @@ The output has one line per cell set and one for all of them: the solve
 count, each side's total time, the change of the total and the median of the
 per-solve ratios change/parent. A report differs when its objective trace,
 delays, phases or convergence flag differ in any bit; each difference is
-named on stderr.
+named on stderr, and a drift line before the last line gives the largest
+relative change of the final objective and the number of solves whose
+iteration count or convergence flag changed.
 
 Exit status: 0 when every report is bit-identical; 1 when one differs; 2 on
 bad arguments.
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
     sides = (load(srcs[0], "_solve_ab_parent"), load(srcs[1], "_solve_ab_change"))
     print(f"{'cells':42s} {'solves':>6s} {'parent_s':>9s} {'change_s':>9s} {'total':>8s} "
           f"{'median':>8s}")
-    every, differ = [], 0
+    every, differ, drift, moved = [], 0, 0.0, 0
     for name, (desk, overrides, trials) in CELLS.items():
         times = []
         for i, solve in enumerate(capture(sides[0], desk, overrides, trials)):
@@ -144,9 +146,15 @@ def main(argv=None) -> int:
             if diff:
                 differ += 1
                 print(f"solve_ab: {name}: solve {i} differs in {', '.join(diff)}", file=sys.stderr)
+                old, new = reports
+                drift = max(drift, abs(new.objective - old.objective) / abs(old.objective))
+                moved += (new.iterations, new.converged) != (old.iterations, old.converged)
         print(summary(name, times))
         every += times
     print(summary("all", every))
+    if differ:
+        print(f"drift: objective changed by at most {drift:.3g} relative; iteration count or "
+              f"converged flag changed in {moved} of {len(every)} solves")
     print(f"bit-identical: {len(every) - differ} of {len(every)} solves")
     return 1 if differ else 0
 
