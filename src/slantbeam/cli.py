@@ -129,12 +129,16 @@ def _parse_beams(arg):
 def _load_config(args) -> RunConfig:
     """Layered config; a sweep/cdf run's ``--axis/--values/--beams`` and the
     analog beams of a design/pattern run become ``sweep.*`` overrides, so the
-    manifest and the hash record what ran."""
+    manifest and the hash record what ran. A design/pattern run takes its
+    beams from ``--beams`` alone, so ``--set sweep.beams=`` is refused there."""
     sets = list(args.sets)
     if args.command in ("sweep", "cdf"):
         sets += [f"sweep.{key}={getattr(args, key)}" for key in ("axis", "values", "beams")
                  if getattr(args, key) is not None]
     else:
+        for item in sets:
+            if item.startswith("sweep.beams="):
+                raise ConfigError(f"--set {item}: {args.command} takes its beams from --beams")
         sets.append("sweep.beams=" + ",".join(_parse_beams(args.beams)))
     return parse_config(path=args.config, overrides=sets, desk=not args.full)
 

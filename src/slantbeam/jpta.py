@@ -55,13 +55,11 @@ step and the inner products are matrix-vector products with prod.
 
 The grid scan runs in single precision, and its (G, K) matrix exists only in
 complex64: ``_phasor_ramp`` rounds each entry as it writes it, as a cast of
-the complex128 matrix would. The refinement and the take rule compare in
-float64, so the scan matters only through which grid index wins, and that
-index is the complex128 scan's: ``_scan_error_bound`` bounds the float32 error
-of every element's |S| by 4 (K+2) 2^-24 sum_k |u0[n, k]|, and where a second
-grid index lies within twice that bound of the float32 top, only those
-candidate rows are rebuilt in complex128 and the first index of their largest
-|S| wins (the smallest delay, as in a complex128 scan).
+the complex128 matrix would. The float32 |S| of element n is within
+4 (K+2) 2^-24 sum_k |u0[n, k]| of its complex128 value (c_t only rotates u0),
+so the grid index it picks, the first of its maxima (the smallest delay), has
+a complex128 |S| within twice that of the grid maximum. The refinement and
+the take rule compare in float64.
 
 Each iteration allocates c_t's complex64 copy for the scan and the two ramps
 as (N, K) arrays. c_t = u0 rot is written into prod's buffer once the current
@@ -328,48 +326,6 @@ def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np
     return cand, g_cand
 
 
-def _scan_error_bound(u0: np.ndarray) -> np.ndarray:
-    """Per-element bound on | |S|_32 - |S|_64 | over the delay grid, (N,).
-
-    |S|_32 is ``_grid_argmax``'s single-precision |e_grid @ c_t[n]| and |S|_64
-    the same product in complex128, over K terms with |e| = 1 and
-    |c_t[n, k]| = |u0[n, k]| (psi only rotates). With u = 2^-24 and
-    A = sum_k |u0[n, k]|, rounding e and c_t to complex64 moves each product
-    by at most 2u|e||c|, the complex64 dot product errs by at most
-    sqrt(2) gamma_(K+2) A in any summation order (Higham, complex inner
-    products), and |.| in float32 by at most 2u A: about (sqrt(2)(K+2) + 4)u A
-    in all. The complex128 product errs by 2^-29 times as much. 4(K+2)u A
-    covers the sum for every K >= 1 with room for the last bits of |e| and A.
-    """
-    return 4.0 * (u0.shape[1] + 2) * 2.0**-24 * np.abs(u0).sum(axis=1)
-
-
-def _grid_argmax(grid: np.ndarray, e_grid32: np.ndarray, band: _Baseband, c_t: np.ndarray,
-                 bound: np.ndarray) -> np.ndarray:
-    """Each element's first grid index of the complex128 maximum of |S(grid[g])|, (N,).
-
-    Scans |e_grid32 @ c_t.T| in complex64. An element whose float32 magnitudes
-    put a second grid index within 2*bound[n] of its top may have its
-    complex128 maximum at any index so near, and only there: those candidate
-    rows are rebuilt in complex128 (bit for bit the rows of the complex128
-    grid matrix) and the first candidate with the largest complex128 |S| wins.
-    Indices that tie in exact arithmetic are told apart by the last bits of
-    the (C, K) product, which BLAS may round differently from a (G, K) one.
-    """
-    num_n, num_k = c_t.shape
-    mag = np.abs(e_grid32 @ c_t.T.astype(np.complex64))  # (G, N) float32
-    best = np.argmax(mag, axis=0)
-    near = mag >= mag[best, np.arange(num_n)] - 2.0 * bound
-    tied = np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
-    if tied.size:
-        rows = np.flatnonzero(near[:, tied].any(axis=1))
-        e_rows = _phasor_ramp(TWO_PI * grid[rows] * band.start, TWO_PI * grid[rows] * band.step,
-                              num_k)
-        exact = np.where(near[rows], np.abs(e_rows @ c_t.T), -1.0)  # (C, N)
-        best[tied] = rows[np.argmax(exact[:, tied], axis=0)]
-    return best
-
-
 def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverReport:
     """Alternating maximization of the per-subcarrier alignment objective.
 
@@ -402,7 +358,6 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     moments = _taylor_moments(band, grid[1] - grid[0], num_k)
     e_grid32 = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k,
                             np.complex64)  # (G, K)
-    bound = _scan_error_bound(u0)
 
     def steered(ta):
         """u0[n, k] exp(j 2 pi ta_n f_k) at the full subcarrier frequencies, written
@@ -423,7 +378,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         c_t = np.multiply(u0, rot, out=prod)  # (N, K) coefficients of the per-element sums
 
         # coarse grid: first index wins ties, i.e. the smallest delay
-        best = _grid_argmax(grid, e_grid32, band, c_t, bound)
+        best = np.argmax(np.abs(e_grid32 @ c_t.T.astype(np.complex64)), axis=0)
         cand, g_cand = _refine_delays(c_t, band, moments, grid, best)
         # g_cand and g_cur add the same terms in different orders: equal to rounding
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))

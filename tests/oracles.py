@@ -1,6 +1,7 @@
 """Scalar, one-frequency forms of the array model, written straight from the
-formulas, and the JPTA delay sums in plain ramp form. Tests compare the
-library's matrix kernels against them."""
+formulas, the JPTA delay sums in plain ramp form and the error bound of the
+solver's single-precision grid scan. Tests compare the library's matrix
+kernels against them."""
 
 import numpy as np
 
@@ -44,6 +45,22 @@ def delay_sums(c_t, band, tau):
     bit, and a direct sum checks it to rounding."""
     rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
     return np.multiply(rot, c_t, out=rot) @ band.weights
+
+
+def scan_error_bound(u0):
+    """Per-element bound on | |S|_32 - |S|_64 | over the JPTA delay grid, (N,).
+
+    |S|_32 is the solver's single-precision grid scan |e_grid @ c_t[n]| and
+    |S|_64 the same product in complex128, over K terms with |e| = 1 and
+    |c_t[n, k]| = |u0[n, k]| (the auxiliary phases only rotate). With
+    u = 2^-24 and A = sum_k |u0[n, k]|, rounding e and c_t to complex64 moves
+    each product by at most 2u|e||c|, the complex64 dot product errs by at
+    most sqrt(2) gamma_(K+2) A in any summation order (Higham, complex inner
+    products), and |.| in float32 by at most 2u A: about (sqrt(2)(K+2) + 4)u A
+    in all. The complex128 product errs by 2^-29 times as much. 4(K+2)u A
+    covers the sum for every K >= 1 with room for the last bits of |e| and A.
+    """
+    return 4.0 * (u0.shape[1] + 2) * 2.0**-24 * np.abs(u0).sum(axis=1)
 
 
 def matched_filter(angles, assignment, cfg):

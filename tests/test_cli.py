@@ -102,6 +102,16 @@ class TestDesignCommand:
         assert "[sweep] beams: duplicate beam kinds ['rainbow']" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["design", "pattern"])
+    def test_set_sweep_beams_exits_2_naming_beams_flag_before_any_file(self, tmp_path, capsys,
+                                                                      command):
+        out = tmp_path / "out"
+        code = main([command, "--out", str(out), "--set", "sweep.beams=rainbow", *TINY])
+        assert code == 2
+        assert ("error: --set sweep.beams=rainbow: "
+                f"{command} takes its beams from --beams") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_seed_changes_design(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

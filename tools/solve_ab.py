@@ -11,7 +11,9 @@ in this one process, with the same numpy and one BLAS thread.
 The solves are every ``jpta_solve`` call of the fixed seeded cells in
 ``CELLS``, captured by running the cells on the parent tree with
 ``designs.jpta_solve`` wrapped: desk-scale ``offset_range`` cells with the
-stepped genie, which cold-solves at every offset, and full-scale
+stepped genie, which cold-solves at every offset, once on the default delay
+grid and once on a 16-point grid whose refinement splits the band into
+several moment blocks with a ragged last one, and full-scale
 ``mean_velocity`` cells. Every captured solve then runs on both trees,
 ``REPEATS`` times per side; the side that runs first alternates from solve to
 solve and from repeat to repeat, so a drift in machine load favours neither,
@@ -47,6 +49,11 @@ REPEATS = 3
 CELLS = {
     "desk offset_range=20 deg, stepped genie": (
         True, ("sweep.axis=offset_range", "sweep.values=20"), (0, 1, 2, 3)),
+    # 16 grid points: at K=240 the refinement's moment expansion splits the
+    # band into 7 blocks of 35, the last one zero-padded
+    "desk offset_range=10 deg, 16-point grid": (
+        True, ("sweep.axis=offset_range", "sweep.values=10", "design.delay_search_resolution=16",
+               "sweep.beams=slanted,stepped,stepped_genie"), (0, 1)),
     "full mean_velocity=40 deg/s": (
         False, ("sweep.axis=mean_velocity", "sweep.values=40", "sweep.beams=slanted,stepped"),
         tuple(range(8))),
