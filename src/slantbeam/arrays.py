@@ -9,12 +9,18 @@ Conventions used throughout the package:
   frequency, so wideband squint is part of the model rather than an
   afterthought.
 
-Phasors over an evenly spaced axis (antenna index, subcarrier index) come from
-``_phasor_ramp``, which factors exp(j(x0 + dx*m)) so that an (R, M) matrix
-costs about 2*sqrt(M) complex exponentials per row plus one complex product
-per entry, instead of M exponentials per row: ``response_matrix`` along the
-antennas (any angle per frequency), ``band_steering`` along the subcarriers of
-each sub-band (its conjugate, (N, K)).  ``awv_matrix`` keeps plain ``np.exp``.
+Phasors over an evenly spaced axis come from ``_phasor_ramp``, which factors
+exp(j(x0 + dx*m)) so that an (R, M) matrix costs about 2*sqrt(M) complex
+exponentials per row plus one complex product per entry, instead of M
+exponentials per row.  It takes a start and a step, never a frequency array,
+so it cannot be handed an unevenly spaced axis.  ``response_matrix`` ramps
+along the antennas, so it takes any angle per frequency (the solver's slanted
+targets change within a band); ``band_steering`` ramps along the subcarriers
+of each sub-band and returns conj(a) as (N, K), so every beam scores it with
+one product and one sum over the antenna axis.  ``awv_matrix``, which takes
+any frequencies, keeps plain ``np.exp``.  The scalar one-frequency forms of
+the model and the digital genie's matched filter are test oracles in
+``tests/oracles.py``.
 """
 
 import math
@@ -66,13 +72,13 @@ class ArrayConfig:
 
     def __post_init__(self):
         _check_count("num_antennas", self.num_antennas)
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         _check_count("num_subcarriers", self.num_subcarriers)
-        if not self.carrier_freq > self.bandwidth / 2:
-            raise ValueError("carrier_freq must exceed half the bandwidth")
+        if not self.bandwidth / 2 < self.carrier_freq < math.inf:
+            raise ValueError("carrier_freq must be finite and exceed half the bandwidth")
 
     @property
     def subcarrier_spacing(self) -> float:

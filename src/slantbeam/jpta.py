@@ -19,7 +19,15 @@ S(tau) = sum_k c_k exp(j 2 pi tau f_k) has closed-form derivatives.  A step is
 taken only where the second derivative is negative, is clamped to one grid
 cell either side of the grid maximum (within [0, tau_max]), and the best point
 seen, the grid maximum included, is kept.  Each full iteration cannot decrease
-the objective beyond rounding, which the returned trace records.
+the objective beyond rounding, which the returned trace records, and the solver
+is deterministic.
+
+Everything a solve reads from the array and the options alone is one private
+plan, built by ``_plan(cfg, opts)``: the resolved tolerance and iteration
+budget, the delay grid (its last point is tau_max) and its (G, K) complex64
+grid matrix, the subcarrier frequencies, the baseband axis with its (K, 3)
+derivative weights, and the moment table below. The private helpers take the
+plan, and a solve adds only the profile's steering matrix and its iterates.
 
 The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
 scan, moment expansion, steered product) is a row-wise phasor ramp with start
@@ -44,14 +52,15 @@ refinement expands each delay sum once about tau0 instead of summing over the
 band at every point: with x = (tau - tau0)/cell, S is a sum over blocks of
 exp(j w_b x) P_b(x), where w_b is the block centre's phase and P_b a degree
 M-1 polynomial whose coefficients are the block's Taylor moments, one (N, K)
-by (K, M) product with a table built once per solve. Blocks keep every
-block's radius at most 1, so the series never cancels: the default grid
-(r = 2 pi max|fb| cell = pi N/255) needs one block, a coarse grid or a long
-delay budget more. M is the least term count whose truncation of S, S' and
-S'' stays below one unit roundoff of their scale (16 at N = 32). Each Newton
-point then costs O(N M) per block, and an iteration builds two (N, K) ramps,
-the expansion and the rebuilt steered product; the current |S|, the phase
-step and the inner products are matrix-vector products with prod.
+by (K, M) product with the plan's table. Blocks keep every block's radius at
+most 1, so the series never cancels: the default grid (r = 2 pi max|fb| cell
+= pi N/255, 0.39 at N = 32) needs one block, a coarse grid or a long delay
+budget (``[design] tau_max_ns``) more. M is the least term count whose
+truncation of S, S' and S'' stays below one unit roundoff of their scale
+(16 at N = 32, 12 at N = 8). Each Newton point then costs O(N M) per block,
+and an iteration builds two (N, K) ramps, the expansion and the rebuilt
+steered product; the current |S|, the phase step and the inner products are
+matrix-vector products with prod.
 
 The grid scan runs in single precision, and its (G, K) matrix exists only in
 complex64: ``_phasor_ramp`` rounds each entry as it writes it, as a cast of
@@ -68,7 +77,7 @@ expansion's product with c_t is written into its ramp (into a zero-padded
 buffer instead when its moment blocks do not tile K), and the rebuilt prod's
 product with u0 into its ramp. One full-scale solve (K = 1200, N = 32, the
 default 256-point grid) peaks at 4.91 MiB traced, 2.34 MiB of it the
-complex64 grid matrix.
+complex64 grid matrix; in complex128 that matrix alone would take 4.7 MiB.
 """
 
 import math
@@ -138,15 +147,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         _check_count("delay_search_resolution", self.delay_search_resolution, 2)
 
-    def resolved(self, cfg: ArrayConfig) -> tuple[float, float]:
-        tol = self.objective_tolerance
-        if tol is None:
-            tol = 1e-6 * cfg.num_subcarriers
-        tau_max = self.tau_max
-        if tau_max is None:
-            tau_max = cfg.default_tau_max()
-        return tol, tau_max
-
 
 @dataclass(frozen=True)
 class SolverReport:
@@ -181,59 +181,62 @@ def line_fit_delays(profile: TargetProfile, tau_max: float) -> np.ndarray:
     freqs = cfg.subcarrier_centers()
     fb = freqs - cfg.carrier_freq
     y = np.sin(profile.directions) * freqs / cfg.carrier_freq
-    if fb.size < 2:
-        slope = 0.0
-    else:
-        fb0 = fb - fb.mean()
-        denom = np.dot(fb0, fb0)
-        slope = float(np.dot(fb0, y - y.mean()) / denom) if denom > 0 else 0.0
+    fb0 = fb - fb.mean()
+    denom = np.dot(fb0, fb0)
+    slope = float(np.dot(fb0, y - y.mean()) / denom) if denom > 0 else 0.0
     raw = -np.arange(cfg.num_antennas) * cfg.spacing * slope
     raw -= raw.min()
     return np.clip(raw, 0.0, tau_max)
 
 
-class _Baseband(NamedTuple):
-    """Baseband subcarrier axis fb_k = start + k*step (Hz), k = 0..K-1, with
-    the (K, 3) derivative weights [1, j2πfb, (j2πfb)²] of a delay sum."""
+class _Plan(NamedTuple):
+    """Everything a solve reads from the array and the options alone.
 
+    ``grid[-1]`` is tau_max exactly (``np.linspace`` writes its endpoint). The
+    baseband axis is fb_k = ``start`` + k*``step`` (Hz), and ``weights`` are a
+    delay sum's (K, 3) derivative weights [1, j2πfb, (j2πfb)²]. The moment
+    fields expand exp(j 2 pi d fb_k) for |d| <= ``cell``, the grid spacing, in
+    ``centers.size`` blocks of ``table.shape[0]`` subcarriers, the last one
+    zero-padded: with x = d/cell, subcarrier l of block b has 2 pi d fb =
+    (w_b + u_l) x, where w_b = ``centers[b]`` is the block centre's phase at
+    x = 1 and u_l = 2 pi cell df (l - (L-1)/2). ``table[l, m]`` = (j u_l)^m / m!.
+    """
+
+    tol: float
+    max_iters: int
+    grid: np.ndarray
+    e_grid32: np.ndarray
+    freqs: np.ndarray
     start: float
     step: float
     weights: np.ndarray
-
-
-def _baseband(cfg: ArrayConfig) -> _Baseband:
-    fb = cfg.subcarrier_centers() - cfg.carrier_freq
-    jw = 1j * TWO_PI * fb
-    weights = np.stack([np.ones_like(jw), jw, jw * jw], axis=1)
-    return _Baseband(fb[0], cfg.subcarrier_spacing, weights)
-
-
-class _Moments(NamedTuple):
-    """Taylor moments of exp(j 2 pi d fb_k) for delay offsets |d| <= ``cell``.
-
-    The subcarriers split into ``centers.size`` blocks of ``table.shape[0]``,
-    the last one zero-padded. With x = d/cell, subcarrier l of block b has
-    2 pi d fb = (w_b + u_l) x, where w_b = ``centers[b]`` is the block centre's
-    phase at x = 1 and u_l = 2 pi cell df (l - (L-1)/2) is the same in every
-    block. ``table[l, m]`` = (j u_l)^m / m!.
-    """
-
     cell: float
     centers: np.ndarray
     table: np.ndarray
 
 
-def _taylor_moments(band: _Baseband, cell: float, num_k: int) -> _Moments:
-    """Moments for the delay grid spacing ``cell``.
+def _plan(cfg: ArrayConfig, opts: SolverOptions) -> _Plan:
+    """The plan of a solve on ``cfg`` with ``opts``, defaults resolved.
 
-    Blocks are as few and as even as keeps each block's radius
-    rho = max|u_l| <= 1: one block on the default grid (r = 2 pi max|fb| cell
-    = pi N/255), more on a coarse grid or a long delay budget. The term count
-    M is the least with rho^(M-2)/(M-2)! <= 2^-54, so truncating P, P' and P''
-    costs at most one unit roundoff of sum|a|, sum|a|*rho and sum|a|*rho^2 (the
-    tail after the first omitted term is at most as large again).
+    Moment blocks are as few and as even as keeps each block's radius
+    rho = max|u_l| <= 1. The term count M is the least with
+    rho^(M-2)/(M-2)! <= 2^-54, so truncating P, P' and P'' costs at most one
+    unit roundoff of sum|a|, sum|a|*rho and sum|a|*rho^2 (the tail after the
+    first omitted term is at most as large again).
     """
-    w_step = TWO_PI * cell * band.step
+    num_k = cfg.num_subcarriers
+    tol = 1e-6 * num_k if opts.objective_tolerance is None else opts.objective_tolerance
+    tau_max = cfg.default_tau_max() if opts.tau_max is None else opts.tau_max
+    freqs = cfg.subcarrier_centers()
+    fb = freqs - cfg.carrier_freq
+    start, step = fb[0], cfg.subcarrier_spacing
+    jw = 1j * TWO_PI * fb
+    weights = np.stack([np.ones_like(jw), jw, jw * jw], axis=1)
+    grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
+    e_grid32 = _phasor_ramp(TWO_PI * grid * start, TWO_PI * grid * step, num_k, np.complex64)
+
+    cell = grid[1] - grid[0]
+    w_step = TWO_PI * cell * step
     max_len = num_k if (num_k - 1) * w_step <= 2.0 else int(2.0 / w_step) + 1
     num_blocks = -(-num_k // max_len)
     block_len = -(-num_k // num_blocks)
@@ -244,30 +247,31 @@ def _taylor_moments(band: _Baseband, cell: float, num_k: int) -> _Moments:
     terms = n + 2
     u = w_step * (np.arange(block_len) - 0.5 * (block_len - 1))
     table = np.vander(1j * u, terms, increasing=True) / np.cumprod([1.0, *range(1, terms)])
-    first = band.start + 0.5 * (block_len - 1) * band.step
-    centers = TWO_PI * cell * (first + block_len * band.step * np.arange(num_blocks))
-    return _Moments(cell, centers, table)
+    first = start + 0.5 * (block_len - 1) * step
+    centers = TWO_PI * cell * (first + block_len * step * np.arange(num_blocks))
+    return _Plan(tol, opts.max_iters, grid, e_grid32, freqs, start, step, weights, cell,
+                 centers, table)
 
 
-def _moment_expansion(c_t: np.ndarray, band: _Baseband, moments: _Moments, tau0: np.ndarray):
+def _moment_expansion(c_t: np.ndarray, plan: _Plan, tau0: np.ndarray):
     """Expand every element's delay sum about its own tau0 = tau0[n].
 
     One (N, K) phasor ramp moves the terms to tau0. Their product with the
-    band's (K, 3) derivative weights gives S, S' and S'' at tau0, (N, 3); their
+    plan's (K, 3) derivative weights gives S, S' and S'' at tau0, (N, 3); their
     product with the moment table gives the coefficients that ``_moment_sums``
     evaluates at any tau0 + x*cell, |x| <= 1.
     """
     num_n, num_k = c_t.shape
-    block_len, terms = moments.table.shape
-    num_blocks = moments.centers.size
-    rot = _phasor_ramp(TWO_PI * tau0 * band.start, TWO_PI * tau0 * band.step, num_k)
+    block_len, terms = plan.table.shape
+    num_blocks = plan.centers.size
+    rot = _phasor_ramp(TWO_PI * tau0 * plan.start, TWO_PI * tau0 * plan.step, num_k)
     if num_blocks * block_len == num_k:  # the blocks tile the band (one block by default)
         padded = np.multiply(rot, c_t, out=rot)
     else:  # zero-pad the ragged last block
         padded = np.zeros((num_n, num_blocks * block_len), dtype=complex)
         np.multiply(rot, c_t, out=padded[:, :num_k])
-    sums = padded[:, :num_k] @ band.weights
-    p = (padded.reshape(-1, block_len) @ moments.table).reshape(num_n, num_blocks, terms)
+    sums = padded[:, :num_k] @ plan.weights
+    p = (padded.reshape(-1, block_len) @ plan.table).reshape(num_n, num_blocks, terms)
     # block b adds exp(j w_b x) P_b(x) to S, so exp(j w_b x) multiplies
     # P, P' + jw P and P'' + 2jw P' + (jw)^2 P in S, dS/dx and d2S/dx2;
     # their x-coefficients, scaled to derivatives in tau, are (N, 3, B, M)
@@ -276,39 +280,38 @@ def _moment_expansion(c_t: np.ndarray, band: _Baseband, moments: _Moments, tau0:
     coef[:, 0] = p
     coef[:, 1, :, :-1] = p[..., 1:] * m[1:]
     coef[:, 2, :, :-2] = coef[:, 1, :, 1:-1] * m[1:-1]
-    jw = 1j * moments.centers[:, None]
+    jw = 1j * plan.centers[:, None]
     coef[:, 2] += jw * (2.0 * coef[:, 1] + jw * p)
     coef[:, 1] += jw * p
-    coef /= np.array([1.0, moments.cell, moments.cell**2])[:, None, None]
+    coef /= np.array([1.0, plan.cell, plan.cell**2])[:, None, None]
     return sums, coef.reshape(num_n, 3, -1)
 
 
-def _moment_sums(coef: np.ndarray, moments: _Moments, x: np.ndarray) -> np.ndarray:
+def _moment_sums(coef: np.ndarray, plan: _Plan, x: np.ndarray) -> np.ndarray:
     """S, S' and S'' of every element's delay sum at tau0[n] + x[n]*cell, (N, 3)."""
-    powers = np.empty((moments.table.shape[1], x.size))
+    powers = np.empty((plan.table.shape[1], x.size))
     powers[0] = 1.0
     powers[1:] = x
     np.multiply.accumulate(powers, axis=0, out=powers)  # x^m, (M, N)
-    basis = np.exp(1j * moments.centers[:, None] * x)[:, None, :] * powers  # (B, M, N)
+    basis = np.exp(1j * plan.centers[:, None] * x)[:, None, :] * powers  # (B, M, N)
     return (coef @ basis.reshape(-1, x.size).T[:, :, None])[..., 0]
 
 
-def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np.ndarray,
-                   best: np.ndarray):
+def _refine_delays(c_t: np.ndarray, plan: _Plan, best: np.ndarray):
     """Refine each element's grid maximum of |S(tau)| by safeguarded Newton ascent.
 
     Steps by -g'/g'' on g = |S|^2 only where g'' < 0, clamped to one grid cell
-    either side of ``grid[best]`` within [grid[0], grid[-1]]. Returns the best
+    either side of ``plan.grid[best]`` within the grid. Returns the best
     delay seen per element and its |S|; the grid point itself is the first
     point seen, so the result is never worse than the coarse scan. The grid
-    point's sums are the expansion's ramp times the band's derivative weights,
+    point's sums are the expansion's ramp times the plan's derivative weights,
     and every Newton point's come from the expansion's moments.
     """
-    cell = moments.cell
+    grid, cell = plan.grid, plan.cell
     tau0 = grid[best]
     lo = np.clip(tau0 - cell, grid[0], grid[-1])
     hi = np.clip(tau0 + cell, grid[0], grid[-1])
-    sums, coef = _moment_expansion(c_t, band, moments, tau0)
+    sums, coef = _moment_expansion(c_t, plan, tau0)
     tau = tau0
     cand = tau
     g_cand = np.abs(sums[:, 0])
@@ -318,7 +321,7 @@ def _refine_delays(c_t: np.ndarray, band: _Baseband, moments: _Moments, grid: np
         d1 = np.real(np.conj(s0) * s1)
         d2 = np.abs(s1) ** 2 + np.real(np.conj(s0) * s2)
         tau = np.clip(tau - d1 / np.where(d2 < 0, d2, np.inf), lo, hi)
-        sums = _moment_sums(coef, moments, (tau - tau0) / cell)
+        sums = _moment_sums(coef, plan, (tau - tau0) / cell)
         g = np.abs(sums[:, 0])
         better = g > g_cand
         cand = np.where(better, tau, cand)
@@ -343,26 +346,17 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         plus the objective trace, non-decreasing up to rounding.
     """
     cfg = profile.cfg
-    opts = opts or SolverOptions()
-    tol, tau_max = opts.resolved(cfg)
-
-    freqs = cfg.subcarrier_centers()
+    plan = _plan(cfg, opts or SolverOptions())
     num_k = cfg.num_subcarriers
-    band = _baseband(cfg)
-    u0 = np.ascontiguousarray(response_matrix(profile.directions, freqs, cfg).T)  # (N, K)
+    u0 = np.ascontiguousarray(response_matrix(profile.directions, plan.freqs, cfg).T)  # (N, K)
 
     phases = np.zeros(cfg.num_antennas)
-    delays = line_fit_delays(profile, tau_max)
-
-    grid = np.linspace(0.0, tau_max, opts.delay_search_resolution)
-    moments = _taylor_moments(band, grid[1] - grid[0], num_k)
-    e_grid32 = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step, num_k,
-                            np.complex64)  # (G, K)
+    delays = line_fit_delays(profile, plan.grid[-1])
 
     def steered(ta):
         """u0[n, k] exp(j 2 pi ta_n f_k) at the full subcarrier frequencies, written
         into its ramp, (N, K)."""
-        ramp = _phasor_ramp(TWO_PI * ta * freqs[0], TWO_PI * ta * band.step, num_k)
+        ramp = _phasor_ramp(TWO_PI * ta * plan.freqs[0], TWO_PI * ta * plan.step, num_k)
         return np.multiply(ramp, u0, out=ramp)
 
     prod = steered(delays)
@@ -370,7 +364,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     trace = [float(np.sum(np.abs(ip)))]
     converged = False
 
-    for _ in range(opts.max_iters):
+    for _ in range(plan.max_iters):
         rot = np.exp(-1j * np.angle(ip))  # exp(j psi), psi the auxiliary phases
         # |S_n| at the current delays, at the full frequencies: the baseband
         # sums differ by the phase exp(j 2 pi delays_n f_c) alone
@@ -378,8 +372,8 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         c_t = np.multiply(u0, rot, out=prod)  # (N, K) coefficients of the per-element sums
 
         # coarse grid: first index wins ties, i.e. the smallest delay
-        best = np.argmax(np.abs(e_grid32 @ c_t.T.astype(np.complex64)), axis=0)
-        cand, g_cand = _refine_delays(c_t, band, moments, grid, best)
+        best = np.argmax(np.abs(plan.e_grid32 @ c_t.T.astype(np.complex64)), axis=0)
+        cand, g_cand = _refine_delays(c_t, plan, best)
         # g_cand and g_cur add the same terms in different orders: equal to rounding
         take = (g_cand > g_cur) | ((g_cand == g_cur) & (cand < delays))
         delays = np.where(take, cand, delays)
@@ -389,13 +383,8 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         phases = wrap_phase(np.angle(prod @ rot))
         ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
         trace.append(float(np.sum(np.abs(ip))))
-        if trace[-1] - trace[-2] < tol:
+        if trace[-1] - trace[-2] < plan.tol:
             converged = True
             break
 
-    weights = AnalogWeights(phases=phases, delays=delays)
-    return SolverReport(
-        weights=weights,
-        objective_trace=np.asarray(trace),
-        converged=converged,
-    )
+    return SolverReport(AnalogWeights(phases, delays), np.asarray(trace), converged)

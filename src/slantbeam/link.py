@@ -12,11 +12,12 @@ evaluation points, reading every beam's gains against one ``band_steering``
 per point; ``min_capacity`` is its one-beam case.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, band_steering
+from .arrays import ArrayConfig, _check_count, band_steering
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -67,10 +68,9 @@ def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, channel_gain: flo
 
 def offset_grid(max_offset: float, count: int) -> np.ndarray:
     """Symmetric grid of pointing offsets; a single point sits at zero."""
-    if not max_offset >= 0:
-        raise ValueError("max_offset must be non-negative")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not 0 <= max_offset < math.inf:
+        raise ValueError("max_offset must be non-negative and finite")
+    _check_count("count", count)
     if count == 1:
         return np.zeros(1)
     return np.linspace(-max_offset, max_offset, count)
@@ -116,8 +116,8 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     num_points, num_users = true_aods.shape
     users = subband_users(assignment, cfg.num_subcarriers, num_users)
     h2 = np.asarray(1.0 if channel_gains is None else channel_gains, dtype=float)
-    if h2.shape not in ((), (1,), (num_users,)) or not np.all(h2 > 0):
-        raise ValueError("channel_gains must be positive, one per user")
+    if h2.shape not in ((), (1,), (num_users,)) or not np.all((0 < h2) & (h2 < math.inf)):
+        raise ValueError("channel_gains must be positive, one per user, and finite")
     h2 = np.broadcast_to(h2, (num_users,))[users]  # one per subcarrier
     band_users = users[::cfg.num_subcarriers // num_users]
     caps = {kind: np.empty((num_points, num_users)) for kind in policies}

@@ -9,6 +9,7 @@ turns the predicted spread into a per-user coverage interval that the beam
 designs consume.
 """
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -25,8 +26,8 @@ class FrameTiming:
     num_steps: int
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         _check_count("num_steps", self.num_steps)
 
     def elapsed(self, i):
@@ -60,8 +61,8 @@ class KinematicsEstimate(UserKinematics):
     var_alpha: float
 
     def __post_init__(self):
-        if not all(v >= 0 for v in (self.var_theta, self.var_omega, self.var_alpha)):
-            raise ValueError("variances must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.var_theta, self.var_omega, self.var_alpha)):
+            raise ValueError("variances must be non-negative and finite")
 
 
 def true_aod(kin: UserKinematics, i, timing: FrameTiming):
@@ -101,8 +102,8 @@ class AnchorSpec:
 
     def __post_init__(self):
         centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
-        if not self.aod_range >= 0:
-            raise ValueError("aod_range must be non-negative")
+        if not 0 <= self.aod_range < math.inf:
+            raise ValueError("aod_range must be non-negative and finite")
         if self.assignment is None:
             assignment = np.arange(centers.size)
         else:
@@ -162,21 +163,21 @@ class ScenarioConfig:
 
     def __post_init__(self):
         lo, hi = self.aod_range
-        if not lo < hi:
-            raise ValueError("aod_range must be a non-empty interval")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("aod_range must be a finite non-empty interval")
         _check_count("num_users", self.num_users)
-        if not self.min_spacing >= 0:
-            raise ValueError("min_spacing must be non-negative")
+        if not 0 <= self.min_spacing < math.inf:
+            raise ValueError("min_spacing must be non-negative and finite")
         if (self.num_users - 1) * self.min_spacing >= (hi - lo):
             raise ValueError("min_spacing infeasible for num_users in aod_range")
         vlo, vhi = self.velocity_range
-        if not 0 <= vlo <= vhi:
-            raise ValueError("velocity_range must satisfy 0 <= lo <= hi")
+        if not 0 <= vlo <= vhi < math.inf:
+            raise ValueError("velocity_range must satisfy 0 <= lo <= hi < inf")
         if not np.isfinite(self.accel_mean):
             raise ValueError("accel_mean must be finite")
         for name in ("var_theta", "var_omega", "var_alpha"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def _draw_spaced_angles(rng: np.random.Generator, scen: ScenarioConfig) -> np.ndarray:

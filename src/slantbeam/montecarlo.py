@@ -24,6 +24,7 @@ and capacity is measured at each scheduling step; the offset fields are unused.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,8 +86,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.mode not in EVAL_MODES:
             raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        if not self.max_offset >= 0:
-            raise ValueError("max_offset must be non-negative")
+        if not 0 <= self.max_offset < math.inf:
+            raise ValueError("max_offset must be non-negative and finite")
         _check_count("offset_count", self.offset_count)
         if not self.beams:
             raise ValueError("beams must list at least one beam kind")
@@ -96,8 +97,8 @@ class TrialConfig:
             if len(h2) not in (1, users):
                 raise ValueError(
                     f"channel_gains need one value or one per user ({users}), got {len(h2)}")
-            if not all(h > 0 for h in h2):
-                raise ValueError("channel_gains must be positive")
+            if not all(0 < h < math.inf for h in h2):
+                raise ValueError("channel_gains must be positive and finite")
             object.__setattr__(self, "channel_gains", h2)
         unknown = [b for b in self.beams if b not in BEAM_KINDS]
         if unknown:
@@ -112,10 +113,10 @@ class TrialConfig:
                 f"num_subcarriers {self.array.num_subcarriers} not divisible by "
                 f"num_users {self.scenario.num_users}"
             )
-        if self.range_override is not None and not self.range_override >= 0:
-            raise ValueError("range_override must be non-negative")
-        if not self.qpd_peak >= 0:
-            raise ValueError("qpd_peak must be non-negative")
+        if self.range_override is not None and not 0 <= self.range_override < math.inf:
+            raise ValueError("range_override must be non-negative and finite")
+        if not 0 <= self.qpd_peak < math.inf:
+            raise ValueError("qpd_peak must be non-negative and finite")
 
 
 def _check_angle_reach(config: TrialConfig) -> None:

@@ -36,15 +36,15 @@ def jpta_objective(weights, profile):
                      for theta, f in zip(profile.directions, cfg.subcarrier_centers())))
 
 
-def delay_sums(c_t, band, tau):
+def delay_sums(c_t, plan, tau):
     """S, S' and S'' of every element's delay sum at tau[n], as the columns of an
     (N, 3) array: S_n(tau) = sum_k c_t[n, k] exp(j 2 pi tau fb_k) over the
-    solver's baseband axis ``band`` (a ``jpta._Baseband``), and its first two
-    tau-derivatives: c_t times one (N, K) phasor ramp, times the band's (K, 3)
+    baseband axis of the solver's ``plan`` (a ``jpta._Plan``), and its first two
+    tau-derivatives: c_t times one (N, K) phasor ramp, times the plan's (K, 3)
     derivative weights. The refinement's grid-point sums must equal it to the
     bit, and a direct sum checks it to rounding."""
-    rot = _phasor_ramp(TWO_PI * tau * band.start, TWO_PI * tau * band.step, c_t.shape[1])
-    return np.multiply(rot, c_t, out=rot) @ band.weights
+    rot = _phasor_ramp(TWO_PI * tau * plan.start, TWO_PI * tau * plan.step, c_t.shape[1])
+    return np.multiply(rot, c_t, out=rot) @ plan.weights
 
 
 def scan_error_bound(u0):

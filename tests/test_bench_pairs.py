@@ -1,0 +1,51 @@
+"""``tools/bench_pairs.py`` brackets its pairs with a machine-speed probe and
+keeps both timings in the header."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_probe_runs_before_and_after_the_pairs(monkeypatch, tmp_path, capsys):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    events = []
+    probes = iter([0.001, 0.002, 0.003, 0.004])
+
+    def probe():
+        events.append("probe")
+        return next(probes)
+
+    def run_side(directory, workload, seed, seconds, trace):
+        events.append("run")
+        value = 2.0 if directory.name == "parent" else 1.0
+        return {"metrics": {"cell_p50_s": {"value": value}}}, {"cores": 2}
+
+    monkeypatch.setattr(bench_pairs, "machine_probe", probe)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    dirs = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out)]
+    assert bench_pairs.main([*dirs, "--runs", "genie_offset=1-2"]) == 0
+    assert events == ["probe"] + ["run"] * 4 + ["probe"]
+    assert json.loads(out.read_text())["probe_s"] == {"before": [0.001], "after": [0.002]}
+
+    assert bench_pairs.main([*dirs, "--runs", "genie_offset=3", "--append"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["probe_s"] == {"before": [0.001, 0.003], "after": [0.002, 0.004]}
+    assert len(doc["runs"]) == 6
+    summary = capsys.readouterr().out.splitlines()[-4:]
+    assert summary[0] == "machine probe: before 1.000 ms, 3.000 ms"
+    assert summary[1] == "machine probe: after 2.000 ms, 4.000 ms"
+    assert summary[2] == "genie_offset trace 0: 3 pairs"
+    assert "wins 3/3" in summary[3]
+
+
+def test_probe_times_the_kernel():
+    assert 0.0 < bench_pairs.machine_probe() < 10.0

@@ -257,9 +257,10 @@ NAN = float("nan")
 INF = float("inf")
 ARRAY = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
 
-# one call per float range check with NaN where the check reads, and with inf
-# where the check bounds a value the library could not use; each error starts
-# with the checked field's name, which _FIELD_KEYS maps to its key
+# one call per float range check with NaN where the check reads, and one with
+# inf, which every check bounds above (accel_mean's finiteness check reads NaN
+# and inf alike, so it has the NaN row only); each error starts with the
+# checked field's name, which _FIELD_KEYS maps to its key
 NAN_ROWS = {
     "ArrayConfig.spacing": ("spacing", lambda: ArrayConfig(16, NAN, 60e9, 2e9, 48)),
     "ArrayConfig.carrier_freq": ("carrier_freq", lambda: ArrayConfig(16, 0.5, NAN, 2e9, 48)),
@@ -278,6 +279,22 @@ NAN_ROWS = {
     "SolverOptions.tau_max": ("tau_max", lambda: SolverOptions(tau_max=NAN)),
     "SolverOptions.objective_tolerance": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=NAN)),
+    "ArrayConfig.spacing=inf": ("spacing", lambda: ArrayConfig(16, INF, 60e9, 2e9, 48)),
+    "ArrayConfig.carrier_freq=inf": ("carrier_freq", lambda: ArrayConfig(16, 0.5, INF, 2e9, 48)),
+    "ArrayConfig.bandwidth=inf": ("bandwidth", lambda: ArrayConfig(16, 0.5, 60e9, INF, 48)),
+    "FrameTiming.duration=inf": ("duration", lambda: FrameTiming(INF, 5)),
+    "ScenarioConfig.aod_range=inf": (
+        "aod_range", lambda: ScenarioConfig(aod_range=(0.0, INF))),
+    "ScenarioConfig.min_spacing=inf": (
+        "min_spacing", lambda: ScenarioConfig(num_users=1, min_spacing=INF)),
+    "ScenarioConfig.velocity_range=inf": (
+        "velocity_range", lambda: ScenarioConfig(velocity_range=(0.0, INF))),
+    "ScenarioConfig.var_theta=inf": ("var_theta", lambda: ScenarioConfig(var_theta=INF)),
+    "ScenarioConfig.var_omega=inf": ("var_omega", lambda: ScenarioConfig(var_omega=INF)),
+    "ScenarioConfig.var_alpha=inf": ("var_alpha", lambda: ScenarioConfig(var_alpha=INF)),
+    "KinematicsEstimate.var_omega=inf": (
+        "variances", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, INF, 1.0)),
+    "AnchorSpec.aod_range=inf": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=INF)),
     "SolverOptions.tau_max=inf": ("tau_max", lambda: SolverOptions(tau_max=INF)),
     "SolverOptions.objective_tolerance=inf": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=INF)),
@@ -290,6 +307,15 @@ NAN_ROWS = {
     "capacity_records.channel_gains": ("channel_gains", lambda: capacity_records(
         {}, np.zeros((1, 3)), ARRAY, LinkBudget(), channel_gains=(1.0, NAN, 1.0))),
     "offset_grid.max_offset": ("max_offset", lambda: offset_grid(NAN, 5)),
+    "TrialConfig.max_offset=inf": ("max_offset", lambda: TrialConfig(ARRAY, max_offset=INF)),
+    "TrialConfig.range_override=inf": (
+        "range_override", lambda: TrialConfig(ARRAY, range_override=INF)),
+    "TrialConfig.qpd_peak=inf": ("qpd_peak", lambda: TrialConfig(ARRAY, qpd_peak=INF)),
+    "TrialConfig.channel_gains=inf": (
+        "channel_gains", lambda: TrialConfig(ARRAY, channel_gains=(1.0, INF, 1.0))),
+    "capacity_records.channel_gains=inf": ("channel_gains", lambda: capacity_records(
+        {}, np.zeros((1, 3)), ARRAY, LinkBudget(), channel_gains=(1.0, INF, 1.0))),
+    "offset_grid.max_offset=inf": ("max_offset", lambda: offset_grid(INF, 5)),
 }
 
 
@@ -317,6 +343,7 @@ INTEGER_ROWS = {
     "SweepConfig.master_seed negative": (
         "master_seed", lambda: SweepConfig("offset_range", (0.0,), master_seed=-1)),
     "TrialConfig.offset_count": ("offset_count", lambda: TrialConfig(ARRAY, offset_count=NAN)),
+    "offset_grid.count": ("count", lambda: offset_grid(0.1, 2.5)),
 }
 
 

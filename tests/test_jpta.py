@@ -9,11 +9,10 @@ from slantbeam.jpta import (
     SolverOptions,
     SolverReport,
     TargetProfile,
-    _baseband,
     _moment_expansion,
     _moment_sums,
+    _plan,
     _refine_delays,
-    _taylor_moments,
     jpta_solve,
     line_fit_delays,
 )
@@ -107,19 +106,17 @@ class TestLineFitInit:
 
 def refinement_case(num_subcarriers: int, seed: int, num_antennas: int = 32,
                     resolution: int = 256, tau_cells: float = 1.0):
-    """Random per-element coefficients c (8, K), the baseband grid fb and the
-    solver's axis for it, a delay grid of ``resolution`` points over
-    ``tau_cells`` times the default delay budget, its Taylor moments and each
-    element's coarse-grid maximum."""
+    """Random per-element coefficients c (8, K), the baseband grid fb, the
+    solver's plan for a delay grid of ``resolution`` points over ``tau_cells``
+    times the default delay budget, and each element's coarse-grid maximum."""
     cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
     fb = cfg.subcarrier_centers() - cfg.carrier_freq
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(8, num_subcarriers)) + 1j * rng.normal(size=(8, num_subcarriers))
-    grid = np.linspace(0.0, tau_cells * cfg.default_tau_max(), resolution)
-    mag = np.abs(np.exp(2j * np.pi * np.outer(grid, fb)) @ c.T)
-    band = _baseband(cfg)
-    moments = _taylor_moments(band, grid[1] - grid[0], num_subcarriers)
-    return c, fb, band, grid, moments, np.argmax(mag, axis=0)
+    plan = _plan(cfg, SolverOptions(tau_max=tau_cells * cfg.default_tau_max(),
+                                    delay_search_resolution=resolution))
+    mag = np.abs(np.exp(2j * np.pi * np.outer(plan.grid, fb)) @ c.T)
+    return c, fb, plan, np.argmax(mag, axis=0)
 
 
 def abs_sum(c_row, fb, tau):
@@ -136,9 +133,9 @@ class TestDelayRefinement:
         return {}
 
     def test_matches_dense_scan_of_bracket(self, num_subcarriers, seed, geometry):
-        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
-        cand, g_cand = _refine_delays(c, band, moments, grid, best)
-        cell = grid[1] - grid[0]
+        c, fb, plan, best = refinement_case(num_subcarriers, seed, **geometry)
+        cand, g_cand = _refine_delays(c, plan, best)
+        grid, cell = plan.grid, plan.cell
         for n in range(c.shape[0]):
             lo = max(grid[best[n]] - cell, 0.0)
             hi = min(grid[best[n]] + cell, grid[-1])
@@ -149,9 +146,9 @@ class TestDelayRefinement:
             assert g_cand[n] == pytest.approx(abs_sum(c[n], fb, cand[n:n + 1])[0], rel=1e-12)
 
     def test_never_worse_than_grid_point(self, num_subcarriers, seed, geometry):
-        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
-        _, g_cand = _refine_delays(c, band, moments, grid, best)
-        g_grid = np.abs(delay_sums(c, band, grid[best])[:, 0])
+        c, fb, plan, best = refinement_case(num_subcarriers, seed, **geometry)
+        _, g_cand = _refine_delays(c, plan, best)
+        g_grid = np.abs(delay_sums(c, plan, plan.grid[best])[:, 0])
         assert np.all(g_cand >= g_grid)
 
 
@@ -181,9 +178,9 @@ class TestDelayRefinementManyBlocks(TestDelayRefinement):
         return request.param
 
     def test_value_is_the_direct_sum_in_the_bracket(self, num_subcarriers, seed, geometry):
-        c, fb, band, grid, moments, best = refinement_case(num_subcarriers, seed, **geometry)
-        cand, g_cand = _refine_delays(c, band, moments, grid, best)
-        cell = grid[1] - grid[0]
+        c, fb, plan, best = refinement_case(num_subcarriers, seed, **geometry)
+        cand, g_cand = _refine_delays(c, plan, best)
+        grid, cell = plan.grid, plan.cell
         assert np.all(cand >= np.maximum(grid[best] - cell, 0.0))
         assert np.all(cand <= np.minimum(grid[best] + cell, grid[-1]))
         # against the sum's scale: phases 2 pi fb tau reach 800 rad on the
@@ -202,21 +199,21 @@ class TestDelayRefinementManyBlocks(TestDelayRefinement):
 ], ids=["n4", "default", "n256", "tau8", "grid8"])
 @pytest.mark.parametrize("num_subcarriers", [64, 241])
 def test_moment_sums_match_direct_sums(geometry, num_subcarriers):
-    c, fb, band, grid, moments, best = refinement_case(num_subcarriers, 6, **geometry)
-    tau0 = grid[best]
-    head, coef = _moment_expansion(c, band, moments, tau0)
+    c, fb, plan, best = refinement_case(num_subcarriers, 6, **geometry)
+    tau0 = plan.grid[best]
+    head, coef = _moment_expansion(c, plan, tau0)
     # the expansion multiplies into its ramp where the blocks tile K (one
     # block, or 64 subcarriers in 4 or 64 blocks) and into a zero-padded
     # buffer where they do not (241 subcarriers in several blocks); either
     # way the grid point's sums are delay_sums' to the bit
-    np.testing.assert_array_equal(head, delay_sums(c, band, tau0))
+    np.testing.assert_array_equal(head, delay_sums(c, plan, tau0))
     # relative to each sum's scale sum_k |c_k| |2 pi fb_k|^d: one sum can
     # cancel far below it, and both sides round the phases 2 pi fb tau
     jw = 2j * np.pi * fb
     weights = np.abs(jw)[:, None] ** np.arange(3)
     for x in (-1.0, -0.37, 0.0, 0.5, 1.0):
-        sums = _moment_sums(coef, moments, np.full(c.shape[0], x))
-        tau = tau0 + x * moments.cell
+        sums = _moment_sums(coef, plan, np.full(c.shape[0], x))
+        tau = tau0 + x * plan.cell
         for n in range(c.shape[0]):
             terms = c[n] * np.exp(jw * tau[n])
             direct = np.array([terms.sum(), terms @ jw, terms @ jw**2])
@@ -226,9 +223,9 @@ def test_moment_sums_match_direct_sums(geometry, num_subcarriers):
 def test_delay_sums_match_direct_sums_with_ragged_tail():
     # K = 241 is not a multiple of ceil(sqrt(241)) = 16, so the phasor ramp
     # behind the delay sums pads its last block and slices it off
-    c, fb, band, grid, _, _ = refinement_case(241, 4)
-    tau = np.random.default_rng(5).uniform(0.0, grid[-1], c.shape[0])
-    sums = delay_sums(c, band, tau)
+    c, fb, plan, _ = refinement_case(241, 4)
+    tau = np.random.default_rng(5).uniform(0.0, plan.grid[-1], c.shape[0])
+    sums = delay_sums(c, plan, tau)
     jw = 2j * np.pi * fb
     for n in range(c.shape[0]):
         terms = c[n] * np.exp(jw * tau[n])
@@ -237,26 +234,24 @@ def test_delay_sums_match_direct_sums_with_ragged_tail():
 
 
 def scan_case(num_subcarriers: int, num_antennas: int, resolution: int):
-    """The baseband axis, a default-budget delay grid of ``resolution`` points
-    and its grid matrix in complex128 and, as the solver scans it, complex64."""
+    """The array, the solver's grid matrix over a default-budget delay grid of
+    ``resolution`` points in complex128 and, as the solver scans it, complex64."""
     cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
-    band = _baseband(cfg)
-    grid = np.linspace(0.0, cfg.default_tau_max(), resolution)
-    start, step = TWO_PI * grid * band.start, TWO_PI * grid * band.step
-    e128 = _phasor_ramp(start, step, num_subcarriers)
-    e32 = _phasor_ramp(start, step, num_subcarriers, np.complex64)
-    return cfg, band, grid, e128, e32
+    plan = _plan(cfg, SolverOptions(delay_search_resolution=resolution))
+    e128 = _phasor_ramp(TWO_PI * plan.grid * plan.start, TWO_PI * plan.grid * plan.step,
+                        num_subcarriers)
+    return cfg, e128, plan.e_grid32
 
 
 def stepped_solve(cfg: ArrayConfig, opts: SolverOptions, monkeypatch) -> tuple:
     """The steering matrix u0 of a seeded four-step profile and the
-    (c_t, band, grid, best) of every refinement in its solve."""
+    (c_t, plan, best) of every refinement in its solve."""
     seen = []
     refine = jpta._refine_delays
 
-    def record(c_t, band, moments, grid, best):
-        seen.append((c_t, band, grid, best))
-        return refine(c_t, band, moments, grid, best)
+    def record(c_t, plan, best):
+        seen.append((c_t, plan, best))
+        return refine(c_t, plan, best)
 
     monkeypatch.setattr(jpta, "_refine_delays", record)
     k = cfg.num_subcarriers
@@ -269,7 +264,7 @@ def stepped_solve(cfg: ArrayConfig, opts: SolverOptions, monkeypatch) -> tuple:
 @pytest.mark.parametrize("num_antennas", [8, 32, 256])
 @pytest.mark.parametrize("num_subcarriers", [64, 240, 241, 1200])
 def test_scan_error_bound_holds(num_subcarriers, num_antennas, resolution, monkeypatch):
-    cfg, band, grid, e128, e32 = scan_case(num_subcarriers, num_antennas, resolution)
+    cfg, e128, e32 = scan_case(num_subcarriers, num_antennas, resolution)
     rng = np.random.default_rng(num_subcarriers + num_antennas)
     u0 = response_matrix(rng.uniform(-1.2, 1.2, num_subcarriers), cfg.subcarrier_centers(), cfg).T
     c_random = u0 * np.exp(1j * rng.uniform(-np.pi, np.pi, num_subcarriers))
@@ -295,8 +290,8 @@ def test_scan_picks_a_grid_maximum_within_twice_the_bound(num_subcarriers, monke
     u0, seen = stepped_solve(cfg, SolverOptions(), monkeypatch)
     bound = scan_error_bound(u0)
     assert len(seen) >= 2
-    for c_t, band, grid, best in seen:
-        e128 = _phasor_ramp(TWO_PI * grid * band.start, TWO_PI * grid * band.step,
+    for c_t, plan, best in seen:
+        e128 = _phasor_ramp(TWO_PI * plan.grid * plan.start, TWO_PI * plan.grid * plan.step,
                             num_subcarriers)
         mag = np.abs(e128 @ c_t.T)  # (G, N)
         assert np.all(mag[best, np.arange(cfg.num_antennas)] >= mag.max(axis=0) - 2 * bound)
@@ -351,12 +346,15 @@ def test_iteration_builds_two_steered_ramps(monkeypatch):
                      + [((num_n, num_k), np.complex128)] * (1 + 2 * report.iterations))
 
 
-@pytest.mark.parametrize("num_subcarriers", [240, 1200])
+@pytest.mark.parametrize("num_subcarriers, num_antennas",
+                         [(240, 32), (1200, 32), (240, 128), (1200, 128)],
+                         ids=["240", "1200", "240-n128", "1200-n128"])
 @pytest.mark.parametrize("kind", ["stepped", "slanted"])
-def test_report_objective_is_the_oracle_objective(kind, num_subcarriers):
+def test_report_objective_is_the_oracle_objective(kind, num_subcarriers, num_antennas):
     # the trace's last entry comes from exp(-j phi) @ prod / N, not from a
-    # per-subcarrier sum: it must still be the objective of the weights returned
-    cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
+    # per-subcarrier sum: it must still be the objective of the weights returned.
+    # N = 128 refines with two moment blocks on the default grid
+    cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, num_subcarriers)
     rng = np.random.default_rng(num_subcarriers)
     k = np.arange(num_subcarriers)
     if kind == "stepped":

@@ -19,10 +19,18 @@ trace, order, side, result}``. ``--append`` adds the new runs to those
 already in OUT. Without ``--runs`` nothing runs, and OUT is summarized as it
 is.
 
-The summary gives, per workload, trace mode and metric: the median and
-quartiles of each side, the change of the medians, how many pairs the change
-wins (by the metric's direction in ``BENCHMARK.json``), and whether the gap
-between the medians exceeds the parent's interquartile range.
+Before the first pair and after the last, a machine-speed probe times a fixed
+numpy-only kernel in a child interpreter with one BLAS thread, best of 7: a
+seeded (256, 1200) by (1200, 32) complex64 product and the complex ``exp`` of a
+(32, 1200) array. The kernel does not depend on the code under test, so its
+time shows how fast the machine ran: two BENCH files compare only as far as
+their probes agree. The header's ``probe_s`` keeps the ``before`` and
+``after`` timings in seconds, and ``--append`` adds to both lists.
+
+The summary gives the probe timings and, per workload, trace mode and metric:
+the median and quartiles of each side, the change of the medians, how many
+pairs the change wins (by the metric's direction in ``BENCHMARK.json``), and
+whether the gap between the medians exceeds the parent's interquartile range.
 
 Exit status: 0 when every run printed a JSON result line; 1 when one did not
 (its output goes to stderr, and OUT keeps the runs before it); 2 on bad
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,6 +51,21 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <seconds> --trace <trace>"
 ENV_KEYS = ("cores", "blas_threads", "python", "numpy", "scipy")
 SIDES = ("parent", "change")
+PROBE = """
+import time
+import numpy as np
+rng = np.random.default_rng(0)
+a = (rng.normal(size=(256, 1200)) + 1j * rng.normal(size=(256, 1200))).astype(np.complex64)
+b = (rng.normal(size=(1200, 32)) + 1j * rng.normal(size=(1200, 32))).astype(np.complex64)
+z = 1j * rng.uniform(-np.pi, np.pi, (32, 1200))
+best = float("inf")
+for _ in range(7):
+    start = time.perf_counter()
+    a @ b
+    np.exp(z)
+    best = min(best, time.perf_counter() - start)
+print(best)
+"""
 
 
 class RunFailed(RuntimeError):
@@ -90,6 +114,15 @@ def run_side(directory: Path, workload: str, seed: int, seconds: float, trace: i
     return result, env
 
 
+def machine_probe() -> float:
+    """Seconds the probe kernel takes, best of 7, in a child interpreter."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          env=env, check=True)
+    return float(proc.stdout)
+
+
 def run_pairs(dirs: dict, pairs: list, seconds: float, trace: int, doc: dict, out: Path,
               first_pair: int) -> None:
     """Run every pair, writing OUT after each one."""
@@ -119,11 +152,13 @@ def directions() -> dict:
 def summarize(doc: dict) -> list:
     """One text line per (workload, trace, metric) present on both sides."""
     better = directions()
+    probe = doc.get("probe_s", {})
+    lines = [f"machine probe: {when} " + ", ".join(f"{t * 1e3:.3f} ms" for t in probe[when])
+             for when in ("before", "after") if probe.get(when)]
     groups = {}
     for run in doc["runs"]:
         key = (run["workload"], run["trace"], run["seed"])
         groups.setdefault(key, {})[run["side"]] = run["result"]["metrics"]
-    lines = []
     for workload, trace in sorted({k[:2] for k in groups}):
         paired = [g for k, g in sorted(groups.items()) if k[:2] == (workload, trace)
                   and set(g) == set(SIDES)]
@@ -176,7 +211,7 @@ def main(argv=None) -> int:
         doc = json.loads(args.out.read_text())
     else:
         doc = {"change": None, "parent": None, "command": COMMAND, "environment": {},
-               "protocol": None, "runs": []}
+               "protocol": None, "probe_s": {"before": [], "after": []}, "runs": []}
     for key in ("change", "parent", "protocol"):
         if getattr(args, key) is not None:
             doc[key] = getattr(args, key)
@@ -184,12 +219,15 @@ def main(argv=None) -> int:
         doc["environment"]["machine"] = args.machine
     first_pair = len({(r["workload"], r["seed"], r["trace"]) for r in doc["runs"]})
     status = 0
-    try:
-        run_pairs(dirs, pairs, args.seconds, args.trace, doc, args.out, first_pair)
-    except RunFailed as exc:
-        print(f"bench_pairs: {exc}", file=sys.stderr)
-        status = 1
     if pairs:
+        probe = doc.setdefault("probe_s", {"before": [], "after": []})
+        probe["before"].append(machine_probe())
+        try:
+            run_pairs(dirs, pairs, args.seconds, args.trace, doc, args.out, first_pair)
+        except RunFailed as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            status = 1
+        probe["after"].append(machine_probe())
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print("\n".join(summarize(doc)))
     return status
