@@ -103,9 +103,7 @@ DESK_OVERLAY = {
 }
 
 
-def _parse_value(kind: str, raw, section: str, key: str):
-    if not isinstance(raw, str):
-        return raw
+def _parse_value(kind: str, raw: str, section: str, key: str):
     text = raw.strip()
     if kind in ("str", "str_list"):
         return text if kind == "str" else tuple(p.strip() for p in text.split(",") if p.strip())

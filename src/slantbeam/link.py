@@ -30,6 +30,11 @@ class LinkBudget:
     def __post_init__(self):
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
+        try:
+            10.0 ** (float(self.snr_db) / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr_db must keep 10**(snr_db/10) a finite float, got "
+                             f"{self.snr_db!r}") from None
 
     @property
     def snr_linear(self) -> float:
@@ -58,12 +63,6 @@ def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.n
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
     return budget.snr_linear * channel_gain * gains
-
-
-def user_capacity(gains, cfg: ArrayConfig, budget: LinkBudget, channel_gain: float = 1.0) -> float:
-    """Capacity in bit/s accumulated over the given own-band gains."""
-    zeta = subcarrier_snr(gains, budget, channel_gain)
-    return float(cfg.subcarrier_spacing * np.sum(np.log2(1.0 + zeta)))
 
 
 def offset_grid(max_offset: float, count: int) -> np.ndarray:

@@ -47,6 +47,11 @@ class UserKinematics:
     omega0: float
     alpha: float
 
+    def __post_init__(self):
+        for name in ("theta0", "omega0", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class KinematicsEstimate(UserKinematics):
@@ -61,6 +66,7 @@ class KinematicsEstimate(UserKinematics):
     var_alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not all(0 <= v < math.inf for v in (self.var_theta, self.var_omega, self.var_alpha)):
             raise ValueError("variances must be non-negative and finite")
 

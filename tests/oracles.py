@@ -1,11 +1,12 @@
 """Scalar, one-frequency forms of the array model, written straight from the
 formulas, the JPTA delay sums in plain ramp form and the error bound of the
-solver's single-precision grid scan. Tests compare the library's matrix
-kernels against them."""
+solver's single-precision grid scan, and one user's capacity sum. Tests
+compare the library's matrix kernels against them."""
 
 import numpy as np
 
 from slantbeam.arrays import TWO_PI, _phasor_ramp
+from slantbeam.link import subcarrier_snr
 
 
 def array_response(theta, f, cfg):
@@ -99,6 +100,13 @@ def steering_gain_atol(cfg):
     n = cfg.num_antennas
     phi = 2 * np.pi * cfg.spacing * (n - 1) * cfg.band_edges()[1] / cfg.carrier_freq
     return 2 * n * eps * (2 * 4 * (phi + 1) + 2 * n)
+
+
+def user_capacity(gains, cfg, budget, channel_gain=1.0):
+    """Capacity in bit/s of one user over its own band's gains: the sum of
+    log2(1 + SNR) over the given subcarriers, times the subcarrier spacing."""
+    zeta = subcarrier_snr(gains, budget, channel_gain)
+    return float(cfg.subcarrier_spacing * np.sum(np.log2(1.0 + zeta)))
 
 
 def capacity_tolerance(cfg, budget, channel_gain, num_users):

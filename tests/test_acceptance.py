@@ -13,7 +13,7 @@ import pytest
 from slantbeam.arrays import ArrayConfig
 from slantbeam.cli import main
 from slantbeam.jpta import SolverOptions, TargetProfile, jpta_solve
-from slantbeam.link import LinkBudget, subcarrier_snr, user_capacity
+from slantbeam.link import LinkBudget, subcarrier_snr
 from slantbeam.mobility import (
     FrameTiming,
     KinematicsEstimate,
@@ -28,6 +28,8 @@ from slantbeam.montecarlo import (
     run_sweep,
     run_trial,
 )
+
+from oracles import user_capacity
 
 DEG = np.pi / 180.0
 

@@ -166,6 +166,10 @@ K48_N8 = ["--set", "array.num_subcarriers=48", "--set", "array.num_antennas=8"]
     pytest.param(["sweep", "--axis", "offset_range", "--values", "0,0,5", *K48_N8],
                  "[sweep] values: must be strictly ascending",
                  id="repeated_value"),
+    pytest.param(["sweep", "--values", "0", "--beams", "rainbow", "--set", "link.snr_db=4000",
+                  *K48_N8],
+                 "error: [link] snr_db: must keep 10**(snr_db/10) a finite float, got 4000.0",
+                 id="snr_overflow"),
 ])
 def test_config_that_cannot_run_exits_2_naming_key_before_any_file(tmp_path, capsys, args,
                                                                    named):
@@ -591,3 +595,12 @@ def test_fresh_import_leaves_scipy_out():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_root_binds_only_its_version():
+    # every name has one spelling: it is imported from its module
+    code = ("import slantbeam; print(sorted(n for n in vars(slantbeam) if not n.startswith('_')),"
+            " slantbeam.__version__)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0.1.0\n"

@@ -199,6 +199,7 @@ OUT_OF_RANGE = {
     "carrier_freq": "array.carrier_freq_ghz=0.5",
     "bandwidth": "array.bandwidth_ghz=0",
     "num_subcarriers": "array.num_subcarriers=25",
+    "snr_db": "link.snr_db=4000",
     "channel_gains": "link.channel_gains=1,0,1",
     "num_users": "mobility.num_users=0",
     "aod_range": "mobility.aod_min_deg=50",
@@ -228,7 +229,6 @@ OUT_OF_RANGE = {
 # first, so no config value reaches the check, and a NON_FINITE_ROWS row holds
 # each override instead
 FINITE_ONLY = {
-    "snr_db": "link.snr_db=nan",
     "accel_mean": "mobility.accel_mean_deg_s2=inf",
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from slantbeam.link import (
     offset_grid,
     subband_users,
     subcarrier_snr,
-    user_capacity,
 )
 
-from oracles import capacity_tolerance, matched_filter, matched_gain_rtol
+from oracles import capacity_tolerance, matched_filter, matched_gain_rtol, user_capacity
 
 DEG = np.pi / 180.0
 TABLE_CFG = ArrayConfig(32, 0.5, 60e9, 2e9, 1200)
@@ -40,6 +40,12 @@ class TestSnrCalibration:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             subcarrier_snr(np.array([-1.0]), BUDGET)
+
+    def test_snr_whose_linear_value_overflows_rejected(self):
+        # 10**(snr_db/10) overflows a double just above 3082.547 dB
+        assert LinkBudget(3082.5).snr_linear < math.inf
+        with pytest.raises(ValueError, match=r"^snr_db must keep 10\*\*\(snr_db/10\) a finite"):
+            LinkBudget(3082.55)
 
 
 class TestUserCapacity:

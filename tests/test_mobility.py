@@ -109,6 +109,16 @@ class TestKinematics:
         se = np.std(final) / math.sqrt(n)
         assert abs(np.mean(final) - true_aod(EXAMPLE_EST, 100, TABLE_TIMING)) < 3 * se
 
+    @pytest.mark.parametrize("field", ["theta0", "omega0", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_state_rejected_naming_the_field(self, field, value):
+        state = {"theta0": 0.1, "omega0": 0.0, "alpha": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            UserKinematics(**state)
+        # the state is judged before the variances, which are bad here too
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            KinematicsEstimate(**state, var_theta=-1.0, var_omega=0.0, var_alpha=0.0)
+
 
 class TestPredictedVariance:
     def test_table_value_at_frame_end(self):

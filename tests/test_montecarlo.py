@@ -15,7 +15,7 @@ from slantbeam.designs import (
     SteppedGeniePolicy,
     genie_stepped,
 )
-from slantbeam.link import LinkBudget, capacity_records, subband_users, user_capacity
+from slantbeam.link import capacity_records, subband_users
 from slantbeam.mobility import FrameTiming, ScenarioConfig, coverage_halfwidth
 from slantbeam.montecarlo import (
     POLICY_BUILDERS,
@@ -31,7 +31,7 @@ from slantbeam.montecarlo import (
     sweep_cells,
 )
 
-from oracles import capacity_tolerance, matched_filter, matched_gain_rtol
+from oracles import capacity_tolerance, matched_filter, matched_gain_rtol, user_capacity
 
 DEG = np.pi / 180.0
 

@@ -11,13 +11,13 @@ in this one process, with the same numpy and one BLAS thread.
 The solves are every ``jpta_solve`` call of the fixed seeded cells in
 ``CELLS``, captured by running the cells on the parent tree with
 ``designs.jpta_solve`` wrapped: desk-scale ``offset_range`` cells with the
-stepped genie, which cold-solves at every offset, once on the default delay
-grid and once on a 16-point grid whose refinement splits the band into
-several moment blocks with a ragged last one, and full-scale
+stepped genie, which cold-solves at every offset, once on the default
+256-point delay grid and once on a 16-point grid whose refinement splits the
+band into several moment blocks with a ragged last one, and full-scale
 ``mean_velocity`` cells. Every captured solve then runs on both trees,
-``REPEATS`` times per side; the side that runs first alternates from solve to
-solve and from repeat to repeat, so a drift in machine load favours neither,
-and each side keeps its fastest time.
+``REPEATS`` (three) times per side; the side that runs first alternates from
+solve to solve and from repeat to repeat, so a drift in machine load favours
+neither, and each side keeps its fastest time.
 
 The output has one line per cell set and one for all of them: the solve
 count, each side's total time, the change of the total and the median of the
@@ -25,7 +25,8 @@ per-solve ratios change/parent. A report differs when its objective trace,
 delays, phases or convergence flag differ in any bit; each difference is
 named on stderr, and a drift line before the last line gives the largest
 relative change of the final objective and the number of solves whose
-iteration count or convergence flag changed.
+iteration count or convergence flag changed. The last line reads
+``bit-identical: N of M solves``.
 
 Exit status: 0 when every report is bit-identical; 1 when one differs; 2 on
 bad arguments.
@@ -61,7 +62,9 @@ CELLS = {
 
 
 def load(src: Path, name: str):
-    """The ``slantbeam`` package under ``src``, imported as ``name``."""
+    """The ``slantbeam`` package under ``src``, imported as ``name``, with the
+    submodules this tool reads bound as its attributes (a package whose
+    ``__init__`` imports none of them binds none)."""
     init = src / "slantbeam" / "__init__.py"
     for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
@@ -70,6 +73,8 @@ def load(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    for module in ("arrays", "config", "designs", "jpta", "montecarlo"):
+        importlib.import_module(f"{name}.{module}")
     return package
 
 
