@@ -22,7 +22,7 @@ from . import __version__
 from .arrays import pattern_heatmap
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .designs import ANALOG_KINDS
-from .montecarlo import SWEEP_AXES, capacity_cdf, design_trial, run_sweep, sweep_cells
+from .montecarlo import SWEEP_AXES, design_trial, run_sweep, sweep_cells
 from .montecarlo import run_trial  # noqa: F401  perfbench wraps cli.run_trial
 
 
@@ -91,13 +91,18 @@ def write_sweep_csv(path, seed, cfg_hash, result, display_values):
     _write_csv(path, seed, cfg_hash, "axis,axis_value,beam,statistic,value_bps", rows)
 
 
-def write_cdf_csv(path, seed, cfg_hash, series_list, display_of):
-    """Empirical CDF points: beam,axis_value,capacity_bps,cum_prob."""
+def write_cdf_csv(path, seed, cfg_hash, result, display_values):
+    """Empirical CDF points: beam,axis_value,capacity_bps,cum_prob. Each (beam,
+    value) is the sorted row of ``result.minima(beam)``, sample i of T at i/T."""
+    sweep = result.sweep
+    probs = (np.arange(1, sweep.trials + 1) / sweep.trials).tolist()
+    heads = [f",{dv!r}," for dv in np.asarray(display_values, dtype=float).tolist()]
+
     def rows():
-        for s in series_list:
-            head = f"{s.beam},{float(display_of[s.axis_value])!r},"
-            pairs = zip(s.values.tolist(), s.probabilities.tolist())
-            yield "".join([f"{head}{x!r},{pr!r}\n" for x, pr in pairs])
+        for beam in sweep.beams:
+            ordered = np.sort(result.minima(beam), axis=1).tolist()
+            for head, row in zip(heads, ordered, strict=True):
+                yield "".join([f"{beam}{head}{x!r},{pr!r}\n" for x, pr in zip(row, probs)])
 
     _write_csv(path, seed, cfg_hash, "beam,axis_value,capacity_bps,cum_prob", rows())
 
@@ -196,9 +201,8 @@ def cmd_sweep(args, cfg, seed, h) -> list:
 def cmd_cdf(args, cfg, seed, h) -> list:
     result = _swept(args, cfg, seed)
     sweep = result.sweep
-    display_of = dict(zip(sweep.values, cfg.get("sweep", "values")))
-    names = [_emit(args.out, f"cdf_{sweep.axis}.csv", write_cdf_csv, seed, h,
-                   capacity_cdf(result), display_of)]
+    names = [_emit(args.out, f"cdf_{sweep.axis}.csv", write_cdf_csv, seed, h, result,
+                   cfg.get("sweep", "values"))]
     for vi, trials in enumerate(result.cells):
         names += [_emit(args.out, f"capacity_{part}_{vi}.csv", writer, seed, h, trials, sweep.beams)
                   for part, writer in (("detail", write_capacity_csv),

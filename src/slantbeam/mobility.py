@@ -67,8 +67,9 @@ class KinematicsEstimate(UserKinematics):
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(0 <= v < math.inf for v in (self.var_theta, self.var_omega, self.var_alpha)):
-            raise ValueError("variances must be non-negative and finite")
+        for name in ("var_theta", "var_omega", "var_alpha"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def true_aod(kin: UserKinematics, i, timing: FrameTiming):
@@ -108,6 +109,8 @@ class AnchorSpec:
 
     def __post_init__(self):
         centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
+        if not np.all(np.isfinite(centers)):
+            raise ValueError(f"centers must be finite, got {centers.tolist()}")
         if not 0 <= self.aod_range < math.inf:
             raise ValueError("aod_range must be non-negative and finite")
         if self.assignment is None:

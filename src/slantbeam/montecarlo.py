@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo harness: trials, parameter sweeps, and capacity CDFs.
+"""Seeded Monte Carlo harness: trials and parameter sweeps.
 
 Every trial derives its own random stream from (master_seed, trial_id), so
 results never depend on execution order or on how trials are split across
@@ -291,7 +291,7 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
 
 class SweepResult(NamedTuple):
     """A sweep and its trial results: ``cells[value index][trial id]`` is the
-    TrialResult of that cell."""
+    TrialResult of that cell. The CLI's sweep and CDF CSVs both fold ``minima``."""
 
     sweep: SweepConfig
     cells: tuple
@@ -347,30 +347,3 @@ def run_sweep(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> Swe
         flat = tuple(map(_cell_job, jobs))
     t = sweep.trials
     return SweepResult(sweep, tuple(flat[vi * t : (vi + 1) * t] for vi in range(len(sweep.values))))
-
-
-class CdfSeries(NamedTuple):
-    """Empirical CDF of per-trial minimum capacities for one beam and axis
-    value: read-only sorted values and their cumulative probabilities."""
-
-    beam: str
-    axis_value: float
-    values: np.ndarray
-    probabilities: np.ndarray
-
-
-def capacity_cdf(result: SweepResult) -> list:
-    """Empirical CDFs of the per-trial minima, one series per (beam, value).
-
-    The smallest sample of each series equals the sweep's min-over-trials
-    statistic at that axis value. Every series shares one probabilities array.
-    """
-    sweep = result.sweep
-    probs = np.arange(1, sweep.trials + 1) / sweep.trials
-    probs.setflags(write=False)
-    series = []
-    for beam in sweep.beams:
-        rows = np.sort(result.minima(beam), axis=1)
-        rows.setflags(write=False)
-        series += [CdfSeries(beam, v, row, probs) for v, row in zip(sweep.values, rows)]
-    return series

@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py`` brackets its pairs with a machine-speed probe and
-keeps both timings in the header."""
+"""``tools/bench_pairs.py`` brackets its pairs with a machine-speed probe,
+keeps both timings in the header, and restates medians in seconds in probe units."""
 
 import importlib.util
 import json
@@ -49,3 +49,29 @@ def test_probe_runs_before_and_after_the_pairs(monkeypatch, tmp_path, capsys):
 
 def test_probe_times_the_kernel():
     assert 0.0 < bench_pairs.machine_probe() < 10.0
+
+
+def _doc(probe_s):
+    runs = [{"workload": "genie_offset", "seed": seed, "trace": 0, "order": 1, "side": side,
+             "result": {"metrics": {"cell_p50_s": {"value": value * seed},
+                                    "peak_rss_mb": {"value": 100.0 * value}}}}
+            for seed in (1, 2, 3) for side, value in (("parent", 0.04), ("change", 0.02))]
+    return {"runs": runs, **({"probe_s": probe_s} if probe_s is not None else {})}
+
+
+def test_summary_gives_medians_in_seconds_in_probe_units():
+    # the probe median pools before and after: median of 8, 10 and 12 ms is 10 ms
+    lines = bench_pairs.summarize(_doc({"before": [0.008, 0.012], "after": [0.010]}))
+    seconds = next(ln for ln in lines if ln.startswith("  cell_p50_s:"))
+    assert seconds.endswith("  in probe units: parent 8  change 4")
+    megabytes = next(ln for ln in lines if ln.startswith("  peak_rss_mb:"))
+    assert "probe units" not in megabytes
+
+
+def test_summary_without_a_probe_is_unchanged():
+    for probe_s in (None, {"before": [], "after": []}):
+        lines = bench_pairs.summarize(_doc(probe_s))
+        assert lines[0] == "genie_offset trace 0: 3 pairs"
+        assert lines[1] == ("  cell_p50_s: parent 0.08 [0.06, 0.1]  change 0.04 [0.03, 0.05]  "
+                            "median -50.0%  wins 3/3  gap > parent IQR: no")
+        assert not any("probe" in ln for ln in lines)

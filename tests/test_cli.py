@@ -19,7 +19,7 @@ from slantbeam.cli import (
 )
 from slantbeam.designs import ANALOG_KINDS
 from slantbeam.link import CapacityRecord
-from slantbeam.montecarlo import CdfSeries, SweepConfig, SweepResult, TrialResult
+from slantbeam.montecarlo import SweepConfig, SweepResult, TrialResult
 
 TINY = [
     "--set", "array.num_subcarriers=48",
@@ -382,6 +382,36 @@ class TestCdfCommand:
             trial, beam, m = ln.split(",")
             assert float(m) == min(by_trial[trial])
 
+    def test_cdf_rows_are_the_sorted_minima_of_the_sweep(self, tmp_path):
+        # the CDF's first sample of each (beam, value) is the sweep CSV's min row
+        args = ["--seed", "2", "--axis", "offset_range", "--values", "0,10",
+                "--beams", "stepped,rainbow", *TINY]
+        assert main(["cdf", "--out", str(tmp_path / "cdf"), *args]) == 0
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), *args]) == 0
+        cdf = {}
+        for ln in (tmp_path / "cdf" / "cdf_offset_range.csv").read_text().splitlines()[2:]:
+            beam, value, cap, prob = ln.split(",")
+            cdf.setdefault((beam, value), []).append((cap, prob))
+        sweep_min = {}
+        for ln in (tmp_path / "sweep" / "sweep_offset_range.csv").read_text().splitlines()[2:]:
+            _, value, beam, statistic, cap = ln.split(",")
+            if statistic == "min":
+                sweep_min[beam, value] = float(cap)
+        assert sorted(cdf) == sorted(sweep_min) == sorted(
+            (b, v) for b in ("stepped", "rainbow") for v in ("0.0", "10.0"))
+        for vi, value in enumerate(("0.0", "10.0")):
+            summary = (tmp_path / "cdf" / f"capacity_summary_{vi}.csv").read_text()
+            minima = {}
+            for ln in summary.splitlines()[2:]:
+                _, beam, cap = ln.split(",")
+                minima.setdefault(beam, []).append(float(cap))
+            assert sorted(minima) == ["rainbow", "stepped"]
+            for beam, caps in minima.items():
+                rows, t = cdf[beam, value], len(caps)
+                assert [float(cap) for cap, _ in rows] == sorted(caps)
+                assert [float(prob) for _, prob in rows] == [i / t for i in range(1, t + 1)]
+                assert float(rows[0][0]) == sweep_min[beam, value]
+
 
 class TestParity:
     def test_full_flag_changes_scale(self, tmp_path):
@@ -520,12 +550,13 @@ def sweep_oracle(seed, h, result, display_values):
     return "".join(out)
 
 
-def cdf_oracle(seed, h, series_list, display_of):
+def cdf_oracle(seed, h, result, display_values):
     out = [_head(seed, h, "beam,axis_value,capacity_bps,cum_prob")]
-    for series in series_list:
-        dv = display_of[series.axis_value]
-        for x, pr in zip(series.values, series.probabilities):
-            out.append(f"{series.beam},{repr(float(dv))},{repr(float(x))},{repr(float(pr))}\n")
+    for beam in result.sweep.beams:
+        for dv, row in zip(display_values, result.cells):
+            minima = sorted(res.min_capacity(beam) for res in row)
+            for i, x in enumerate(minima, start=1):
+                out.append(f"{beam},{repr(float(dv))},{repr(float(x))},{repr(i / len(minima))}\n")
     return "".join(out)
 
 
@@ -549,6 +580,12 @@ RESULTS = [
                "rainbow": [AWKWARD[6:], AWKWARD[1:3], AWKWARD[3:5]]}),
     _trial(11, {"stepped": [[60e9, 0.1 + 0.2]] * 3, "rainbow": [[1e22, 5e-324]] * 3}),
 ]
+# the second value's trials run in reverse, so its stepped minima need sorting
+SWEEP_ARGS = (
+    SweepResult(SweepConfig("offset_range", (0.0, 0.1), trials=2, beams=("stepped", "rainbow")),
+                (tuple(RESULTS), tuple(RESULTS[::-1]))),
+    (-0.0, 0.1 + 0.2),
+)
 WRITER_CASES = {
     "heatmap": _heatmap_case([-90.0, -0.0, 0.1 + 0.2], [60e9, 59.5e9, 60e9 + 1 / 3],
                              np.reshape(AWKWARD + [7.0], (3, 3))),
@@ -559,17 +596,8 @@ WRITER_CASES = {
     "capacity": (write_capacity_csv, capacity_oracle, (RESULTS, ("stepped", "rainbow"))),
     "capacity_summary": (write_capacity_summary_csv, capacity_summary_oracle,
                          (RESULTS, ("rainbow", "stepped"))),
-    "sweep": (write_sweep_csv, sweep_oracle, (
-        SweepResult(SweepConfig("offset_range", (0.0, 0.1), trials=2, beams=("stepped", "rainbow")),
-                    (tuple(RESULTS), tuple(RESULTS[::-1]))),
-        (-0.0, 0.1 + 0.2),
-    )),
-    "cdf": (write_cdf_csv, cdf_oracle, (
-        [CdfSeries("stepped", 0.0, np.array([5e-324, 0.1 + 0.2, 1e22]),
-                   np.array([1 / 3, 2 / 3, 1.0])),
-         CdfSeries("rainbow", 0.5, np.array([60e9]), np.array([1.0]))],
-        {0.0: -0.0, 0.5: 60e9},
-    )),
+    "sweep": (write_sweep_csv, sweep_oracle, SWEEP_ARGS),
+    "cdf": (write_cdf_csv, cdf_oracle, SWEEP_ARGS),
 }
 
 

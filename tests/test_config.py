@@ -274,8 +274,9 @@ NAN_ROWS = {
     "ScenarioConfig.var_omega": ("var_omega", lambda: ScenarioConfig(var_omega=NAN)),
     "ScenarioConfig.var_alpha": ("var_alpha", lambda: ScenarioConfig(var_alpha=NAN)),
     "KinematicsEstimate.var_omega": (
-        "variances", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, NAN, 1.0)),
+        "var_omega", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, NAN, 1.0)),
     "AnchorSpec.aod_range": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=NAN)),
+    "AnchorSpec.centers": ("centers", lambda: AnchorSpec(centers=(NAN, 0.1), aod_range=0.0)),
     "SolverOptions.tau_max": ("tau_max", lambda: SolverOptions(tau_max=NAN)),
     "SolverOptions.objective_tolerance": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=NAN)),
@@ -293,8 +294,9 @@ NAN_ROWS = {
     "ScenarioConfig.var_omega=inf": ("var_omega", lambda: ScenarioConfig(var_omega=INF)),
     "ScenarioConfig.var_alpha=inf": ("var_alpha", lambda: ScenarioConfig(var_alpha=INF)),
     "KinematicsEstimate.var_omega=inf": (
-        "variances", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, INF, 1.0)),
+        "var_omega", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, INF, 1.0)),
     "AnchorSpec.aod_range=inf": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=INF)),
+    "AnchorSpec.centers=inf": ("centers", lambda: AnchorSpec(centers=(INF, 0.1), aod_range=0.0)),
     "SolverOptions.tau_max=inf": ("tau_max", lambda: SolverOptions(tau_max=INF)),
     "SolverOptions.objective_tolerance=inf": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=INF)),

@@ -7,6 +7,7 @@ import pytest
 
 from slantbeam import montecarlo
 from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile
+from slantbeam.cli import write_cdf_csv
 from slantbeam.designs import (
     ANALOG_KINDS,
     BEAM_KINDS,
@@ -24,7 +25,6 @@ from slantbeam.montecarlo import (
     TrialConfig,
     TrialResult,
     apply_axis,
-    capacity_cdf,
     design_trial,
     run_sweep,
     run_trial,
@@ -461,22 +461,35 @@ class TestRunSweep:
         assert SweepConfig(axis=axis, values=(2, 3.0)).values == (2.0, 3.0)
 
 
+def cdf_csv(tmp_path, result, display_values):
+    """The CDF CSV that ``write_cdf_csv`` writes for ``result``, read back as
+    {(beam, axis_value): (capacities, cum_probs)} in row order."""
+    path = tmp_path / "cdf.csv"
+    write_cdf_csv(str(path), 0, "ab12", result, display_values)
+    series = {}
+    for line in path.read_text().splitlines()[2:]:
+        beam, value, capacity, prob = line.split(",")
+        xs, ps = series.setdefault((beam, float(value)), ([], []))
+        xs.append(float(capacity))
+        ps.append(float(prob))
+    return series
+
+
 class TestCapacityCdf:
-    def test_x_intercept_matches_sweep_minimum(self):
+    def test_x_intercept_matches_sweep_minimum(self, tmp_path):
         sweep = SweepConfig(axis="offset_range", values=(0.0, 10 * DEG), trials=4,
                             master_seed=3, beams=("stepped", "rainbow"))
         result = run_sweep(sweep, SMALL)
-        cdf = capacity_cdf(result)
-        for series in cdf:
-            vi = result.sweep.values.index(series.axis_value)
-            assert series.values[0] == result.minima(series.beam)[vi].min()
-            assert series.probabilities[-1] == 1.0
-            assert np.all(np.diff(series.probabilities) > 0)
-            assert not series.values.flags.writeable
-            assert series.probabilities is cdf[0].probabilities
-        assert not cdf[0].probabilities.flags.writeable
+        cdf = cdf_csv(tmp_path, result, (0.0, 10.0))
+        assert list(cdf) == [(b, v) for b in sweep.beams for v in (0.0, 10.0)]
+        for (beam, value), (xs, ps) in cdf.items():
+            vi = (0.0, 10.0).index(value)
+            assert xs[0] == result.minima(beam)[vi].min()
+            assert len(ps) == sweep.trials
+            assert ps[-1] == 1.0
+            assert np.all(np.diff(ps) > 0)
 
-    def test_digital_genie_degenerate_without_offsets(self):
+    def test_digital_genie_degenerate_without_offsets(self, tmp_path):
         base = dataclasses.replace(
             SMALL,
             mode="offset", max_offset=0.0, offset_count=1,
@@ -485,13 +498,14 @@ class TestCapacityCdf:
         sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=4,
                             master_seed=8, beams=("digital_genie",))
         result = run_sweep(sweep, base)
-        (series,) = capacity_cdf(result)
-        assert np.ptp(series.values) <= 1e-6 * series.values[0]
+        ((xs, _),) = cdf_csv(tmp_path, result, (0.0,)).values()
+        assert len(xs) == 4
+        assert np.ptp(xs) <= 1e-6 * xs[0]
 
-    def test_one_sample_step(self):
+    def test_one_sample_step(self, tmp_path):
         sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=1,
                             master_seed=0, beams=("rainbow",))
         result = run_sweep(sweep, SMALL)
-        (series,) = capacity_cdf(result)
-        assert series.values.size == 1
-        assert series.probabilities[0] == 1.0
+        ((xs, ps),) = cdf_csv(tmp_path, result, (0.0,)).values()
+        assert xs == [result.minima("rainbow")[0, 0]]
+        assert ps == [1.0]

@@ -31,6 +31,10 @@ The summary gives the probe timings and, per workload, trace mode and metric:
 the median and quartiles of each side, the change of the medians, how many
 pairs the change wins (by the metric's direction in ``BENCHMARK.json``), and
 whether the gap between the medians exceeds the parent's interquartile range.
+When OUT has probe timings, a metric in seconds also gives both medians in
+probe units, ``in probe units: parent … change …``: each median divided by the
+median of all the file's probe timings, before and after together, so that
+medians from two BENCH files can be read on one scale.
 
 Exit status: 0 when every run printed a JSON result line; 1 when one did not
 (its output goes to stderr, and OUT keeps the runs before it); 2 on bad
@@ -144,17 +148,20 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def directions() -> dict:
+def metric_specs() -> dict:
+    """``BENCHMARK.json``'s metrics by name, each with its ``unit`` and ``better``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def summarize(doc: dict) -> list:
     """One text line per (workload, trace, metric) present on both sides."""
-    better = directions()
+    specs = metric_specs()
     probe = doc.get("probe_s", {})
     lines = [f"machine probe: {when} " + ", ".join(f"{t * 1e3:.3f} ms" for t in probe[when])
              for when in ("before", "after") if probe.get(when)]
+    timings = probe.get("before", []) + probe.get("after", [])
+    probe_unit = statistics.median(timings) if timings else None
     groups = {}
     for run in doc["runs"]:
         key = (run["workload"], run["trace"], run["seed"])
@@ -162,7 +169,7 @@ def summarize(doc: dict) -> list:
     for workload, trace in sorted({k[:2] for k in groups}):
         paired = [g for k, g in sorted(groups.items()) if k[:2] == (workload, trace)
                   and set(g) == set(SIDES)]
-        names = [n for n in paired[0]["change"] if n in better] if paired else []
+        names = [n for n in paired[0]["change"] if n in specs] if paired else []
         lines.append(f"{workload} trace {trace}: {len(paired)} pairs")
         for name in names:
             values = [(g["parent"][name]["value"], g["change"][name]["value"]) for g in paired
@@ -170,16 +177,19 @@ def summarize(doc: dict) -> list:
                       and g["change"].get(name, {}).get("value") is not None]
             if not values:
                 continue
-            sign = 1.0 if better[name] == "lower" else -1.0
+            sign = 1.0 if specs[name]["better"] == "lower" else -1.0
             wins = sum(sign * (c - p) < 0 for p, c in values)
             p1, pm, p3 = quartiles([p for p, _ in values])
             c1, cm, c3 = quartiles([c for _, c in values])
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
             resolved = "yes" if abs(cm - pm) > p3 - p1 else "no"
-            lines.append(
-                f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
-                f"[{c1:.6g}, {c3:.6g}]  median {rel}  wins {wins}/{len(values)}  "
-                f"gap > parent IQR: {resolved}")
+            line = (f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+                    f"[{c1:.6g}, {c3:.6g}]  median {rel}  wins {wins}/{len(values)}  "
+                    f"gap > parent IQR: {resolved}")
+            if probe_unit and specs[name]["unit"] == "s":
+                line += (f"  in probe units: parent {pm / probe_unit:.4g}  "
+                         f"change {cm / probe_unit:.4g}")
+            lines.append(line)
     return lines
 
 
