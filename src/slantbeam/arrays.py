@@ -7,20 +7,20 @@ Conventions used throughout the package:
 * element spacing is expressed in carrier wavelengths,
 * the steering phase grows proportionally with the absolute subcarrier
   frequency, so wideband squint is part of the model rather than an
-  afterthought.
+  afterthought,
+* every steering or weight matrix is a C-contiguous complex (N, K) array over
+  ``ArrayConfig.subcarrier_centers``: row n is antenna n, column k subcarrier k.
 
 Phasors over an evenly spaced axis come from ``_phasor_ramp``, which factors
 exp(j(x0 + dx*m)) so that an (R, M) matrix costs about 2*sqrt(M) complex
-exponentials per row plus one complex product per entry, instead of M
-exponentials per row.  It takes a start and a step, never a frequency array,
-so it cannot be handed an unevenly spaced axis.  ``response_matrix`` ramps
-along the antennas, so it takes any angle per frequency (the solver's slanted
-targets change within a band); ``band_steering`` ramps along the subcarriers
-of each sub-band and returns conj(a) as (N, K), so every beam scores it with
-one product and one sum over the antenna axis.  ``awv_matrix``, which takes
-any frequencies, keeps plain ``np.exp``.  The scalar one-frequency forms of
-the model and the digital genie's matched filter are test oracles in
-``tests/oracles.py``.
+exponentials per row plus one complex product per entry, instead of M per row.
+It takes a start and a step, never a frequency array, so it cannot be handed an
+unevenly spaced axis.  ``response_matrix`` ramps along the antennas, so it takes
+any angle per subcarrier (the solver's slanted targets change within a band);
+``band_steering`` ramps along each sub-band's subcarriers and returns conj(a),
+which every beam scores with one product and one sum over the antennas.
+``awv_matrix`` keeps plain ``np.exp``.  The scalar one-frequency forms and the
+digital genie's matched filter are test oracles in ``tests/oracles.py``.
 """
 
 import math
@@ -129,22 +129,16 @@ def _checked_angles(theta) -> np.ndarray:
     return theta
 
 
-def response_matrix(theta, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Steering vectors across frequencies, shape (F, N), toward one angle or
-    toward one angle per frequency (``theta`` of shape (F,)).
-
-    Row k is exp(j*n*phase_k) over the antenna index n, built by
-    ``_phasor_ramp`` with step phase_k = 2*pi*spacing*sin(theta_k)*f_k/f_c.
-    """
-    theta = _checked_angles(theta)
-    freqs = np.asarray(freqs, dtype=float)
-    if theta.size not in (1, freqs.size):
-        raise ValueError(
-            f"got {theta.size} angles for {freqs.size} frequencies; "
-            f"pass one angle or one per frequency"
-        )
-    phase = TWO_PI * cfg.spacing * np.sin(theta) / cfg.carrier_freq
-    return _phasor_ramp(0.0, np.reshape(phase, -1) * np.reshape(freqs, -1), cfg.num_antennas)
+def response_matrix(theta, cfg: ArrayConfig) -> np.ndarray:
+    """Steering vectors over the subcarrier centers, shape (N, K), toward one angle
+    or one per subcarrier: column k is exp(j*n*phase_k) over the antenna index n,
+    a ``_phasor_ramp`` with step phase_k = 2*pi*spacing*sin(theta_k)*f_k/f_c."""
+    theta = _checked_angles(theta).ravel()
+    k = cfg.num_subcarriers
+    if theta.size not in (1, k):
+        raise ValueError(f"got {theta.size} angles for {k} subcarriers; pass 1 or {k}")
+    step = TWO_PI * cfg.spacing * np.sin(theta) / cfg.carrier_freq * cfg.subcarrier_centers()
+    return np.ascontiguousarray(_phasor_ramp(0.0, step, cfg.num_antennas).T)
 
 
 def band_steering(angles, cfg: ArrayConfig) -> np.ndarray:
@@ -196,23 +190,19 @@ class AnalogWeights:
         return self.phases.shape[0]
 
 
-def awv_matrix(weights: AnalogWeights, freqs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Realized weight vectors across frequencies, shape (F, N), rows unit-norm."""
+def awv_matrix(weights: AnalogWeights, cfg: ArrayConfig) -> np.ndarray:
+    """Realized weight vectors over the subcarrier centers, shape (N, K), columns unit-norm."""
     if weights.num_antennas != cfg.num_antennas:
         raise ValueError("weights sized for a different array")
-    freqs = np.asarray(freqs, dtype=float)
-    phase = weights.phases[None, :] - TWO_PI * np.outer(freqs, weights.delays)
+    phase = weights.phases[:, None] - TWO_PI * np.outer(weights.delays, cfg.subcarrier_centers())
     return np.exp(1j * phase) / np.sqrt(cfg.num_antennas)
 
 
-def gain_profile(theta, freqs: np.ndarray, v_rows: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Per-frequency gains |a(theta_k, f_k)^H v_k|^2 for row-matched weights.
-
-    ``v_rows`` holds one weight vector per frequency (shape (F, N)) and
-    ``theta`` one angle or one angle per frequency; the sum runs along each
-    row of ``response_matrix``, independent of ``band_steering``.
-    """
-    return np.abs(np.sum(np.conj(response_matrix(theta, freqs, cfg)) * v_rows, axis=1)) ** 2
+def gain_profile(theta, v_cols: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Per-subcarrier gains |a(theta_k, f_k)^H v_k|^2 of (N, K) weight columns toward
+    one angle or one per subcarrier; the sum runs along each column of
+    ``response_matrix``, independent of ``band_steering``."""
+    return np.abs(np.sum(np.conj(response_matrix(theta, cfg)) * v_cols, axis=0)) ** 2
 
 
 def _matched_gains(b: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
@@ -223,7 +213,7 @@ def _matched_gains(b: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
 
 def pattern_heatmap(weights: AnalogWeights, theta_grid: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Gain map over (angle, subcarrier), shape (len(theta_grid), K)."""
-    v_cols = np.ascontiguousarray(awv_matrix(weights, cfg.subcarrier_centers(), cfg).T)
+    v_cols = awv_matrix(weights, cfg)
     theta_grid = np.asarray(theta_grid, dtype=float)
     out = np.empty((theta_grid.size, cfg.num_subcarriers))
     for i, theta in enumerate(theta_grid):

@@ -171,8 +171,7 @@ class FixedBeamPolicy:
     def __init__(self, design: BeamDesign, cfg: ArrayConfig):
         self.kind = design.kind
         self.assignment = design.anchor.assignment if design.anchor is not None else None
-        rows = awv_matrix(design.weights, cfg.subcarrier_centers(), cfg)
-        self._cols = np.ascontiguousarray(rows.T)
+        self._cols = awv_matrix(design.weights, cfg)
 
     def gains(self, b, angles) -> np.ndarray:
         return _matched_gains(b, self._cols)

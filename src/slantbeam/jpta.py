@@ -348,7 +348,7 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
     cfg = profile.cfg
     plan = _plan(cfg, opts or SolverOptions())
     num_k = cfg.num_subcarriers
-    u0 = np.ascontiguousarray(response_matrix(profile.directions, plan.freqs, cfg).T)  # (N, K)
+    u0 = response_matrix(profile.directions, cfg)  # (N, K)
 
     phases = np.zeros(cfg.num_antennas)
     delays = line_fit_delays(profile, plan.grid[-1])

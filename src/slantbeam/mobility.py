@@ -109,6 +109,8 @@ class AnchorSpec:
 
     def __post_init__(self):
         centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
+        if centers.ndim != 1 or centers.size == 0:
+            raise ValueError(f"centers must be a non-empty 1-D array, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError(f"centers must be finite, got {centers.tolist()}")
         if not 0 <= self.aod_range < math.inf:

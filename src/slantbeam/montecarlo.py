@@ -255,6 +255,8 @@ class SweepConfig:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("values must be non-empty")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, got {list(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly ascending")
         if self.axis in ("num_antennas", "num_users"):

@@ -65,16 +65,16 @@ def scan_error_bound(u0):
 
 
 def matched_filter(angles, assignment, cfg):
-    """Digital-genie weights, shape (K, N): at each subcarrier, the steering
-    vector toward the true direction of the user whose sub-band holds it,
+    """Digital-genie weights, shape (N, K): column k is the steering vector
+    toward the true direction of the user whose sub-band holds subcarrier k,
     over sqrt(N). User u owns sub-band assignment[u] of U equal contiguous
     sub-bands."""
     angles = np.atleast_1d(angles)
     owner = {band: u for u, band in enumerate(assignment)}
     per = cfg.num_subcarriers // angles.size
-    rows = [array_response(angles[owner[k // per]], f, cfg)
+    cols = [array_response(angles[owner[k // per]], f, cfg)
             for k, f in enumerate(cfg.subcarrier_centers())]
-    return np.array(rows) / np.sqrt(cfg.num_antennas)
+    return np.array(cols).T / np.sqrt(cfg.num_antennas)
 
 
 def matched_gain_rtol(num_antennas):

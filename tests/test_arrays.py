@@ -88,20 +88,19 @@ class TestArrayResponse:
         assert np.angle(hi[1]) == pytest.approx(np.pi / 2 * (61 / 60), rel=1e-12)
 
     def test_one_angle_per_frequency_matches_scalar_rows(self):
-        freqs = TABLE_CFG.subcarrier_centers()[::100]
-        thetas = np.linspace(-1.2, 1.4, freqs.size)
-        rows = response_matrix(thetas, freqs, TABLE_CFG)
-        assert rows.shape == (freqs.size, 32)
-        for k in range(freqs.size):
-            np.testing.assert_array_equal(
-                rows[k], response_matrix(thetas[k], freqs[k : k + 1], TABLE_CFG)[0]
-            )
+        # column k toward thetas[k] is column k of the one-angle matrix toward it
+        thetas = np.linspace(-1.2, 1.4, TABLE_CFG.num_subcarriers)
+        cols = response_matrix(thetas, TABLE_CFG)
+        assert cols.shape == (32, TABLE_CFG.num_subcarriers)
+        for k in range(0, TABLE_CFG.num_subcarriers, 100):
+            np.testing.assert_array_equal(cols[:, k], response_matrix(thetas[k], TABLE_CFG)[:, k])
 
     @pytest.mark.parametrize("bad", [np.nan, 1.6, -np.inf])
     def test_angle_vector_outside_half_plane_rejected(self, bad):
-        freqs = TABLE_CFG.subcarrier_centers()[:4]
+        thetas = np.full(TABLE_CFG.num_subcarriers, 0.2)
+        thetas[1] = bad
         with pytest.raises(ValueError, match=r"angle of departure .* outside \[-pi/2, pi/2\]"):
-            response_matrix(np.array([0.1, bad, 0.2, 0.3]), freqs, TABLE_CFG)
+            response_matrix(thetas, TABLE_CFG)
 
 
 class TestPhasorRamp:
@@ -136,24 +135,25 @@ class TestResponseMatrix:
         freqs = cfg.subcarrier_centers()
         thetas = np.linspace(-1.5, 1.5, freqs.size)
         n = np.arange(num_antennas)
-        direct = np.exp(1j * 2 * np.pi * 0.5 * np.outer(np.sin(thetas) * freqs / 60e9, n))
-        np.testing.assert_allclose(response_matrix(thetas, freqs, cfg), direct, rtol=0, atol=1e-12)
+        direct = np.exp(1j * 2 * np.pi * 0.5 * np.outer(n, np.sin(thetas) * freqs / 60e9))
+        np.testing.assert_allclose(response_matrix(thetas, cfg), direct, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            response_matrix(0.4, freqs, cfg),
-            np.exp(1j * 2 * np.pi * 0.5 * np.sin(0.4) * np.outer(freqs / 60e9, n)),
+            response_matrix(0.4, cfg),
+            np.exp(1j * 2 * np.pi * 0.5 * np.sin(0.4) * np.outer(n, freqs / 60e9)),
             rtol=0,
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("num_angles, num_freqs", [(5, 1), (3, 8)])
-    def test_angle_count_must_be_one_or_one_per_frequency(self, num_angles, num_freqs):
-        freqs = TABLE_CFG.subcarrier_centers()[:num_freqs]
+    @pytest.mark.parametrize("num_angles, num_subcarriers", [(5, 1), (3, 8)])
+    def test_angle_count_must_be_one_or_one_per_frequency(self, num_angles, num_subcarriers):
+        cfg = ArrayConfig(32, 0.5, 60e9, 2e9, num_subcarriers)
         thetas = np.linspace(-0.3, 0.3, num_angles)
-        message = rf"{num_angles} angles for {num_freqs} frequencies"
+        k = num_subcarriers
+        message = rf"^got {num_angles} angles for {k} subcarriers; pass 1 or {k}$"
         with pytest.raises(ValueError, match=message):
-            response_matrix(thetas, freqs, TABLE_CFG)
+            response_matrix(thetas, cfg)
         with pytest.raises(ValueError, match=message):
-            gain_profile(thetas, freqs, np.ones((num_freqs, 32)) / np.sqrt(32), TABLE_CFG)
+            gain_profile(thetas, np.ones((32, num_subcarriers)) / np.sqrt(32), cfg)
 
 
 class TestBandSteering:
@@ -169,7 +169,7 @@ class TestBandSteering:
         b = band_steering(angles, cfg)
         assert b.shape == (num_antennas, num_subcarriers)
         np.testing.assert_allclose(b, direct, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(b, np.conj(response_matrix(thetas, freqs, cfg)).T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, np.conj(response_matrix(thetas, cfg)), rtol=0, atol=1e-12)
 
     def test_one_angle_covers_the_band(self):
         cfg = ArrayConfig(8, 0.5, 60e9, 2e9, 48)
@@ -205,10 +205,9 @@ class TestAnalogWeights:
     def test_matrix_matches_scalar_form(self):
         rng = np.random.default_rng(3)
         w = AnalogWeights(wrap_phase(rng.uniform(-np.pi, np.pi, 32)), rng.uniform(0, 16e-9, 32))
-        freqs = TABLE_CFG.subcarrier_centers()[:5]
-        rows = awv_matrix(w, freqs, TABLE_CFG)
-        for i, f in enumerate(freqs):
-            np.testing.assert_allclose(rows[i], awv(w, f, TABLE_CFG), atol=1e-12)
+        cols = awv_matrix(w, TABLE_CFG)
+        for k, f in enumerate(TABLE_CFG.subcarrier_centers()[:5]):
+            np.testing.assert_allclose(cols[:, k], awv(w, f, TABLE_CFG), atol=1e-12)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -286,40 +285,50 @@ class TestPatternHeatmap:
                 v = awv(w, freqs[k], cfg)
                 assert heat[i, k] == pytest.approx(gain(grid[i], freqs[k], v, cfg), rel=1e-12)
 
-    def test_gain_profile_row_convention(self):
+    def test_gain_profile_column_convention(self):
         cfg = ArrayConfig(4, 0.5, 60e9, 2e9, 8)
         freqs = cfg.subcarrier_centers()
         w = AnalogWeights(np.zeros(4), np.linspace(0, 1e-9, 4))
-        rows = awv_matrix(w, freqs, cfg)
-        prof = gain_profile(0.1, freqs, rows, cfg)
+        prof = gain_profile(0.1, awv_matrix(w, cfg), cfg)
         assert prof.shape == (8,)
         assert prof[3] == pytest.approx(gain(0.1, freqs[3], awv(w, freqs[3], cfg), cfg), rel=1e-12)
 
     def test_gain_profile_one_angle_per_frequency(self):
         cfg = ArrayConfig(4, 0.5, 60e9, 2e9, 8)
-        freqs = cfg.subcarrier_centers()
-        rows = awv_matrix(AnalogWeights(np.zeros(4), np.linspace(0, 1e-9, 4)), freqs, cfg)
+        cols = awv_matrix(AnalogWeights(np.zeros(4), np.linspace(0, 1e-9, 4)), cfg)
         thetas = np.repeat([0.3, -0.2], 4)
-        prof = gain_profile(thetas, freqs, rows, cfg)
-        np.testing.assert_array_equal(prof[:4], gain_profile(0.3, freqs[:4], rows[:4], cfg))
-        np.testing.assert_array_equal(prof[4:], gain_profile(-0.2, freqs[4:], rows[4:], cfg))
+        prof = gain_profile(thetas, cols, cfg)
+        np.testing.assert_array_equal(prof[:4], gain_profile(0.3, cols, cfg)[:4])
+        np.testing.assert_array_equal(prof[4:], gain_profile(-0.2, cols, cfg)[4:])
 
 
 @pytest.mark.parametrize("theta", [0.3, np.linspace(-1.2, 1.4, 48)])
 def test_matched_gains_matches_gain_profile(theta):
     # the evaluation kernel (band_steering ramps along the subcarriers) against
     # gain_profile (response_matrix ramps along the antennas): equal to the
-    # kernels' rounding bound. The same kernel over a strided or a contiguous
-    # (N, K) view of the weights gives the same bits
+    # kernels' rounding bound. The same kernel over a C- or a Fortran-ordered
+    # copy of the weights gives the same bits
     cfg = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
-    freqs = cfg.subcarrier_centers()
-    rows = awv_matrix(AnalogWeights(np.linspace(-3, 3, 16), np.linspace(0, 2e-9, 16)), freqs, cfg)
+    cols = awv_matrix(AnalogWeights(np.linspace(-3, 3, 16), np.linspace(0, 2e-9, 16)), cfg)
     b = band_steering(theta, cfg)
-    gains = _matched_gains(b, np.ascontiguousarray(rows.T))
-    np.testing.assert_array_equal(gains, _matched_gains(b, rows.T))
-    np.testing.assert_allclose(gains, gain_profile(theta, freqs, rows, cfg), rtol=0,
+    gains = _matched_gains(b, cols)
+    np.testing.assert_array_equal(gains, _matched_gains(b, np.asfortranarray(cols)))
+    np.testing.assert_allclose(gains, gain_profile(theta, cols, cfg), rtol=0,
                                atol=steering_gain_atol(cfg))
     np.testing.assert_allclose(_matched_gains(b, np.conj(b) / 4.0), np.full(48, 16.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["response_matrix", "awv_matrix", "band_steering"])
+def test_matrices_are_contiguous_complex_n_by_k(kernel):
+    cfg = ArrayConfig(7, 0.5, 60e9, 2e9, 48)
+    weights = AnalogWeights(np.linspace(-3, 3, 7), np.linspace(0, 2e-9, 7))
+    build = {"response_matrix": lambda: response_matrix(np.linspace(-1.2, 1.4, 48), cfg),
+             "awv_matrix": lambda: awv_matrix(weights, cfg),
+             "band_steering": lambda: band_steering([0.3, -0.2, 0.5], cfg)}[kernel]
+    out = build()
+    assert out.shape == (7, 48)
+    assert out.dtype == np.complex128
+    assert out.flags.c_contiguous
 
 
 def test_wrap_phase_range():

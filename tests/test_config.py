@@ -15,6 +15,7 @@ from slantbeam.config import (
     parse_config,
     serialize_config,
 )
+from slantbeam.designs import design_stepped
 from slantbeam.jpta import SolverOptions
 from slantbeam.link import LinkBudget, capacity_records, offset_grid
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate, ScenarioConfig
@@ -259,8 +260,9 @@ ARRAY = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
 
 # one call per float range check with NaN where the check reads, and one with
 # inf, which every check bounds above (accel_mean's finiteness check reads NaN
-# and inf alike, so it has the NaN row only); each error starts with the
-# checked field's name, which _FIELD_KEYS maps to its key
+# and inf alike, so it has the NaN row only), plus one per anchor-center shape
+# that AnchorSpec rejects before its finiteness check; each error starts with
+# the checked field's name, which _FIELD_KEYS maps to its key
 NAN_ROWS = {
     "ArrayConfig.spacing": ("spacing", lambda: ArrayConfig(16, NAN, 60e9, 2e9, 48)),
     "ArrayConfig.carrier_freq": ("carrier_freq", lambda: ArrayConfig(16, 0.5, NAN, 2e9, 48)),
@@ -277,6 +279,12 @@ NAN_ROWS = {
         "var_omega", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, NAN, 1.0)),
     "AnchorSpec.aod_range": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=NAN)),
     "AnchorSpec.centers": ("centers", lambda: AnchorSpec(centers=(NAN, 0.1), aod_range=0.0)),
+    "AnchorSpec.centers shape (2, 1)": ("centers", lambda: design_stepped([[0.1], [0.2]], ARRAY)),
+    "AnchorSpec.centers shape (2, 2)": (
+        "centers", lambda: design_stepped([[0.1, 0.2], [0.3, 0.4]], ARRAY)),
+    "AnchorSpec.centers empty": ("centers", lambda: design_stepped([], ARRAY)),
+    "SweepConfig.values": ("values", lambda: SweepConfig("offset_range", (0.0, NAN, 1.0))),
+    "SweepConfig.values alone": ("values", lambda: SweepConfig("offset_range", (NAN,))),
     "SolverOptions.tau_max": ("tau_max", lambda: SolverOptions(tau_max=NAN)),
     "SolverOptions.objective_tolerance": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=NAN)),
@@ -297,6 +305,7 @@ NAN_ROWS = {
         "var_omega", lambda: KinematicsEstimate(0.0, 0.0, 0.0, 1.0, INF, 1.0)),
     "AnchorSpec.aod_range=inf": ("aod_range", lambda: AnchorSpec(centers=(0.0,), aod_range=INF)),
     "AnchorSpec.centers=inf": ("centers", lambda: AnchorSpec(centers=(INF, 0.1), aod_range=0.0)),
+    "SweepConfig.values=inf": ("values", lambda: SweepConfig("offset_range", (0.0, INF))),
     "SolverOptions.tau_max=inf": ("tau_max", lambda: SolverOptions(tau_max=INF)),
     "SolverOptions.objective_tolerance=inf": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=INF)),

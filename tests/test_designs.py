@@ -11,6 +11,7 @@ from slantbeam.arrays import (
     wrap_phase,
 )
 from slantbeam.designs import (
+    ANALOG_KINDS,
     BeamDesign,
     DigitalGeniePolicy,
     FixedBeamPolicy,
@@ -26,7 +27,7 @@ from slantbeam.designs import (
 from slantbeam.jpta import SolverOptions
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate
 
-from oracles import gain, matched_filter
+from oracles import awv, gain, matched_filter
 
 DEG = np.pi / 180.0
 TIMING = FrameTiming(0.16, 100)
@@ -147,15 +148,15 @@ class TestSteppedDesign:
         angles = np.array([-30.0, 0.0, 30.0]) * DEG
         design = design_stepped(angles, CFG48)
         freqs = CFG48.subcarrier_centers()
-        rows = awv_matrix(design.weights, freqs, CFG48)
+        cols = awv_matrix(design.weights, CFG48)
         per = 16
         for u in range(3):
             k_mid = u * per + per // 2
-            own = gain(angles[u], freqs[k_mid], rows[k_mid], CFG48)
+            own = gain(angles[u], freqs[k_mid], cols[:, k_mid], CFG48)
             for other in range(3):
                 if other == u:
                     continue
-                cross = gain(angles[other], freqs[k_mid], rows[k_mid], CFG48)
+                cross = gain(angles[other], freqs[k_mid], cols[:, k_mid], CFG48)
                 assert own >= 10.0 * cross
 
 
@@ -217,7 +218,7 @@ class TestQpdDesign:
         f_c = 60e9
 
         def width_3db(design):
-            v = awv_matrix(design.weights, np.array([f_c]), CFG48)[0]
+            v = awv(design.weights, f_c, CFG48)
             pattern = np.array([gain(t, f_c, v, CFG48) for t in grid])
             above = pattern >= pattern.max() / 2
             return np.rad2deg(grid[above][-1] - grid[above][0])
@@ -234,7 +235,7 @@ class TestGenies:
         freqs = CFG48.subcarrier_centers()
         gains = DigitalGeniePolicy(CFG48).gains(band_steering(theta, CFG48), [theta])
         np.testing.assert_array_equal(gains, np.full(48, 32.0))
-        v = matched_filter([theta], [0], CFG48)[7]
+        v = matched_filter([theta], [0], CFG48)[:, 7]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(v), 1 / np.sqrt(32), atol=1e-12)
         assert gain(theta, freqs[7], v, CFG48) == pytest.approx(32.0, rel=1e-12)
@@ -251,24 +252,21 @@ class TestGenies:
         cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 16)
         theta = 12 * DEG
         design = genie_stepped([theta], cfg)
-        freqs = cfg.subcarrier_centers()
-        rows = awv_matrix(design.weights, freqs, cfg)
-        gains = gain_profile(theta, freqs, rows, cfg)
+        gains = gain_profile(theta, awv_matrix(design.weights, cfg), cfg)
         assert np.all(gains >= 0.9 * 32)
 
     def test_single_analog_bank_trails_digital_for_separated_users(self):
         # one phase/delay bank serving three well separated users cannot hold
         # the matched gain everywhere; fully digital weights can
         cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 240)
-        freqs = cfg.subcarrier_centers()
         angles = np.array([-30.0, 0.0, 30.0]) * DEG
         design = genie_stepped(angles, cfg)
-        rows = awv_matrix(design.weights, freqs, cfg)
+        cols = awv_matrix(design.weights, cfg)
         per = 240 // 3
         analog_min = np.inf
         for u, th in enumerate(angles):
             sl = slice(u * per, (u + 1) * per)
-            analog_min = min(analog_min, gain_profile(th, freqs[sl], rows[sl], cfg).min())
+            analog_min = min(analog_min, gain_profile(th, cols, cfg)[sl].min())
         assert analog_min < 0.5 * 32
 
         digital = DigitalGeniePolicy(cfg).gains(band_steering(angles, cfg), angles)
@@ -277,7 +275,7 @@ class TestGenies:
 
 class TestPolicies:
     def test_fixed_policy_precomputes_rows(self):
-        # the rows are fixed at construction: the true directions passed to
+        # the columns are fixed at construction: the true directions passed to
         # gains() do not move them, only the steering they are scored against
         design = design_rainbow(CFG48)
         pol = FixedBeamPolicy(design, CFG48)
@@ -286,25 +284,24 @@ class TestPolicies:
         b = band_steering(np.array([-5.0, 20.0, -35.0]) * DEG, CFG48)
         first = pol.gains(b, np.array([-5.0, 20.0, -35.0]) * DEG)
         np.testing.assert_array_equal(pol.gains(b, np.zeros(3)), first)
-        rows = awv_matrix(design.weights, CFG48.subcarrier_centers(), CFG48)
-        np.testing.assert_array_equal(first, _matched_gains(b, rows.T))
+        cols = awv_matrix(design.weights, CFG48)
+        np.testing.assert_array_equal(first, _matched_gains(b, cols))
 
     def test_stepped_genie_policy_equals_direct_solve(self):
         # each call re-solves at the directions it is given; nothing is carried
         # from one evaluated instant to the next
         assignment = np.array([0, 1, 2])
         pol = SteppedGeniePolicy(CFG48, assignment=assignment)
-        freqs = CFG48.subcarrier_centers()
         for deg in ([-5.0, 20.0, -35.0], [30.0, -10.0, 5.0], [-5.0, 20.0, -35.0]):
             angles = np.array(deg) * DEG
             b = band_steering(angles, CFG48)
             direct = genie_stepped(angles, CFG48, assignment=assignment)
-            rows = awv_matrix(direct.weights, freqs, CFG48)
-            np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, rows.T))
+            cols = awv_matrix(direct.weights, CFG48)
+            np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
 
     @pytest.mark.parametrize("kind", ["rainbow", "stepped_genie"])
     def test_analog_policy_gains_score_its_rows(self, kind):
-        # a frozen design's rows are its weights at the subcarrier centers; the
+        # a frozen design's columns are its weights at the subcarrier centers; the
         # stepped genie's are those of a direct solve at the true directions
         angles = np.array([-5.0, 20.0, -35.0]) * DEG
         assignment = np.array([2, 0, 1])
@@ -316,8 +313,28 @@ class TestPolicies:
             pol = SteppedGeniePolicy(CFG48, assignment=assignment)
         assert pol.kind == kind
         b = band_steering(angles[[1, 2, 0]], CFG48)
-        rows = awv_matrix(design.weights, CFG48.subcarrier_centers(), CFG48)
-        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, rows.T))
+        cols = awv_matrix(design.weights, CFG48)
+        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
+
+    @pytest.mark.parametrize("kind", ANALOG_KINDS)
+    def test_pattern_heatmap_is_what_the_policy_scores(self, kind):
+        # both score the design's awv_matrix columns against band_steering, so
+        # each heatmap row is the policy's gains toward that angle, bit for bit
+        aods = np.array([-25.0, 3.0, 30.0]) * DEG
+        build = {
+            "slanted": lambda: design_slanted([static_estimate(a / DEG, 4 * DEG**2) for a in aods],
+                                              0.97, CFG48, TIMING),
+            "stepped": lambda: design_stepped(aods, CFG48),
+            "rainbow": lambda: design_rainbow(CFG48),
+            "qpd": lambda: design_qpd(10 * DEG, np.pi, CFG48),
+        }
+        design = build[kind]()
+        assert design.kind == kind
+        grid = np.deg2rad(np.linspace(-60.0, 60.0, 9))
+        heat = pattern_heatmap(design.weights, grid, CFG48)
+        pol = FixedBeamPolicy(design, CFG48)
+        for i, theta in enumerate(grid):
+            np.testing.assert_array_equal(heat[i], pol.gains(band_steering(theta, CFG48), None))
 
     def test_digital_genie_policy_full_gain_on_own_band(self):
         # the policy's closed form N, and the matched filter reaching it on
@@ -325,14 +342,13 @@ class TestPolicies:
         angles = np.array([-30.0, 0.0, 30.0]) * DEG
         assignment = np.array([2, 0, 1])
         pol = DigitalGeniePolicy(CFG48)
-        freqs = CFG48.subcarrier_centers()
         b = band_steering(angles[[1, 2, 0]], CFG48)
         np.testing.assert_array_equal(pol.gains(b, angles), np.full(48, 32.0))
-        rows = matched_filter(angles, assignment, CFG48)
+        cols = matched_filter(angles, assignment, CFG48)
         per = 16
         for u, band in enumerate(assignment):
             sl = slice(band * per, (band + 1) * per)
-            gains = gain_profile(angles[u], freqs[sl], rows[sl], CFG48)
+            gains = gain_profile(angles[u], cols, CFG48)[sl]
             np.testing.assert_allclose(gains, 32.0, rtol=1e-9)
 
 

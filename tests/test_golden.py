@@ -72,5 +72,8 @@ def test_values_match_golden(golden, current, category):
     got = np.array([current[category][lab] for lab in labels], dtype=float)
     scale = np.full(want.shape, float(NUM_ANTENNAS)) if category == "gain" else np.abs(want)
     err = np.abs(got - want)
+    # relative to the scale, and absolute where the scale is 0; CI shows this line
+    drift = float(np.max(err / np.where(scale > 0, scale, 1.0)))
+    print(f"golden {category}: max drift {drift:.3g} (tolerance {tol:g}, measured {measured:g})")
     bad = np.flatnonzero(err > tol * scale)
     assert bad.size == 0, [(labels[i], got[i], want[i]) for i in bad[:5]]

@@ -179,10 +179,10 @@ class TestMinCapacity:
     def test_matches_per_band_loop(self, kind):
         # oracle: per user, its band's gains, then user_capacity, as capacities
         # were once accumulated. The rainbow's gains come from one gain_profile
-        # call on its weight rows, steered along the antennas, so they agree
+        # call on its weight columns, steered along the antennas, so they agree
         # with the evaluation's subcarrier ramps to the kernels' rounding bound.
         # The digital genie's are the closed form N, exactly; its matched-filter
-        # rows reach N only to rounding, so they are checked against N at the
+        # columns reach N only to rounding, so they are checked against N at the
         # summation bound instead
         assignment = np.array([2, 0, 1])
         if kind == "rainbow":
@@ -193,16 +193,15 @@ class TestMinCapacity:
         h2 = (1.0, 0.5, 2.0)
         aods = np.array([[-30.0, 0.0, 30.0], [-27.0, 4.0, 33.0], [-35.0, -2.0, 20.0]]) * DEG
         rec = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
-        freqs = CFG48.subcarrier_centers()
         expected = np.empty(aods.shape)
         for p, row in enumerate(aods):
             if kind == "rainbow":
-                rows = awv_matrix(design.weights, freqs, CFG48)
+                cols = awv_matrix(design.weights, CFG48)
             else:
-                rows = matched_filter(row, assignment, CFG48)
+                cols = matched_filter(row, assignment, CFG48)
             for u, band in enumerate(assignment):
                 sl = slice(band * 16, (band + 1) * 16)
-                gains = gain_profile(row[u], freqs[sl], rows[sl], CFG48)
+                gains = gain_profile(row[u], cols, CFG48)[sl]
                 if kind == "digital_genie":
                     np.testing.assert_allclose(gains, 32.0, rtol=matched_gain_rtol(32), atol=0)
                     gains = np.full(16, 32.0)

@@ -140,12 +140,11 @@ class TestRunTrial:
         # gain_profile steers along the antennas and the evaluation along the
         # subcarriers, so analog beams agree to the kernels' rounding bound.
         # The digital genie's gains are the closed form N; its matched-filter
-        # rows reach N only to rounding, checked at the summation bound
+        # columns reach N only to rounding, checked at the summation bound
         cfg = dataclasses.replace(SMALL, mode=mode, channel_gains=(1.0, 0.5, 2.0))
         res = run_trial(cfg, 3, 1)
         trial = design_trial(cfg, 3, 1)
         assert not np.array_equal(trial.assignment, np.arange(3))
-        freqs = cfg.array.subcarrier_centers()
         users = subband_users(trial.assignment, cfg.array.num_subcarriers, 3)
         assert tuple(res.records) == tuple(trial.beams) == cfg.beams == BEAM_KINDS
         tol = capacity_tolerance(cfg.array, cfg.budget, max(cfg.channel_gains), 3)
@@ -153,16 +152,16 @@ class TestRunTrial:
             expected = np.empty(trial.true_aods.shape)
             for p, row in enumerate(trial.true_aods):
                 if kind == "digital_genie":
-                    rows = matched_filter(row, trial.assignment, cfg.array)
-                    gains = gain_profile(row[users], freqs, rows, cfg.array)
+                    cols = matched_filter(row, trial.assignment, cfg.array)
+                    gains = gain_profile(row[users], cols, cfg.array)
                     n = cfg.array.num_antennas
                     np.testing.assert_allclose(gains, n, rtol=matched_gain_rtol(n), atol=0)
                     gains = np.full(users.size, float(n))
                 else:
                     design = (trial.beams[kind] if kind in ANALOG_KINDS else
                               genie_stepped(row, cfg.array, cfg.solver, trial.assignment))
-                    rows = awv_matrix(design.weights, freqs, cfg.array)
-                    gains = gain_profile(row[users], freqs, rows, cfg.array)
+                    cols = awv_matrix(design.weights, cfg.array)
+                    gains = gain_profile(row[users], cols, cfg.array)
                 for u in range(3):
                     expected[p, u] = user_capacity(gains[users == u], cfg.array, cfg.budget,
                                                    cfg.channel_gains[u])
