@@ -212,9 +212,11 @@ def _matched_gains(b: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
 
 
 def pattern_heatmap(weights: AnalogWeights, theta_grid: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Gain map over (angle, subcarrier), shape (len(theta_grid), K)."""
-    v_cols = awv_matrix(weights, cfg)
+    """Gain map over (angle, subcarrier) of a 1-D angle grid, shape (len(theta_grid), K)."""
     theta_grid = np.asarray(theta_grid, dtype=float)
+    if theta_grid.ndim != 1:
+        raise ValueError(f"theta_grid must be 1-D, got shape {theta_grid.shape}")
+    v_cols = awv_matrix(weights, cfg)
     out = np.empty((theta_grid.size, cfg.num_subcarriers))
     for i, theta in enumerate(theta_grid):
         out[i] = _matched_gains(band_steering(theta, cfg), v_cols)

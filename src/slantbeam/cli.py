@@ -65,7 +65,7 @@ def write_capacity_csv(path, seed, cfg_hash, results, beams):
         for res in results:
             for beam in beams:
                 head = f"{res.trial_id},{beam},"
-                caps = res.records[beam].capacities.tolist()
+                caps = res.records[beam].tolist()
                 yield "".join([f"{head}{u},{p},{c!r}\n"
                                for p, row in enumerate(caps) for u, c in enumerate(row)])
 

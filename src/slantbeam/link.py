@@ -75,31 +75,10 @@ def offset_grid(max_offset: float, count: int) -> np.ndarray:
     return np.linspace(-max_offset, max_offset, count)
 
 
-@dataclass(frozen=True)
-class CapacityRecord:
-    """Per-user capacities over evaluation points, shape (P, U)."""
-
-    capacities: np.ndarray
-
-    def __post_init__(self):
-        caps = np.array(self.capacities, dtype=float)
-        if caps.ndim != 2:
-            raise ValueError("capacities must be 2-D (eval points, users)")
-        caps.setflags(write=False)
-        object.__setattr__(self, "capacities", caps)
-
-    @property
-    def min_capacity(self) -> float:
-        return float(self.capacities.min())
-
-    @property
-    def num_eval_points(self) -> int:
-        return self.capacities.shape[0]
-
-
 def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
                      assignment=None, channel_gains=None) -> dict:
-    """Evaluate beam policies against true directions, kind -> CapacityRecord.
+    """Evaluate beam policies against true directions, kind -> read-only (P, U)
+    capacity array in bit/s, in the order of ``policies``.
 
     ``policies`` maps kinds to policies and ``true_aods`` has shape (P, U): P
     evaluation points, U users. At each point the (N, K) conjugate steering
@@ -130,13 +109,15 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
                 caps[kind][p, band_users] = cfg.subcarrier_spacing * bands
         except ValueError as exc:
             raise ValueError(f"beam {kind}, eval index {p}: {exc}") from exc
-    return {kind: CapacityRecord(table) for kind, table in caps.items()}
+    for table in caps.values():
+        table.setflags(write=False)
+    return caps
 
 
 def min_capacity(policy, true_aods, cfg: ArrayConfig, budget: LinkBudget, assignment=None,
-                 channel_gains=None) -> CapacityRecord:
-    """``capacity_records`` for one policy, under the explicit assignment,
-    else the policy's, else the identity."""
+                 channel_gains=None) -> np.ndarray:
+    """``capacity_records`` for one policy, its read-only (P, U) array, under
+    the explicit assignment, else the policy's, else the identity."""
     if assignment is None:
         assignment = getattr(policy, "assignment", None)
     kind = getattr(policy, "kind", "")

@@ -138,13 +138,14 @@ def _check_angle_reach(config: TrialConfig) -> None:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One trial's capacity records, by beam kind."""
+    """One trial's ``capacity_records``: by beam kind, a read-only (P, U) array."""
 
     trial_id: int
     records: dict
 
     def min_capacity(self, kind: str) -> float:
-        return self.records[kind].min_capacity
+        """The worst capacity of ``kind`` over users and points, a built-in float."""
+        return float(self.records[kind].min())
 
 
 class TrialDesign(NamedTuple):
@@ -216,13 +217,14 @@ POLICY_BUILDERS = {
 
 
 def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialDesign:
-    """The design stage of one seeded trial: sample, then build every requested beam."""
+    """Sample one seeded trial, then build its beams; a failure names the trial (and beam)."""
     rng = _trial_rng(master_seed, trial_id)
     scenario = tuple(_labelled(f"trial {trial_id}", sample_scenario, rng, config.scenario))
     assignment = rng.permutation(config.scenario.num_users)
     estimates = [est for _, est in scenario]
     true_aods = _evaluation_points(config, [kin for kin, _ in scenario], estimates)
-    beams = {kind: POLICY_BUILDERS[kind](config, estimates, assignment) for kind in config.beams}
+    beams = {kind: _labelled(f"trial {trial_id}: beam {kind}", POLICY_BUILDERS[kind], config,
+                             estimates, assignment) for kind in config.beams}
     return TrialDesign(scenario, assignment, true_aods, beams)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,13 @@ class TestPatternHeatmap:
         assert heat.shape == (3, 64)
         np.testing.assert_allclose(heat[1], 32.0, rtol=1e-9)
         assert np.all(heat[0] < 1.0) and np.all(heat[2] < 1.0)
+
+    @pytest.mark.parametrize("grid", [np.zeros((2, 3)), np.float64(0.0)])
+    def test_grid_that_is_not_1d_rejected(self, grid):
+        w = AnalogWeights(np.zeros(8), np.zeros(8))
+        message = f"theta_grid must be 1-D, got shape {np.shape(grid)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pattern_heatmap(w, grid, ArrayConfig(8, 0.5, 60e9, 2e9, 48))
 
     def test_matches_pointwise_gain(self):
         cfg = ArrayConfig(8, 0.5, 60e9, 2e9, 16)

@@ -18,7 +18,6 @@ from slantbeam.cli import (
     write_sweep_csv,
 )
 from slantbeam.designs import ANALOG_KINDS
-from slantbeam.link import CapacityRecord
 from slantbeam.montecarlo import SweepConfig, SweepResult, TrialResult
 
 TINY = [
@@ -522,7 +521,7 @@ def capacity_oracle(seed, h, results, beams):
     out = [_head(seed, h, "trial,beam,user,eval_index,capacity_bps")]
     for res in results:
         for beam in beams:
-            caps = res.records[beam].capacities
+            caps = res.records[beam]
             for p in range(caps.shape[0]):
                 for u in range(caps.shape[1]):
                     out.append(f"{res.trial_id},{beam},{u},{p},{repr(float(caps[p, u]))}\n")
@@ -566,7 +565,7 @@ AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e22, 60e9, 1 / 3, 2.5e-7, 123456789.125]
 
 
 def _trial(trial_id, caps_by_beam):
-    records = {b: CapacityRecord(np.array(c)) for b, c in caps_by_beam.items()}
+    records = {b: np.array(c, dtype=float) for b, c in caps_by_beam.items()}
     return TrialResult(trial_id, records)
 
 
@@ -608,6 +607,13 @@ class TestWriters:
         path = tmp_path / "out.csv"
         writer(str(path), 9, "ab12", *args)
         assert path.read_bytes() == oracle(9, "ab12", *args).encode("utf-8")
+
+    def test_summary_minima_stay_builtin_floats(self, tmp_path):
+        # repr of a numpy 2 scalar reads np.float64(...), which would change every row
+        path = tmp_path / "out.csv"
+        write_capacity_summary_csv(str(path), 9, "ab12", RESULTS, ("stepped", "rainbow"))
+        rows = path.read_text(encoding="utf-8").splitlines()[2:]
+        assert len(rows) == 4 and not any("np.float64(" in row for row in rows)
 
     def test_heatmap_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):

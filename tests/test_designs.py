@@ -24,7 +24,6 @@ from slantbeam.designs import (
     qpd_phase_profile,
     target_directions,
 )
-from slantbeam.jpta import SolverOptions
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate
 
 from oracles import awv, gain, matched_filter

@@ -7,7 +7,6 @@ from slantbeam import jpta
 from slantbeam.arrays import TWO_PI, AnalogWeights, ArrayConfig, _phasor_ramp, response_matrix
 from slantbeam.jpta import (
     SolverOptions,
-    SolverReport,
     TargetProfile,
     _moment_expansion,
     _moment_sums,
@@ -146,7 +145,7 @@ class TestDelayRefinement:
             assert g_cand[n] == pytest.approx(abs_sum(c[n], fb, cand[n:n + 1])[0], rel=1e-12)
 
     def test_never_worse_than_grid_point(self, num_subcarriers, seed, geometry):
-        c, fb, plan, best = refinement_case(num_subcarriers, seed, **geometry)
+        c, _, plan, best = refinement_case(num_subcarriers, seed, **geometry)
         _, g_cand = _refine_delays(c, plan, best)
         g_grid = np.abs(delay_sums(c, plan, plan.grid[best])[:, 0])
         assert np.all(g_cand >= g_grid)

@@ -7,7 +7,6 @@ import pytest
 from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile
 from slantbeam.designs import DigitalGeniePolicy, FixedBeamPolicy, design_rainbow, design_stepped
 from slantbeam.link import (
-    CapacityRecord,
     LinkBudget,
     capacity_records,
     min_capacity,
@@ -136,18 +135,18 @@ class TestMinCapacity:
     def test_digital_genie_hits_closed_form(self):
         pol = DigitalGeniePolicy(TABLE_CFG)
         aods = np.array([[-20.0, 5.0, 40.0]]) * DEG
-        rec = min_capacity(pol, aods, TABLE_CFG, BUDGET)
-        np.testing.assert_allclose(rec.capacities, 1380259551.9275987, rtol=1e-9)
-        assert rec.min_capacity == pytest.approx(1380259551.9275987, rel=1e-9)
+        caps = min_capacity(pol, aods, TABLE_CFG, BUDGET)
+        np.testing.assert_allclose(caps, 1380259551.9275987, rtol=1e-9)
+        assert caps.min() == pytest.approx(1380259551.9275987, rel=1e-9)
 
     def test_fixed_policy_reuses_rows_across_eval_points(self):
         design = design_stepped(np.array([-10.0, 0.0, 10.0]) * DEG, CFG48)
         pol = FixedBeamPolicy(design, CFG48)
         aods = np.stack([np.array([-10.0, 0.0, 10.0]) * DEG] * 4)
-        rec = min_capacity(pol, aods, CFG48, BUDGET)
-        assert rec.num_eval_points == 4 and rec.capacities.shape == (4, 3)
+        caps = min_capacity(pol, aods, CFG48, BUDGET)
+        assert caps.shape == (4, 3)
         for p in range(1, 4):
-            np.testing.assert_array_equal(rec.capacities[p], rec.capacities[0])
+            np.testing.assert_array_equal(caps[p], caps[0])
 
     def test_assignment_resolution_prefers_explicit(self):
         design = design_rainbow(CFG48)
@@ -157,7 +156,7 @@ class TestMinCapacity:
         swapped = min_capacity(pol, aods, CFG48, BUDGET, assignment=np.array([2, 1, 0]))
         # rainbow maps low frequencies to one edge of the sweep, so moving a
         # user to the other band changes its capacity
-        assert ident.capacities[0, 0] != pytest.approx(swapped.capacities[0, 0], rel=1e-6)
+        assert ident[0, 0] != pytest.approx(swapped[0, 0], rel=1e-6)
 
     def test_assignment_from_design_anchor(self):
         assignment = np.array([1, 0, 2])
@@ -167,7 +166,7 @@ class TestMinCapacity:
         aods = np.array([[-25.0, 0.0, 25.0]]) * DEG
         auto = min_capacity(pol, aods, CFG48, BUDGET)
         explicit = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment)
-        np.testing.assert_array_equal(auto.capacities, explicit.capacities)
+        np.testing.assert_array_equal(auto, explicit)
 
     def test_bad_assignment_rejected(self):
         pol = DigitalGeniePolicy(CFG48)
@@ -192,7 +191,7 @@ class TestMinCapacity:
             pol = DigitalGeniePolicy(CFG48)
         h2 = (1.0, 0.5, 2.0)
         aods = np.array([[-30.0, 0.0, 30.0], [-27.0, 4.0, 33.0], [-35.0, -2.0, 20.0]]) * DEG
-        rec = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
+        caps = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment, channel_gains=h2)
         expected = np.empty(aods.shape)
         for p, row in enumerate(aods):
             if kind == "rainbow":
@@ -207,17 +206,17 @@ class TestMinCapacity:
                     gains = np.full(16, 32.0)
                 expected[p, u] = user_capacity(gains, CFG48, BUDGET, h2[u])
         if kind == "rainbow":
-            np.testing.assert_allclose(rec.capacities, expected,
+            np.testing.assert_allclose(caps, expected,
                                        **capacity_tolerance(CFG48, BUDGET, max(h2), 3))
         else:
-            np.testing.assert_array_equal(rec.capacities, expected)
+            np.testing.assert_array_equal(caps, expected)
 
     def test_channel_gains_broadcast_or_rejected(self):
         pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
         aods = np.array([[-30.0, 0.0, 30.0]]) * DEG
         shared = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=0.5)
         each = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=(0.5, 0.5, 0.5))
-        np.testing.assert_array_equal(shared.capacities, each.capacities)
+        np.testing.assert_array_equal(shared, each)
         for bad in ((1.0, 2.0), (1.0, 0.0, 1.0), -1.0, [[1.0, 1.0, 1.0]]):
             with pytest.raises(ValueError, match="channel_gains must be positive, one per user"):
                 min_capacity(pol, aods, CFG48, BUDGET, channel_gains=bad)
@@ -240,7 +239,7 @@ class TestMinCapacity:
         assert list(recs) == list(policies)
         for kind, pol in policies.items():
             alone = min_capacity(pol, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
-            np.testing.assert_array_equal(recs[kind].capacities, alone.capacities)
+            np.testing.assert_array_equal(recs[kind], alone)
 
     def test_digital_genie_capacities_ignore_the_assignment(self):
         # the genie's gain is N on every subcarrier, so each user's capacity
@@ -248,7 +247,7 @@ class TestMinCapacity:
         pol = {"digital_genie": DigitalGeniePolicy(CFG48)}
         aods = np.array([[-0.3, 0.0, 0.4], [-0.25, 0.1, 0.35]])
         tables = [capacity_records(pol, aods, CFG48, BUDGET, assignment, (1.0, 0.5, 2.0))
-                  ["digital_genie"].capacities for assignment in itertools.permutations(range(3))]
+                  ["digital_genie"] for assignment in itertools.permutations(range(3))]
         assert len(tables) == 6
         for table in tables[1:]:
             np.testing.assert_array_equal(table, tables[0])
@@ -267,20 +266,16 @@ class TestMinCapacity:
         design = design_stepped(start, CFG48)
         frozen = min_capacity(FixedBeamPolicy(design, CFG48), np.array([start, drifted]), CFG48, BUDGET)
         genie = min_capacity(DigitalGeniePolicy(CFG48), np.array([start, drifted]), CFG48, BUDGET)
-        assert frozen.capacities[1, 0] < 0.5 * frozen.capacities[0, 0]
-        assert genie.capacities[1, 0] == pytest.approx(genie.capacities[0, 0], rel=1e-9)
+        assert frozen[1, 0] < 0.5 * frozen[0, 0]
+        assert genie[1, 0] == pytest.approx(genie[0, 0], rel=1e-9)
 
-
-class TestCapacityRecord:
-    def test_min_over_users_and_points(self):
-        rec = CapacityRecord(np.array([[3.0, 2.0], [5.0, 4.0]]))
-        assert rec.min_capacity == 2.0
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            CapacityRecord(np.arange(4.0))
-
-    def test_read_only(self):
-        rec = CapacityRecord(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            rec.capacities[0, 0] = 5.0
+    def test_tables_are_read_only(self):
+        policies = {"rainbow": FixedBeamPolicy(design_rainbow(CFG48), CFG48),
+                    "digital_genie": DigitalGeniePolicy(CFG48)}
+        aods = np.array([[-0.3, 0.0, 0.4]])
+        tables = [*capacity_records(policies, aods, CFG48, BUDGET).values(),
+                  min_capacity(policies["rainbow"], aods, CFG48, BUDGET)]
+        for table in tables:
+            assert table.shape == (1, 3) and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 5.0

@@ -46,7 +46,7 @@ SMALL = TrialConfig(
 def records_equal(a, b):
     assert a.records.keys() == b.records.keys()
     for kind in a.records:
-        np.testing.assert_array_equal(a.records[kind].capacities, b.records[kind].capacities)
+        np.testing.assert_array_equal(a.records[kind], b.records[kind])
 
 
 class TestRunTrial:
@@ -80,12 +80,8 @@ class TestRunTrial:
         # leaves the remaining records untouched
         full = run_trial(SMALL, 7, 2)
         sub = run_trial(dataclasses.replace(SMALL, beams=("stepped", "rainbow")), 7, 2)
-        np.testing.assert_array_equal(
-            full.records["stepped"].capacities, sub.records["stepped"].capacities
-        )
-        np.testing.assert_array_equal(
-            full.records["rainbow"].capacities, sub.records["rainbow"].capacities
-        )
+        np.testing.assert_array_equal(full.records["stepped"], sub.records["stepped"])
+        np.testing.assert_array_equal(full.records["rainbow"], sub.records["rainbow"])
 
     def test_digital_genie_dominates_every_beam(self):
         for trial in range(3):
@@ -131,7 +127,8 @@ class TestRunTrial:
         assert design_trial(cfg, 1, 0).true_aods.shape == (5, 3)
         res = run_trial(cfg, 1, 0)
         for kind in cfg.beams:
-            assert res.records[kind].capacities.shape == (5, 3)
+            assert res.records[kind].shape == (5, 3)
+            assert not res.records[kind].flags.writeable
 
     @pytest.mark.parametrize("mode", EVAL_MODES)
     def test_records_match_per_beam_oracle(self, mode):
@@ -166,9 +163,9 @@ class TestRunTrial:
                     expected[p, u] = user_capacity(gains[users == u], cfg.array, cfg.budget,
                                                    cfg.channel_gains[u])
             if kind == "digital_genie":
-                assert np.array_equal(res.records[kind].capacities, expected)
+                assert np.array_equal(res.records[kind], expected)
             else:
-                np.testing.assert_allclose(res.records[kind].capacities, expected, **tol, err_msg=kind)
+                np.testing.assert_allclose(res.records[kind], expected, **tol, err_msg=kind)
 
     def test_scenario_failure_names_the_trial(self, monkeypatch):
         draw = montecarlo.sample_scenario
@@ -190,15 +187,18 @@ class TestRunTrial:
             run_sweep(sweep, SMALL)
 
     @pytest.mark.parametrize("name, error", [("sample_scenario", ValueError),
-                                             ("capacity_records", RuntimeError)])
+                                             ("capacity_records", RuntimeError),
+                                             ("design_stepped", ValueError)])
     def test_either_stage_error_class_names_the_trial(self, monkeypatch, name, error):
-        # a ValueError or RuntimeError keeps its builtin class and gains the label
+        # a ValueError or RuntimeError keeps its builtin class and gains the
+        # label; a beam builder's failure names the beam too
         def boom(*args, **kwargs):
             raise error("boom")
 
         monkeypatch.setattr(montecarlo, name, boom)
-        with pytest.raises(error, match="^trial 2: boom$") as info:
-            run_trial(dataclasses.replace(SMALL, beams=("rainbow",)), 0, 2)
+        label = "trial 2: beam stepped" if name == "design_stepped" else "trial 2"
+        with pytest.raises(error, match=f"^{label}: boom$") as info:
+            run_trial(dataclasses.replace(SMALL, beams=("rainbow", "stepped")), 0, 2)
         assert type(info.value) is error
 
     @pytest.mark.parametrize("master_seed, trial_id, message", [
@@ -230,6 +230,14 @@ class TestRunTrial:
             dataclasses.replace(SMALL, mode="drive")
         with pytest.raises(ValueError, match="^offset_count must be >= 1"):
             dataclasses.replace(SMALL, offset_count=0)
+
+
+class TestTrialResult:
+    def test_min_over_users_and_points(self):
+        res = TrialResult(0, {"rainbow": np.array([[3.0, 2.0], [5.0, 4.0]])})
+        assert res.min_capacity("rainbow") == 2.0
+        # a built-in float, whose repr the summary CSV writes
+        assert type(res.min_capacity("rainbow")) is float
 
 
 class TestPolicyBuilders:
