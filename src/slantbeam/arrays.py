@@ -39,11 +39,20 @@ def wrap_phase(phi):
 
 def _check_count(name: str, value, low: int = 1) -> None:
     """Raise a ValueError that starts with ``name`` unless ``value`` is an
-    integer (numpy integers included) of at least ``low``."""
-    if not isinstance(value, numbers.Integral):
+    integer (numpy integers included, bool not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
+
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a built-in float, so that a frozen dataclass holding it stays
+    hashable; a ValueError that starts with ``name`` unless it is a real scalar
+    (numpy scalars included; bool and arrays, 0-d ones too, not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,8 @@ class ArrayConfig:
 
     def __post_init__(self):
         _check_count("num_antennas", self.num_antennas)
+        for name in ("spacing", "carrier_freq", "bandwidth"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
         if not 0 < self.bandwidth < math.inf:

@@ -28,6 +28,10 @@ budget, the delay grid (its last point is tau_max) and its (G, K) complex64
 grid matrix, the subcarrier frequencies, the baseband axis with its (K, 3)
 derivative weights, and the moment table below. The private helpers take the
 plan, and a solve adds only the profile's steering matrix and its iterates.
+The plan depends on the two frozen dataclasses alone, so ``_plan`` caches the
+last one it built (``functools.lru_cache(maxsize=1)``), its arrays read-only:
+every solve of a run shares one (cfg, opts) pair, and a stepped genie that
+solves at each evaluated instant builds it once.
 
 The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
 scan, moment expansion, steered product) is a row-wise phasor ramp with start
@@ -76,10 +80,14 @@ as (N, K) arrays. c_t = u0 rot is written into prod's buffer once the current
 expansion's product with c_t is written into its ramp (into a zero-padded
 buffer instead when its moment blocks do not tile K), and the rebuilt prod's
 product with u0 into its ramp. One full-scale solve (K = 1200, N = 32, the
-default 256-point grid) peaks at 4.91 MiB traced, 2.34 MiB of it the
-complex64 grid matrix; in complex128 that matrix alone would take 4.7 MiB.
+default 256-point grid) that builds its plan peaks at 4.91 MiB traced, 2.34
+MiB of it the complex64 grid matrix; in complex128 that matrix alone would
+take 4.7 MiB. The cached plan keeps the grid matrix resident between solves,
+so a process holds those 2.34 MiB from its first solve on, and a solve on the
+cached plan adds only the rest of the peak.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,6 +98,7 @@ from .arrays import (
     TWO_PI,
     AnalogWeights,
     ArrayConfig,
+    _as_float,
     _check_count,
     _phasor_ramp,
     response_matrix,
@@ -131,7 +140,8 @@ class SolverOptions:
 
     ``objective_tolerance`` and ``tau_max`` may be left as None to use the
     defaults 1e-6 * K and num_antennas / bandwidth respectively; a value given
-    must be positive and finite.
+    must be a positive, finite real scalar and is kept as a built-in float, so
+    that the options hash as the key of the solver's plan cache.
     """
 
     max_iters: int = 100
@@ -143,8 +153,12 @@ class SolverOptions:
         _check_count("max_iters", self.max_iters)
         for name in ("objective_tolerance", "tau_max"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
+            if value is None:
+                continue
+            value = _as_float(name, value)
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, value)
         _check_count("delay_search_resolution", self.delay_search_resolution, 2)
 
 
@@ -215,8 +229,11 @@ class _Plan(NamedTuple):
     table: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
 def _plan(cfg: ArrayConfig, opts: SolverOptions) -> _Plan:
-    """The plan of a solve on ``cfg`` with ``opts``, defaults resolved.
+    """The plan of a solve on ``cfg`` with ``opts``, defaults resolved, its
+    arrays read-only. The last plan built is cached, keyed by the (equal, hash
+    equal) frozen pair, so the solves of one run build it once.
 
     Moment blocks are as few and as even as keeps each block's radius
     rho = max|u_l| <= 1. The term count M is the least with
@@ -249,6 +266,8 @@ def _plan(cfg: ArrayConfig, opts: SolverOptions) -> _Plan:
     table = np.vander(1j * u, terms, increasing=True) / np.cumprod([1.0, *range(1, terms)])
     first = start + 0.5 * (block_len - 1) * step
     centers = TWO_PI * cell * (first + block_len * step * np.arange(num_blocks))
+    for array in (grid, e_grid32, freqs, weights, centers, table):
+        array.setflags(write=False)
     return _Plan(tol, opts.max_iters, grid, e_grid32, freqs, start, step, weights, cell,
                  centers, table)
 

@@ -19,7 +19,7 @@ from slantbeam.designs import design_stepped
 from slantbeam.jpta import SolverOptions
 from slantbeam.link import LinkBudget, capacity_records, offset_grid
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate, ScenarioConfig
-from slantbeam.montecarlo import SweepConfig, TrialConfig
+from slantbeam.montecarlo import SweepConfig, TrialConfig, run_trial
 
 DEG = np.pi / 180.0
 
@@ -369,6 +369,64 @@ def test_numpy_integers_are_integers():
     arr = ArrayConfig(np.int64(16), 0.5, 60e9, 2e9, np.int32(48))
     assert TrialConfig(arr, offset_count=np.int64(5)).offset_count == 5
     assert SweepConfig("offset_range", (0.0,), trials=np.int16(2), master_seed=np.uint8(0)).trials == 2
+
+
+# bool is an int subclass, so True would pass as the count 1 (False as seed 0)
+BOOL_COUNT_ROWS = {
+    "ArrayConfig.num_antennas": ("num_antennas", lambda: ArrayConfig(True, 0.5, 60e9, 2e9, 48)),
+    "ArrayConfig.num_subcarriers": (
+        "num_subcarriers", lambda: ArrayConfig(16, 0.5, 60e9, 2e9, True)),
+    "FrameTiming.num_steps": ("num_steps", lambda: FrameTiming(0.16, True)),
+    "ScenarioConfig.num_users": ("num_users", lambda: ScenarioConfig(num_users=True)),
+    "SolverOptions.max_iters": ("max_iters", lambda: SolverOptions(max_iters=True)),
+    "SweepConfig.trials": ("trials", lambda: SweepConfig("offset_range", (0.0,), trials=True)),
+    "SweepConfig.master_seed": (
+        "master_seed", lambda: SweepConfig("offset_range", (0.0,), master_seed=False)),
+    "TrialConfig.offset_count": ("offset_count", lambda: TrialConfig(ARRAY, offset_count=True)),
+    "offset_grid.count": ("count", lambda: offset_grid(1.0, True)),
+    "run_trial.master_seed": ("master_seed", lambda: run_trial(TrialConfig(ARRAY), False, 0)),
+    "run_trial.trial_id": ("trial_id", lambda: run_trial(TrialConfig(ARRAY), 0, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_COUNT_ROWS))
+def test_count_rejects_bool(case):
+    field, build = BOOL_COUNT_ROWS[case]
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got (True|False)$"):
+        build()
+
+
+# the solver's plan cache hashes (ArrayConfig, SolverOptions): a float field
+# takes a real scalar and keeps it as a built-in float; arrays (0-d ones too),
+# strings and bools are refused with the field's name
+FLOAT_SCALAR_ROWS = {
+    "ArrayConfig.spacing 0-d array": (
+        "spacing", lambda: ArrayConfig(8, np.array(0.5), 60e9, 2e9, 24)),
+    "ArrayConfig.carrier_freq string": (
+        "carrier_freq", lambda: ArrayConfig(8, 0.5, "60e9", 2e9, 24)),
+    "ArrayConfig.bandwidth bool": ("bandwidth", lambda: ArrayConfig(8, 0.5, 60e9, True, 24)),
+    "SolverOptions.tau_max 1-d array": ("tau_max", lambda: SolverOptions(tau_max=np.array([1e-9]))),
+    "SolverOptions.objective_tolerance 0-d array": (
+        "objective_tolerance", lambda: SolverOptions(objective_tolerance=np.array(1e-3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_SCALAR_ROWS))
+def test_float_field_rejects_non_scalars(case):
+    field, build = FLOAT_SCALAR_ROWS[case]
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+        build()
+
+
+def test_float_fields_are_builtin_floats():
+    arr = ArrayConfig(8, np.float64(0.5), 60_000_000_000, np.float32(2e9), 24)
+    assert arr == ArrayConfig(8, 0.5, 60e9, 2e9, 24)
+    assert hash(arr) == hash(ArrayConfig(8, 0.5, 60e9, 2e9, 24))
+    assert all(type(getattr(arr, name)) is float for name in ("spacing", "carrier_freq", "bandwidth"))
+    opts = SolverOptions(objective_tolerance=1, tau_max=np.float64(1e-9))
+    assert (type(opts.objective_tolerance), type(opts.tau_max)) == (float, float)
+    assert hash(opts) == hash(SolverOptions(objective_tolerance=1.0, tau_max=1e-9))
+    assert SolverOptions().tau_max is None
 
 
 class TestFieldKeys:

@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import numpy as np
@@ -324,9 +325,10 @@ def test_full_scale_solve_holds_the_grid_only_in_complex64():
 
 
 def test_iteration_builds_two_steered_ramps(monkeypatch):
-    # the solve's set-up ramps are the (G, K) complex64 grid matrix and the
-    # first steered product; after it, an iteration builds the expansion's
-    # ramp and the rebuilt product, and nothing else
+    # the solve's set-up ramps are the (G, K) complex64 grid matrix (its plan
+    # is not cached yet) and the first steered product; after it, an iteration
+    # builds the expansion's ramp and the rebuilt product, and nothing else
+    jpta._plan.cache_clear()
     num_k, num_n = 1200, 32
     cfg = ArrayConfig(num_n, 0.5, 60e9, 2e9, num_k)
     built = []
@@ -343,6 +345,41 @@ def test_iteration_builds_two_steered_ramps(monkeypatch):
     assert report.iterations >= 2
     assert built == ([((256, num_k), np.complex64)]
                      + [((num_n, num_k), np.complex128)] * (1 + 2 * report.iterations))
+
+
+def test_plan_is_built_once_per_array_and_options(monkeypatch):
+    # equal but distinct (cfg, opts) instances, the defaults' None included,
+    # share the cached plan: the (G, K) complex64 grid matrix is built once,
+    # and the solve on the cached plan is the same to the bit. Another grid
+    # resolution is another key, so it builds its own grid matrix
+    grids = []
+    ramp = jpta._phasor_ramp
+
+    def record(*args, **kwargs):
+        out = ramp(*args, **kwargs)
+        if out.dtype == np.complex64:
+            grids.append(out.shape)
+        return out
+
+    monkeypatch.setattr(jpta, "_phasor_ramp", record)
+    jpta._plan.cache_clear()
+    directions = np.repeat(np.deg2rad([-20.0, 15.0]), 32)
+    reports = [jpta_solve(TargetProfile(directions, ArrayConfig(32, 0.5, 60e9, 2e9, 64)), opts)
+               for opts in (None, SolverOptions(max_iters=100, delay_search_resolution=256))]
+    assert grids == [(256, 64)]
+    for field in ("objective_trace", "weights.phases", "weights.delays"):
+        first, second = (operator.attrgetter(field)(r) for r in reports)
+        assert first.tobytes() == second.tobytes(), field
+    jpta_solve(TargetProfile(directions, CFG64), SolverOptions(delay_search_resolution=64))
+    assert grids == [(256, 64), (64, 64)]
+
+
+def test_plan_arrays_are_read_only():
+    # the cached plan is shared by every solve, so no solve may write into it
+    plan = _plan(CFG64, SolverOptions())
+    for name in ("grid", "e_grid32", "freqs", "weights", "centers", "table"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 0
 
 
 @pytest.mark.parametrize("num_subcarriers, num_antennas",
