@@ -179,8 +179,13 @@ class FixedBeamPolicy:
 
 class SteppedGeniePolicy:
     """Oracle baseline: re-solves a stepped design at the true directions of every
-    evaluated instant and scores it as a ``FixedBeamPolicy``.  Solves start cold,
-    so results do not depend on how evaluation points split across workers."""
+    evaluated instant and scores it from its own solve.  Under the policy's own
+    assignment (``run_trial`` scores every beam under the trial's) the solve's
+    targets are the directions ``b`` steers toward, so the gains are
+    N * |v_k^H u_k|^2 from the report's ``alignment``, and ``b`` is not read; no
+    weight columns are built.  They match ``FixedBeamPolicy``'s product with ``b``
+    to rounding only.  Solves start cold, so results do not depend on how
+    evaluation points split across workers."""
 
     kind = "stepped_genie"
 
@@ -191,7 +196,7 @@ class SteppedGeniePolicy:
 
     def gains(self, b, angles) -> np.ndarray:
         design = genie_stepped(angles, self.cfg, self.opts, self.assignment)
-        return FixedBeamPolicy(design, self.cfg).gains(b, angles)
+        return self.cfg.num_antennas * design.report.alignment**2
 
 
 class DigitalGeniePolicy:

@@ -44,7 +44,10 @@ C-contiguous. With rot = exp(j psi) for the auxiliary phases psi, prod @ rot
 is every element's sum at the full frequencies, which differs from the
 baseband S_n by one phase per row: its magnitude is the current delays' |S|
 for the take rule, and once the delays have moved and prod is rebuilt, its
-argument is the phase step. exp(-j phi) @ prod / N gives the inner products.
+argument is the phase step. exp(-j phi) @ prod / N gives the inner products,
+whose magnitudes are the objective's terms; the report keeps the last ones as
+``alignment``, so a caller scores the weights toward the targets (the stepped
+genie's gains N |ip_k|^2) without rebuilding them.
 The take rule thus compares the refinement's |S| (the expansion's ramp times
 the baseband derivative weights) with the current |S| from prod @ rot; the two
 add the same terms in different orders, so they agree only to rounding, and
@@ -168,12 +171,15 @@ class SolverReport:
 
     ``objective_trace[0]`` is the objective of the initial weights and one
     entry follows per iteration; the sequence never decreases by more than
-    floating-point slack.
+    floating-point slack. ``alignment`` holds the final weights' terms
+    |v_k^H u_k|, read-only, (K,); the objective is their sum, bit for bit, and
+    N * alignment**2 are the weights' gains toward the target directions.
     """
 
     weights: AnalogWeights
     objective_trace: np.ndarray
     converged: bool
+    alignment: np.ndarray
 
     @property
     def objective(self) -> float:
@@ -380,7 +386,8 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
 
     prod = steered(delays)
     ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
-    trace = [float(np.sum(np.abs(ip)))]
+    alignment = np.abs(ip)
+    trace = [float(np.sum(alignment))]
     converged = False
 
     for _ in range(plan.max_iters):
@@ -401,9 +408,11 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         prod = steered(delays)
         phases = wrap_phase(np.angle(prod @ rot))
         ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
-        trace.append(float(np.sum(np.abs(ip))))
+        alignment = np.abs(ip)
+        trace.append(float(np.sum(alignment)))
         if trace[-1] - trace[-2] < plan.tol:
             converged = True
             break
 
-    return SolverReport(AnalogWeights(phases, delays), np.asarray(trace), converged)
+    alignment.setflags(write=False)
+    return SolverReport(AnalogWeights(phases, delays), np.asarray(trace), converged, alignment)

@@ -1,7 +1,8 @@
 """Scalar, one-frequency forms of the array model, written straight from the
-formulas, the JPTA delay sums in plain ramp form and the error bound of the
-solver's single-precision grid scan, and one user's capacity sum. Tests
-compare the library's matrix kernels against them."""
+formulas, the JPTA delay sums in plain ramp form, the error bounds of the
+solver's single-precision grid scan and of the stepped genie's scoring from
+its own solve, and one user's capacity sum. Tests compare the library's matrix
+kernels against them."""
 
 import numpy as np
 
@@ -100,6 +101,30 @@ def steering_gain_atol(cfg):
     n = cfg.num_antennas
     phi = 2 * np.pi * cfg.spacing * (n - 1) * cfg.band_edges()[1] / cfg.carrier_freq
     return 2 * n * eps * (2 * 4 * (phi + 1) + 2 * n)
+
+
+def genie_gain_atol(cfg, tau_max):
+    """Absolute bound on how far the stepped genie's gain N*|ip_k|^2, from the JPTA
+    solve's inner products, may sit from the same weights scored as columns,
+    |sum_n b_nk * v_nk|^2 with b = ``band_steering`` and v = ``awv_matrix``.
+    Both sum N unit phasors over 1/sqrt(N) (the solver scales by 1/N and then
+    N|.|^2, the same thing), but each builds every phasor its own way. The
+    steering phase, at most phi_s = 2*pi*spacing*(N-1)*f_max/f_c, rounds as in
+    ``steering_gain_atol``. The delay phase 2*pi*tau_n*f_k, up to
+    phi_d = 2*pi*tau_max*f_max, comes from a phasor ramp's rounded start and step
+    on one side and from awv_matrix's rounded phi_n - 2*pi*tau_n*f_k (with the
+    phase shift, |phi_n| <= pi) on the other, each within a few ulps of
+    phi_d + pi, so each entry is within 4*eps*(phi_d + pi + 1) of the exact
+    phasor, and one more 4*eps covers the two or three complex products and the
+    scaling per entry; the two sides' entries differ by twice those. As in
+    ``steering_gain_atol``, the sum moves by sqrt(N) times the entry bound, plus
+    N*eps*sqrt(N) of summation rounding per side, and |s|^2 <= N by 2*sqrt(N)
+    times the sum's move. phi_d dominates: 6.1e3 rad against phi_s = 99 rad at the
+    default N = 32, W = 2 GHz, f_c = 60 GHz."""
+    eps = np.finfo(float).eps
+    n = cfg.num_antennas
+    phi_d = 2 * np.pi * tau_max * cfg.band_edges()[1]
+    return steering_gain_atol(cfg) + 2 * n * eps * 2 * 4 * (phi_d + np.pi + 2)
 
 
 def user_capacity(gains, cfg, budget, channel_gain=1.0):

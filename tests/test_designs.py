@@ -24,9 +24,10 @@ from slantbeam.designs import (
     qpd_phase_profile,
     target_directions,
 )
+from slantbeam.jpta import SolverOptions
 from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate
 
-from oracles import awv, gain, matched_filter
+from oracles import awv, gain, genie_gain_atol, matched_filter
 
 DEG = np.pi / 180.0
 TIMING = FrameTiming(0.16, 100)
@@ -288,32 +289,58 @@ class TestPolicies:
 
     def test_stepped_genie_policy_equals_direct_solve(self):
         # each call re-solves at the directions it is given; nothing is carried
-        # from one evaluated instant to the next
+        # from one evaluated instant to the next. The gains are the direct
+        # solve's N*|ip|^2 to the bit, and its columns scored against b to the
+        # derived rounding bound
         assignment = np.array([0, 1, 2])
         pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+        atol = genie_gain_atol(CFG48, CFG48.default_tau_max())
         for deg in ([-5.0, 20.0, -35.0], [30.0, -10.0, 5.0], [-5.0, 20.0, -35.0]):
             angles = np.array(deg) * DEG
             b = band_steering(angles, CFG48)
             direct = genie_stepped(angles, CFG48, assignment=assignment)
+            assert direct.report.objective == float(np.sum(direct.report.alignment))
+            gains = pol.gains(b, angles)
+            np.testing.assert_array_equal(gains, CFG48.num_antennas * direct.report.alignment**2)
             cols = awv_matrix(direct.weights, CFG48)
-            np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
+            np.testing.assert_allclose(gains, _matched_gains(b, cols), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("kind", ["rainbow", "stepped_genie"])
     def test_analog_policy_gains_score_its_rows(self, kind):
-        # a frozen design's columns are its weights at the subcarrier centers; the
-        # stepped genie's are those of a direct solve at the true directions
+        # a frozen design's columns are its weights at the subcarrier centers,
+        # scored to the bit; the stepped genie scores a direct solve at the true
+        # directions from that solve, within the derived bound of its columns
         angles = np.array([-5.0, 20.0, -35.0]) * DEG
         assignment = np.array([2, 0, 1])
         if kind == "rainbow":
             design = design_rainbow(CFG48)
             pol = FixedBeamPolicy(design, CFG48)
+            atol = 0.0
         else:
             design = genie_stepped(angles, CFG48, assignment=assignment)
             pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+            atol = genie_gain_atol(CFG48, CFG48.default_tau_max())
         assert pol.kind == kind
         b = band_steering(angles[[1, 2, 0]], CFG48)
         cols = awv_matrix(design.weights, CFG48)
-        np.testing.assert_array_equal(pol.gains(b, angles), _matched_gains(b, cols))
+        np.testing.assert_allclose(pol.gains(b, angles), _matched_gains(b, cols), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("num_antennas, tau_scale", [(8, 1.0), (32, 1.0), (32, 8.0), (128, 1.0)])
+    def test_genie_gain_bound_holds(self, num_antennas, tau_scale):
+        # the bound scales with the delay budget's phase 2*pi*tau_max*f_max, so a
+        # longer budget gets a looser one; four users on K = 240
+        cfg = ArrayConfig(num_antennas, 0.5, 60e9, 2e9, 240)
+        tau_max = tau_scale * cfg.default_tau_max()
+        opts = SolverOptions(tau_max=tau_max)
+        rng = np.random.default_rng(num_antennas)
+        atol = genie_gain_atol(cfg, tau_max)
+        for _ in range(3):
+            angles = rng.uniform(-1.0, 1.0, 4)
+            assignment = rng.permutation(4)
+            b = band_steering(angles[np.argsort(assignment)], cfg)
+            gains = SteppedGeniePolicy(cfg, opts, assignment).gains(b, angles)
+            cols = awv_matrix(genie_stepped(angles, cfg, opts, assignment).weights, cfg)
+            np.testing.assert_allclose(gains, _matched_gains(b, cols), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("kind", ANALOG_KINDS)
     def test_pattern_heatmap_is_what_the_policy_scores(self, kind):

@@ -17,7 +17,7 @@ from slantbeam.jpta import (
     line_fit_delays,
 )
 
-from oracles import delay_sums, jpta_objective, scan_error_bound
+from oracles import awv, delay_sums, gain, genie_gain_atol, jpta_objective, scan_error_bound
 
 CFG64 = ArrayConfig(num_antennas=32, spacing=0.5, carrier_freq=60e9, bandwidth=2e9, num_subcarriers=64)
 
@@ -400,6 +400,10 @@ def test_report_objective_is_the_oracle_objective(kind, num_subcarriers, num_ant
     profile = TargetProfile(directions, cfg)
     report = jpta_solve(profile)
     assert abs(report.objective - jpta_objective(report.weights, profile)) <= 1e-12 * num_subcarriers
+    # the objective is the sum of the final terms |v_k^H u_k|, bit for bit
+    assert report.alignment.shape == (num_subcarriers,)
+    assert not report.alignment.flags.writeable
+    assert report.objective == float(np.sum(report.alignment))
 
 
 class TestSolver:
@@ -429,6 +433,16 @@ class TestSolver:
         profile = TargetProfile(np.linspace(-0.25, 0.4, 64), CFG64)
         report = jpta_solve(profile)
         assert report.objective == pytest.approx(jpta_objective(report.weights, profile), abs=1e-9)
+
+    def test_alignment_gives_the_weights_gains(self):
+        # N*alignment**2 are the returned weights' gains toward the targets, to
+        # the bound the stepped genie's scoring is held to
+        profile = TargetProfile(np.linspace(-0.25, 0.4, 64), CFG64)
+        report = jpta_solve(profile)
+        gains = [gain(theta, f, awv(report.weights, f, CFG64), CFG64)
+                 for theta, f in zip(profile.directions, CFG64.subcarrier_centers())]
+        np.testing.assert_allclose(CFG64.num_antennas * report.alignment**2, gains, rtol=0,
+                                   atol=genie_gain_atol(CFG64, CFG64.default_tau_max()))
 
     def test_slanted_profile_beats_every_constant_design(self):
         # brute-force scan: all 1-degree-spaced constant-direction designs

@@ -5,7 +5,9 @@ import importlib.util
 import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +51,38 @@ def test_changed_solver_is_flagged(small, capsys, tmp_path):
     assert out[-1].startswith("bit-identical: ")
     assert re.fullmatch(r"drift: objective changed by at most \S+ relative; iteration count or "
                         r"converged flag changed in \d+ of 5 solves", out[-2])
+
+
+def test_changed_alignment_is_flagged(small, capsys, tmp_path):
+    # the alignment terms are compared too: this tree returns them rounded to
+    # single precision, and its solves are otherwise bit-identical
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "slantbeam", changed / "slantbeam",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    jpta = changed / "slantbeam" / "jpta.py"
+    text = jpta.read_text()
+    line = "    alignment.setflags(write=False)\n"
+    assert line in text
+    jpta.write_text(text.replace(line, "    alignment = alignment.astype(np.float32).astype(float)\n"
+                                       + line))
+    assert solve_ab.main([str(ROOT / "src"), str(changed)]) == 1
+    captured = capsys.readouterr()
+    assert "solve_ab: small offset cell: solve 0 differs in alignment\n" in captured.err
+
+
+def test_alignment_is_compared_only_where_both_sides_carry_it():
+    # a parent tree from before SolverReport.alignment compares on the rest
+    report = SimpleNamespace(objective_trace=np.array([1.0, 2.0]), converged=True,
+                             weights=SimpleNamespace(delays=np.zeros(2), phases=np.ones(2)),
+                             alignment=np.array([0.5, 1.5]))
+    new = solve_ab.fingerprint(report)
+    assert new["alignment"] == report.alignment.tobytes()
+    del report.alignment
+    old = solve_ab.fingerprint(report)
+    assert "alignment" not in old
+    assert solve_ab.differing(old, new) == solve_ab.differing(new, old) == []
+    assert solve_ab.differing(new, {**new, "alignment": b"", "converged": False}) == [
+        "converged", "alignment"]
 
 
 @pytest.mark.parametrize("argv", [[], ["src"], ["src", "tools"]])

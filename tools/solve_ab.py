@@ -22,7 +22,9 @@ neither, and each side keeps its fastest time.
 The output has one line per cell set and one for all of them: the solve
 count, each side's total time, the change of the total and the median of the
 per-solve ratios change/parent. A report differs when its objective trace,
-delays, phases or convergence flag differ in any bit; each difference is
+delays, phases or convergence flag differ in any bit, or its final alignment
+terms (``SolverReport.alignment``) do where both trees' reports carry them, so
+a tree from before that field compares on the rest; each difference is
 named on stderr, and a drift line before the last line gives the largest
 relative change of the final objective and the number of solves whose
 iteration count or convergence flag changed. The last line reads
@@ -109,9 +111,18 @@ def inputs(pkg, solve):
 
 
 def fingerprint(report) -> dict:
-    """The report's fields as bytes, so that equal means bit-identical."""
-    return {"trace": report.objective_trace.tobytes(), "delays": report.weights.delays.tobytes(),
-            "phases": report.weights.phases.tobytes(), "converged": report.converged}
+    """The report's fields as bytes, so that equal means bit-identical; the
+    alignment terms only where the report carries them."""
+    out = {"trace": report.objective_trace.tobytes(), "delays": report.weights.delays.tobytes(),
+           "phases": report.weights.phases.tobytes(), "converged": report.converged}
+    if hasattr(report, "alignment"):
+        out["alignment"] = report.alignment.tobytes()
+    return out
+
+
+def differing(parent: dict, change: dict) -> list:
+    """The fingerprint fields that both sides carry and that differ."""
+    return [field for field in parent if field in change and parent[field] != change[field]]
 
 
 def time_pair(sides, solve, first: int) -> tuple:
@@ -153,8 +164,7 @@ def main(argv=None) -> int:
         for i, solve in enumerate(capture(sides[0], desk, overrides, trials)):
             pair, reports = time_pair(sides, solve, i % 2)
             times.append(pair)
-            parent, change = (fingerprint(r) for r in reports)
-            diff = [field for field in parent if parent[field] != change[field]]
+            diff = differing(*(fingerprint(r) for r in reports))
             if diff:
                 differ += 1
                 print(f"solve_ab: {name}: solve {i} differs in {', '.join(diff)}", file=sys.stderr)
