@@ -46,13 +46,45 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
-def _as_float(name: str, value) -> float:
+def _as_int_array(name: str, values) -> np.ndarray:
+    """``values`` as an int array; a ValueError that starts with ``name`` unless every
+    entry is an integer (numpy integers included; bool and float, whole ones too, not)."""
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got {arr.tolist()!r}")
+    return arr.astype(int, copy=False)
+
+
+def _as_float(name: str, value, sign: str = "") -> float:
     """``value`` as a built-in float, so that a frozen dataclass holding it stays
-    hashable; a ValueError that starts with ``name`` unless it is a real scalar
-    (numpy scalars included; bool and arrays, 0-d ones too, not)."""
+    hashable; a ValueError that starts with ``name`` unless it is a finite real
+    scalar (numpy scalars included; bool and arrays, 0-d ones too, not) that is
+    > 0 for ``sign="positive"`` and >= 0 for ``sign="non-negative"``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    signed = {"": True, "positive": value > 0, "non-negative": value >= 0}[sign]
+    if not (signed and math.isfinite(value)):
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+    return value
+
+
+def _set_floats(obj, sign: str, *names: str) -> None:
+    """Store ``_as_float(name, <field>, sign)`` back into each named field of the
+    frozen dataclass ``obj``."""
+    for name in names:
+        object.__setattr__(obj, name, _as_float(name, getattr(obj, name), sign))
+
+
+def _set_float_tuple(obj, sign: str, name: str) -> tuple:
+    """Store field ``name`` of the frozen dataclass ``obj`` back as the tuple of
+    ``_as_float`` of its entries, and return that tuple."""
+    values = tuple(_as_float(name, v, sign) for v in getattr(obj, name))
+    object.__setattr__(obj, name, values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -81,15 +113,11 @@ class ArrayConfig:
 
     def __post_init__(self):
         _check_count("num_antennas", self.num_antennas)
-        for name in ("spacing", "carrier_freq", "bandwidth"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        if not 0 < self.spacing < math.inf:
-            raise ValueError("spacing must be positive and finite")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        _set_floats(self, "positive", "spacing", "bandwidth")
         _check_count("num_subcarriers", self.num_subcarriers)
-        if not self.bandwidth / 2 < self.carrier_freq < math.inf:
-            raise ValueError("carrier_freq must be finite and exceed half the bandwidth")
+        _set_floats(self, "", "carrier_freq")
+        if not self.carrier_freq > self.bandwidth / 2:
+            raise ValueError("carrier_freq must exceed half the bandwidth")
 
     @property
     def subcarrier_spacing(self) -> float:

@@ -101,9 +101,9 @@ from .arrays import (
     TWO_PI,
     AnalogWeights,
     ArrayConfig,
-    _as_float,
     _check_count,
     _phasor_ramp,
+    _set_floats,
     response_matrix,
     wrap_phase,
 )
@@ -143,8 +143,8 @@ class SolverOptions:
 
     ``objective_tolerance`` and ``tau_max`` may be left as None to use the
     defaults 1e-6 * K and num_antennas / bandwidth respectively; a value given
-    must be a positive, finite real scalar and is kept as a built-in float, so
-    that the options hash as the key of the solver's plan cache.
+    must be positive and passes ``arrays._as_float``, which keeps it as a
+    built-in float, so that the options hash as the key of the solver's plan cache.
     """
 
     max_iters: int = 100
@@ -154,14 +154,8 @@ class SolverOptions:
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        for name in ("objective_tolerance", "tau_max"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = _as_float(name, value)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _set_floats(self, "positive", *(name for name in ("objective_tolerance", "tau_max")
+                                        if getattr(self, name) is not None))
         _check_count("delay_search_resolution", self.delay_search_resolution, 2)
 
 

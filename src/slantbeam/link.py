@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, _check_count, band_steering
+from .arrays import ArrayConfig, _as_float, _as_int_array, _check_count, _set_floats, band_steering
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -28,10 +28,9 @@ class LinkBudget:
     snr_db: float = -10.0
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        _set_floats(self, "", "snr_db")
         try:
-            10.0 ** (float(self.snr_db) / 10.0)
+            10.0 ** (self.snr_db / 10.0)
         except OverflowError:
             raise ValueError(f"snr_db must keep 10**(snr_db/10) a finite float, got "
                              f"{self.snr_db!r}") from None
@@ -48,7 +47,7 @@ def subband_users(assignment, num_subcarriers: int, num_users: int) -> np.ndarra
     and user u transmits on sub-band ``assignment[u]``; the assignment must
     be a permutation of 0..U-1, and None stands for the identity.
     """
-    arr = np.arange(num_users) if assignment is None else np.asarray(assignment, dtype=int)
+    arr = np.arange(num_users) if assignment is None else _as_int_array("assignment", assignment)
     if sorted(arr.tolist()) != list(range(num_users)):
         raise ValueError(f"assignment {arr} is not a permutation of 0..{num_users - 1}")
     if num_users < 1 or num_subcarriers % num_users != 0:
@@ -67,8 +66,7 @@ def subcarrier_snr(gains, budget: LinkBudget, channel_gain: float = 1.0) -> np.n
 
 def offset_grid(max_offset: float, count: int) -> np.ndarray:
     """Symmetric grid of pointing offsets; a single point sits at zero."""
-    if not 0 <= max_offset < math.inf:
-        raise ValueError("max_offset must be non-negative and finite")
+    max_offset = _as_float("max_offset", max_offset, "non-negative")
     _check_count("count", count)
     if count == 1:
         return np.zeros(1)

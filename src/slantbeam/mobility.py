@@ -9,13 +9,12 @@ turns the predicted spread into a per-user coverage interval that the beam
 designs consume.
 """
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .arrays import _check_count
+from .arrays import _as_int_array, _check_count, _set_float_tuple, _set_floats
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,7 @@ class FrameTiming:
     num_steps: int
 
     def __post_init__(self):
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
+        _set_floats(self, "positive", "duration")
         _check_count("num_steps", self.num_steps)
 
     def elapsed(self, i):
@@ -48,9 +46,7 @@ class UserKinematics:
     alpha: float
 
     def __post_init__(self):
-        for name in ("theta0", "omega0", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _set_floats(self, "", "theta0", "omega0", "alpha")
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,7 @@ class KinematicsEstimate(UserKinematics):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("var_theta", "var_omega", "var_alpha"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        _set_floats(self, "non-negative", "var_theta", "var_omega", "var_alpha")
 
 
 def true_aod(kin: UserKinematics, i, timing: FrameTiming):
@@ -113,12 +107,11 @@ class AnchorSpec:
             raise ValueError(f"centers must be a non-empty 1-D array, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError(f"centers must be finite, got {centers.tolist()}")
-        if not 0 <= self.aod_range < math.inf:
-            raise ValueError("aod_range must be non-negative and finite")
+        _set_floats(self, "non-negative", "aod_range")
         if self.assignment is None:
             assignment = np.arange(centers.size)
         else:
-            assignment = np.asarray(self.assignment, dtype=int)
+            assignment = _as_int_array("assignment", self.assignment)
             if sorted(assignment.tolist()) != list(range(centers.size)):
                 raise ValueError("assignment must be a permutation of users")
         centers.setflags(write=False)
@@ -173,22 +166,18 @@ class ScenarioConfig:
     var_alpha: float = np.deg2rad(1.0) ** 2 * 5.0
 
     def __post_init__(self):
-        lo, hi = self.aod_range
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError("aod_range must be a finite non-empty interval")
+        lo, hi = _set_float_tuple(self, "", "aod_range")
+        if not lo < hi:
+            raise ValueError("aod_range must be a non-empty interval")
         _check_count("num_users", self.num_users)
-        if not 0 <= self.min_spacing < math.inf:
-            raise ValueError("min_spacing must be non-negative and finite")
+        _set_floats(self, "non-negative", "min_spacing")
         if (self.num_users - 1) * self.min_spacing >= (hi - lo):
             raise ValueError("min_spacing infeasible for num_users in aod_range")
-        vlo, vhi = self.velocity_range
-        if not 0 <= vlo <= vhi < math.inf:
-            raise ValueError("velocity_range must satisfy 0 <= lo <= hi < inf")
-        if not np.isfinite(self.accel_mean):
-            raise ValueError("accel_mean must be finite")
-        for name in ("var_theta", "var_omega", "var_alpha"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        vlo, vhi = _set_float_tuple(self, "", "velocity_range")
+        if not 0 <= vlo <= vhi:
+            raise ValueError("velocity_range must satisfy 0 <= lo <= hi")
+        _set_floats(self, "", "accel_mean")
+        _set_floats(self, "non-negative", "var_theta", "var_omega", "var_alpha")
 
 
 def _draw_spaced_angles(rng: np.random.Generator, scen: ScenarioConfig) -> np.ndarray:

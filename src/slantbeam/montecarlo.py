@@ -24,13 +24,12 @@ and capacity is measured at each scheduling step; the offset fields are unused.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayConfig, _check_count
+from .arrays import ArrayConfig, _check_count, _set_float_tuple, _set_floats
 from .designs import (
     BEAM_KINDS,
     BeamDesign,
@@ -86,37 +85,32 @@ class TrialConfig:
     def __post_init__(self):
         if self.mode not in EVAL_MODES:
             raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
-        if not 0 <= self.max_offset < math.inf:
-            raise ValueError("max_offset must be non-negative and finite")
+        _set_floats(self, "non-negative", "max_offset")
         _check_count("offset_count", self.offset_count)
         if not self.beams:
             raise ValueError("beams must list at least one beam kind")
         if self.channel_gains is not None:
-            h2 = tuple(float(h) for h in self.channel_gains)
-            users = self.scenario.num_users
-            if len(h2) not in (1, users):
-                raise ValueError(
-                    f"channel_gains need one value or one per user ({users}), got {len(h2)}")
-            if not all(0 < h < math.inf for h in h2):
-                raise ValueError("channel_gains must be positive and finite")
-            object.__setattr__(self, "channel_gains", h2)
+            if len(self.channel_gains) not in (1, self.scenario.num_users):
+                raise ValueError(f"channel_gains need one value or one per user "
+                                 f"({self.scenario.num_users}), got {len(self.channel_gains)}")
+            _set_float_tuple(self, "positive", "channel_gains")
         unknown = [b for b in self.beams if b not in BEAM_KINDS]
         if unknown:
             raise ValueError(f"beams: unknown beam kinds {unknown}; valid: {BEAM_KINDS}")
         dup = sorted({b for b in self.beams if self.beams.count(b) > 1})
         if dup:
             raise ValueError(f"beams: duplicate beam kinds {dup}")
-        if not 0.0 < self.coverage_p < 1.0:
+        _set_floats(self, "positive", "coverage_p")
+        if not self.coverage_p < 1.0:
             raise ValueError("coverage_p must lie in (0, 1)")
         if self.array.num_subcarriers % self.scenario.num_users != 0:
             raise ValueError(
                 f"num_subcarriers {self.array.num_subcarriers} not divisible by "
                 f"num_users {self.scenario.num_users}"
             )
-        if self.range_override is not None and not 0 <= self.range_override < math.inf:
-            raise ValueError("range_override must be non-negative and finite")
-        if not 0 <= self.qpd_peak < math.inf:
-            raise ValueError("qpd_peak must be non-negative and finite")
+        if self.range_override is not None:
+            _set_floats(self, "non-negative", "range_override")
+        _set_floats(self, "non-negative", "qpd_peak")
 
 
 def _check_angle_reach(config: TrialConfig) -> None:
@@ -254,11 +248,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        values = tuple(float(v) for v in self.values)
+        values = _set_float_tuple(self, "", "values")
         if not values:
             raise ValueError("values must be non-empty")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"values must be finite, got {list(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly ascending")
         if self.axis in ("num_antennas", "num_users"):
@@ -268,7 +260,6 @@ class SweepConfig:
                     f"values must be whole numbers on axis {self.axis}, got {bad[0]!r}")
         _check_count("trials", self.trials)
         _check_count("master_seed", self.master_seed, 0)
-        object.__setattr__(self, "values", values)
 
 
 def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
@@ -279,7 +270,7 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
     user's initial angular speed to the axis value exactly (random sign).
     """
     if axis == "offset_range":
-        return dataclasses.replace(base, mode="offset", max_offset=float(value))
+        return dataclasses.replace(base, mode="offset", max_offset=value)
     if axis == "num_antennas":
         arr = dataclasses.replace(base.array, num_antennas=int(value))
         return dataclasses.replace(base, array=arr, mode="offset")
@@ -287,8 +278,7 @@ def apply_axis(base: TrialConfig, axis: str, value: float) -> TrialConfig:
         scen = dataclasses.replace(base.scenario, num_users=int(value))
         return dataclasses.replace(base, scenario=scen, mode="offset")
     if axis == "mean_velocity":
-        v = float(value)
-        scen = dataclasses.replace(base.scenario, velocity_range=(v, v))
+        scen = dataclasses.replace(base.scenario, velocity_range=(value, value))
         return dataclasses.replace(base, scenario=scen, mode="trajectory")
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 

@@ -1,13 +1,15 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slantbeam.arrays import (
     AnalogWeights,
     ArrayConfig,
+    _as_float,
     _matched_gains,
     _phasor_ramp,
     awv_matrix,
@@ -262,6 +264,41 @@ class TestGain:
         g0 = gain(theta, f, awv(w, f, TABLE_CFG), TABLE_CFG)
         g1 = gain(theta, f, awv(shifted, f, TABLE_CFG), TABLE_CFG)
         assert g1 == pytest.approx(g0, abs=1e-9)
+
+
+# _as_float's inputs: reals of every kind (nan, inf and ints beyond int64 too)
+# and what is not a real scalar (bool, numpy bool, text, 0-d arrays)
+SCALARS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**100, 2**100),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=8),
+    st.floats().map(np.array),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=SCALARS, sign=st.sampled_from(["", "positive", "non-negative"]))
+@example(value=10**400, sign="")
+@example(value=-0.0, sign="positive")
+def test_as_float_obeys_its_rule_or_names_the_field(value, sign):
+    real = (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_)))
+    allowed = real and (abs(int(value)) < 2**1000 if isinstance(value, (int, np.integer))
+                        else math.isfinite(value))
+    allowed = allowed and {"": True, "positive": value > 0, "non-negative": value >= 0}[sign]
+    try:
+        out = _as_float("field", value, sign)
+    except ValueError as exc:
+        assert str(exc).startswith("field must be ")
+        assert not allowed
+    else:
+        assert allowed
+        assert type(out) is float and out == float(value)
 
 
 class TestPatternHeatmap:

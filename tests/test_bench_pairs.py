@@ -40,11 +40,12 @@ def test_probe_runs_before_and_after_the_pairs(monkeypatch, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["probe_s"] == {"before": [0.001, 0.003], "after": [0.002, 0.004]}
     assert len(doc["runs"]) == 6
-    summary = capsys.readouterr().out.splitlines()[-4:]
+    summary = capsys.readouterr().out.splitlines()[-5:]
     assert summary[0] == "machine probe: before 1.000 ms, 3.000 ms"
     assert summary[1] == "machine probe: after 2.000 ms, 4.000 ms"
     assert summary[2] == "genie_offset trace 0: 3 pairs"
     assert "wins 3/3" in summary[3]
+    assert summary[4] == "  worse beyond bound: none"
 
 
 def test_probe_times_the_kernel():
@@ -75,3 +76,24 @@ def test_summary_without_a_probe_is_unchanged():
         assert lines[1] == ("  cell_p50_s: parent 0.08 [0.06, 0.1]  change 0.04 [0.03, 0.05]  "
                             "median -50.0%  wins 3/3  gap > parent IQR: no")
         assert not any("probe" in ln for ln in lines)
+
+
+def test_summary_flags_end_to_end_metrics_worse_beyond_their_bound():
+    # bounds from BENCHMARK.json as a fraction of the parent median: setup_s and
+    # cell_p50_s 0.25, peak_rss_mb 0.1; a per-layer metric has no bound
+    def metrics(setup, cell, rss, calls):
+        return {"setup_s": {"value": setup}, "cell_p50_s": {"value": cell},
+                "peak_rss_mb": {"value": rss}, "jpta.solve_calls": {"value": calls}}
+
+    runs = [{"workload": workload, "seed": seed, "trace": 0, "order": 1, "side": side,
+             "result": {"metrics": metrics(*values)}}
+            for workload, parent, change in (
+                ("genie_offset", (1.0, 1.0, 100.0, 10), (1.3, 1.2, 111.0, 99)),
+                ("pattern_full", (1.0, 1.0, 100.0, 10), (0.5, 1.0, 105.8, 10)))
+            for seed in (1, 2) for side, values in (("parent", parent), ("change", change))]
+    lines = bench_pairs.summarize({"runs": runs})
+    assert lines[0] == "genie_offset trace 0: 2 pairs"
+    assert lines[5] == "  worse beyond bound: setup_s +30.0%, peak_rss_mb +11.0%"
+    assert lines[6] == "pattern_full trace 0: 2 pairs"
+    assert lines[11] == "  worse beyond bound: none"
+    assert len(lines) == 12

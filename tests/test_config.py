@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
+import pkgutil
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import slantbeam
 from slantbeam.arrays import ArrayConfig
 from slantbeam.cli import main
 from slantbeam.config import (
@@ -18,7 +21,13 @@ from slantbeam.config import (
 from slantbeam.designs import design_stepped
 from slantbeam.jpta import SolverOptions
 from slantbeam.link import LinkBudget, capacity_records, offset_grid
-from slantbeam.mobility import AnchorSpec, FrameTiming, KinematicsEstimate, ScenarioConfig
+from slantbeam.mobility import (
+    AnchorSpec,
+    FrameTiming,
+    KinematicsEstimate,
+    ScenarioConfig,
+    UserKinematics,
+)
 from slantbeam.montecarlo import SweepConfig, TrialConfig, run_trial
 
 DEG = np.pi / 180.0
@@ -257,6 +266,7 @@ SWEEP_VALUE_ROWS = [
 NAN = float("nan")
 INF = float("inf")
 ARRAY = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
+PAIR = np.array([0.1, 0.2])
 
 # one call per float range check with NaN where the check reads, and one with
 # inf, which every check bounds above (accel_mean's finiteness check reads NaN
@@ -396,9 +406,10 @@ def test_count_rejects_bool(case):
         build()
 
 
-# the solver's plan cache hashes (ArrayConfig, SolverOptions): a float field
-# takes a real scalar and keeps it as a built-in float; arrays (0-d ones too),
-# strings and bools are refused with the field's name
+# every float of the library's dataclasses passes arrays._as_float: it takes a
+# real scalar and keeps it as a built-in float, so that the dataclass hashes
+# (the solver's plan cache hashes ArrayConfig and SolverOptions); arrays (0-d
+# ones too), strings and bools are refused with the field's name
 FLOAT_SCALAR_ROWS = {
     "ArrayConfig.spacing 0-d array": (
         "spacing", lambda: ArrayConfig(8, np.array(0.5), 60e9, 2e9, 24)),
@@ -408,7 +419,58 @@ FLOAT_SCALAR_ROWS = {
     "SolverOptions.tau_max 1-d array": ("tau_max", lambda: SolverOptions(tau_max=np.array([1e-9]))),
     "SolverOptions.objective_tolerance 0-d array": (
         "objective_tolerance", lambda: SolverOptions(objective_tolerance=np.array(1e-3))),
+    "LinkBudget.snr_db 1-d array": ("snr_db", lambda: LinkBudget(snr_db=np.array([1.0]))),
+    "TrialConfig.max_offset 1-d array": (
+        "max_offset", lambda: TrialConfig(ARRAY, max_offset=np.array([0.1]))),
+    "SweepConfig.values string": ("values", lambda: SweepConfig("offset_range", ("5",))),
+    "ScenarioConfig.aod_range entry 2-element array": (
+        "aod_range", lambda: ScenarioConfig(aod_range=(PAIR, 0.5))),
+    "ScenarioConfig.velocity_range entry 2-element array": (
+        "velocity_range", lambda: ScenarioConfig(velocity_range=(0.0, PAIR))),
+    "TrialConfig.channel_gains entry 2-element array": (
+        "channel_gains", lambda: TrialConfig(ARRAY, channel_gains=(PAIR,))),
+    "SweepConfig.values entry 2-element array": (
+        "values", lambda: SweepConfig("offset_range", (0.0, PAIR))),
+    "offset_grid.max_offset 2-element array": ("max_offset", lambda: offset_grid(PAIR, 5)),
 }
+
+# a valid instance of every library dataclass that has a float field; each such
+# field gets a FLOAT_SCALAR_ROWS row that replaces it with a 2-element array
+VALID = {
+    ArrayConfig: ARRAY,
+    SolverOptions: SolverOptions(),
+    FrameTiming: FrameTiming(0.16, 10),
+    UserKinematics: UserKinematics(0.1, 0.0, 0.0),
+    KinematicsEstimate: KinematicsEstimate(0.1, 0.0, 0.0, 1e-4, 1e-3, 1e-2),
+    AnchorSpec: AnchorSpec(centers=(0.0, 0.3), aod_range=0.1),
+    ScenarioConfig: ScenarioConfig(),
+    LinkBudget: LinkBudget(),
+    TrialConfig: TrialConfig(ARRAY),
+}
+
+
+def _float_fields(cls) -> list:
+    """Fields annotated ``float``; a module with ``from __future__ import
+    annotations`` (montecarlo) holds the annotation as a string."""
+    return [f.name for f in dataclasses.fields(cls) if f.type in (float, "float")]
+
+
+FLOAT_SCALAR_ROWS.update({
+    f"{cls.__name__}.{name} 2-element array": (
+        name, lambda obj=obj, name=name: dataclasses.replace(obj, **{name: PAIR}))
+    for cls, obj in VALID.items() for name in _float_fields(cls)})
+
+
+def test_every_float_field_has_a_two_element_row():
+    library = [cls for info in pkgutil.iter_modules(slantbeam.__path__)
+               for mod in [importlib.import_module(f"slantbeam.{info.name}")]
+               for cls in vars(mod).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == mod.__name__]
+    assert {cls for cls in library if _float_fields(cls)} == set(VALID)
+    expected = {f"{cls.__name__}.{name} 2-element array"
+                for cls in library for name in _float_fields(cls)}
+    assert len(expected) > 20 and expected <= set(FLOAT_SCALAR_ROWS)
 
 
 @pytest.mark.parametrize("case", sorted(FLOAT_SCALAR_ROWS))
@@ -427,6 +489,23 @@ def test_float_fields_are_builtin_floats():
     assert (type(opts.objective_tolerance), type(opts.tau_max)) == (float, float)
     assert hash(opts) == hash(SolverOptions(objective_tolerance=1.0, tau_max=1e-9))
     assert SolverOptions().tau_max is None
+    # numpy scalars and lists in every float of a trial config, nested ones too
+    trial = TrialConfig(
+        ARRAY, scenario=ScenarioConfig(aod_range=[np.float64(-0.5), 0], accel_mean=np.int64(1),
+                                       velocity_range=[0, np.float32(0.5)]),
+        timing=FrameTiming(np.float64(0.16), 10), budget=LinkBudget(np.int64(-10)),
+        max_offset=np.float64(0.1), coverage_p=np.float32(0.5), range_override=np.int64(0),
+        qpd_peak=3, channel_gains=[1, np.float64(2.0), np.float32(0.5)])
+    same = TrialConfig(
+        ARRAY, scenario=ScenarioConfig(aod_range=(-0.5, 0.0), accel_mean=1.0,
+                                       velocity_range=(0.0, 0.5)),
+        timing=FrameTiming(0.16, 10), budget=LinkBudget(-10.0), max_offset=0.1,
+        coverage_p=0.5, range_override=0.0, qpd_peak=3.0, channel_gains=(1.0, 2.0, 0.5))
+    assert trial == same and hash(trial) == hash(same)
+    assert all(type(v) is float for v in (
+        *trial.scenario.aod_range, *trial.scenario.velocity_range, trial.scenario.accel_mean,
+        trial.timing.duration, trial.budget.snr_db, trial.max_offset, trial.coverage_p,
+        trial.range_override, trial.qpd_peak, *trial.channel_gains))
 
 
 class TestFieldKeys:

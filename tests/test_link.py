@@ -103,6 +103,14 @@ class TestSubbandUsers:
         with pytest.raises(ValueError, match="not a permutation"):
             subband_users([0, 1, 3], 48, 3)
 
+    @pytest.mark.parametrize("assignment", [[1.9, 0.2], [1.0, 0.0], [True, False], ["1", "0"]])
+    def test_rejects_entries_that_are_not_integers(self, assignment):
+        # [1.9, 0.2] would truncate to the valid permutation [1, 0]
+        with pytest.raises(ValueError, match=r"^assignment must hold integers, got "):
+            subband_users(assignment, 48, 2)
+        np.testing.assert_array_equal(subband_users(np.array([1, 0], np.int32), 4, 2),
+                                      [1, 1, 0, 0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="not a permutation"):
             subband_users([0, 1, 2], 48, 2)

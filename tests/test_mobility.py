@@ -248,6 +248,12 @@ class TestAnchorSelection:
         with pytest.raises(ValueError):
             AnchorSpec(centers=np.zeros(3), aod_range=0.1, assignment=np.array([0, 1, 1]))
 
+    @pytest.mark.parametrize("assignment", [[1.9, 0.2], [1.0, 0.0], [True, False], ["1", "0"]])
+    def test_assignment_that_is_not_integers_rejected(self, assignment):
+        # [1.9, 0.2] would truncate to the valid permutation [1, 0]
+        with pytest.raises(ValueError, match=r"^assignment must hold integers, got "):
+            AnchorSpec(centers=np.zeros(2), aod_range=0.1, assignment=assignment)
+
 
 class TestPerStepCoverage:
     def test_containment_matches_requested_probability(self):

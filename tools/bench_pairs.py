@@ -31,6 +31,10 @@ The summary gives the probe timings and, per workload, trace mode and metric:
 the median and quartiles of each side, the change of the medians, how many
 pairs the change wins (by the metric's direction in ``BENCHMARK.json``), and
 whether the gap between the medians exceeds the parent's interquartile range.
+Each workload and trace mode ends with ``worse beyond bound: …``, the end-to-end
+metrics whose change median is worse than the parent median by more than the
+metric's ``bound`` in ``BENCHMARK.json``, read as a fraction of the parent
+median (or ``none``).
 When OUT has probe timings, a metric in seconds also gives both medians in
 probe units, ``in probe units: parent … change …``: each median divided by the
 median of all the file's probe timings, before and after together, so that
@@ -171,6 +175,7 @@ def summarize(doc: dict) -> list:
                   and set(g) == set(SIDES)]
         names = [n for n in paired[0]["change"] if n in specs] if paired else []
         lines.append(f"{workload} trace {trace}: {len(paired)} pairs")
+        worse = []
         for name in names:
             values = [(g["parent"][name]["value"], g["change"][name]["value"]) for g in paired
                       if g["parent"].get(name, {}).get("value") is not None
@@ -190,6 +195,9 @@ def summarize(doc: dict) -> list:
                 line += (f"  in probe units: parent {pm / probe_unit:.4g}  "
                          f"change {cm / probe_unit:.4g}")
             lines.append(line)
+            if "bound" in specs[name] and pm and sign * (cm - pm) / pm > specs[name]["bound"]:
+                worse.append(f"{name} {rel}")
+        lines.append(f"  worse beyond bound: {', '.join(worse) or 'none'}")
     return lines
 
 
