@@ -47,9 +47,9 @@ def _check_count(name: str, value, low: int = 1) -> None:
 
 
 def _as_int_array(name: str, values) -> np.ndarray:
-    """``values`` as an int array; a ValueError that starts with ``name`` unless every
+    """``values`` as a new int array; a ValueError that starts with ``name`` unless every
     entry is an integer (numpy integers included; bool and float, whole ones too, not)."""
-    arr = np.asarray(values)
+    arr = np.array(values)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{name} must hold integers, got {arr.tolist()!r}")
     return arr.astype(int, copy=False)
@@ -209,8 +209,8 @@ class AnalogWeights:
     delays: np.ndarray
 
     def __post_init__(self):
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
-        delays = np.atleast_1d(np.asarray(self.delays, dtype=float))
+        phases = np.array(self.phases, dtype=float, ndmin=1)
+        delays = np.array(self.delays, dtype=float, ndmin=1)
         if phases.shape != delays.shape or phases.ndim != 1:
             raise ValueError("phases and delays must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(delays))):

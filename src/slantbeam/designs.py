@@ -3,9 +3,9 @@
 Analog designs produce one :class:`BeamDesign` (a phase/delay bank plus
 provenance); the genie baselines are evaluation-time policies that re-point
 using the true user directions at every evaluated instant.  Every policy
-answers ``gains(b, angles)``, its per-subcarrier gains against the (N, K)
-conjugate steering ``band_steering`` toward the true directions, so evaluation
-treats them uniformly; analog policies score (N, K) weight columns against it.
+answers ``gains(b, angles)`` for ``angles``, one true direction per sub-band in
+band order, and ``b = band_steering(angles)``, the (N, K) conjugate steering; no
+policy holds an assignment, and analog policies score weight columns against b.
 """
 
 from dataclasses import dataclass, field
@@ -155,22 +155,20 @@ def design_qpd(theta_first: float, peak_phase: float, cfg: ArrayConfig) -> BeamD
     return BeamDesign(kind="qpd", weights=AnalogWeights(phases, np.zeros(cfg.num_antennas)))
 
 
-def genie_stepped(aods, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None) -> BeamDesign:
-    """Stepped design re-pointed at one instant's per-user true AoDs, from an
-    independent (cold-started) solve."""
-    anchor = AnchorSpec(centers=aods, aod_range=0.0, assignment=assignment)
+def genie_stepped(aods, cfg: ArrayConfig, opts: SolverOptions = None) -> BeamDesign:
+    """Stepped design re-pointed at one instant's true AoDs, one per sub-band in
+    band order (the identity assignment), from an independent (cold-started) solve."""
+    anchor = AnchorSpec(centers=aods, aod_range=0.0)
     return _solve_anchor(anchor, cfg, opts, "stepped_genie")
 
 
 class FixedBeamPolicy:
     """Evaluation policy for a frozen analog design: the same per-subcarrier
     weights regardless of where the users actually are, held once as (N, K)
-    columns.  ``assignment`` is the design's anchor assignment (None for the
-    anchor-free kinds)."""
+    columns."""
 
     def __init__(self, design: BeamDesign, cfg: ArrayConfig):
         self.kind = design.kind
-        self.assignment = design.anchor.assignment if design.anchor is not None else None
         self._cols = awv_matrix(design.weights, cfg)
 
     def gains(self, b, angles) -> np.ndarray:
@@ -179,9 +177,8 @@ class FixedBeamPolicy:
 
 class SteppedGeniePolicy:
     """Oracle baseline: re-solves a stepped design at the true directions of every
-    evaluated instant and scores it from its own solve.  Under the policy's own
-    assignment (``run_trial`` scores every beam under the trial's) the solve's
-    targets are the directions ``b`` steers toward, so the gains are
+    evaluated instant and scores it from its own solve.  The solve targets the
+    per-sub-band ``angles``, the directions ``b`` steers toward, so the gains are
     N * |v_k^H u_k|^2 from the report's ``alignment``, and ``b`` is not read; no
     weight columns are built.  They match ``FixedBeamPolicy``'s product with ``b``
     to rounding only.  Solves start cold, so results do not depend on how
@@ -189,13 +186,12 @@ class SteppedGeniePolicy:
 
     kind = "stepped_genie"
 
-    def __init__(self, cfg: ArrayConfig, opts: SolverOptions = None, assignment=None):
+    def __init__(self, cfg: ArrayConfig, opts: SolverOptions = None):
         self.cfg = cfg
         self.opts = opts
-        self.assignment = assignment
 
     def gains(self, b, angles) -> np.ndarray:
-        design = genie_stepped(angles, self.cfg, self.opts, self.assignment)
+        design = genie_stepped(angles, self.cfg, self.opts)
         return self.cfg.num_antennas * design.report.alignment**2
 
 

@@ -123,7 +123,7 @@ class TargetProfile:
     cfg: ArrayConfig
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.directions, dtype=float))
+        d = np.array(self.directions, dtype=float, ndmin=1)
         if d.size == 0:
             raise ValueError("target profile must contain at least one direction")
         if d.size != self.cfg.num_subcarriers:

@@ -79,14 +79,15 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     capacity array in bit/s, in the order of ``policies``.
 
     ``policies`` maps kinds to policies and ``true_aods`` has shape (P, U): P
-    evaluation points, U users. At each point the (N, K) conjugate steering
-    ``b = band_steering`` toward each sub-band's user is built once and each
-    policy's (K,) gains ``gains(b, angles)`` read, in the order of ``policies``.
-    User u's capacity sums log2(1 + snr * channel_gains[u] * gain) over the sub-band
-    ``assignment`` (None for the identity) maps it to, times the subcarrier
-    spacing; ``channel_gains`` are squared channel magnitudes (length U, or 1
-    to broadcast; all ones by default). A failure is re-raised with the beam
-    kind and the point's index in front; a bad true direction names the first.
+    evaluation points, U users; ``assignment`` (None for the identity) puts user u
+    on sub-band ``assignment[u]``, and no policy sees it. At each point ``angles``
+    holds the true direction of each sub-band's user, in band order, and each
+    policy's (K,) ``gains(b, angles)`` is read against ``b = band_steering(angles)``,
+    built once, in the order of ``policies``. User u's capacity sums
+    log2(1 + snr * channel_gains[u] * gain) over its sub-band, times the subcarrier
+    spacing; ``channel_gains`` are squared channel magnitudes (length U, or 1 to
+    broadcast; all ones by default). A failure is re-raised with the beam kind and
+    the point's index in front; a bad true direction names the first.
     """
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
     num_points, num_users = true_aods.shape
@@ -100,9 +101,10 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     for p in range(num_points):
         kind = next(iter(policies), "")
         try:
-            b = band_steering(true_aods[p, band_users], cfg)
+            angles = true_aods[p, band_users]
+            b = band_steering(angles, cfg)
             for kind, policy in policies.items():
-                zeta = subcarrier_snr(policy.gains(b, true_aods[p]), budget, h2)
+                zeta = subcarrier_snr(policy.gains(b, angles), budget, h2)
                 bands = np.log2(1.0 + zeta).reshape(num_users, -1).sum(axis=1)
                 caps[kind][p, band_users] = cfg.subcarrier_spacing * bands
         except ValueError as exc:
@@ -115,9 +117,6 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
 def min_capacity(policy, true_aods, cfg: ArrayConfig, budget: LinkBudget, assignment=None,
                  channel_gains=None) -> np.ndarray:
     """``capacity_records`` for one policy, its read-only (P, U) array, under
-    the explicit assignment, else the policy's, else the identity."""
-    if assignment is None:
-        assignment = getattr(policy, "assignment", None)
-    kind = getattr(policy, "kind", "")
-    return capacity_records({kind: policy}, true_aods, cfg, budget, assignment,
-                            channel_gains)[kind]
+    ``assignment``, or the identity when that is None."""
+    return capacity_records({policy.kind: policy}, true_aods, cfg, budget, assignment,
+                            channel_gains)[policy.kind]

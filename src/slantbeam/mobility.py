@@ -102,7 +102,7 @@ class AnchorSpec:
     assignment: np.ndarray = None
 
     def __post_init__(self):
-        centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
+        centers = np.array(self.centers, dtype=float, ndmin=1)
         if centers.ndim != 1 or centers.size == 0:
             raise ValueError(f"centers must be a non-empty 1-D array, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
@@ -166,14 +166,17 @@ class ScenarioConfig:
     var_alpha: float = np.deg2rad(1.0) ** 2 * 5.0
 
     def __post_init__(self):
-        lo, hi = _set_float_tuple(self, "", "aod_range")
+        for name in ("aod_range", "velocity_range"):
+            if len(_set_float_tuple(self, "", name)) != 2:
+                raise ValueError(f"{name} must hold exactly two entries (low, high)")
+        lo, hi = self.aod_range
         if not lo < hi:
             raise ValueError("aod_range must be a non-empty interval")
         _check_count("num_users", self.num_users)
         _set_floats(self, "non-negative", "min_spacing")
         if (self.num_users - 1) * self.min_spacing >= (hi - lo):
             raise ValueError("min_spacing infeasible for num_users in aod_range")
-        vlo, vhi = _set_float_tuple(self, "", "velocity_range")
+        vlo, vhi = self.velocity_range
         if not 0 <= vlo <= vhi:
             raise ValueError("velocity_range must satisfy 0 <= lo <= hi")
         _set_floats(self, "", "accel_mean")
@@ -214,16 +217,7 @@ def sample_scenario(rng: np.random.Generator, scen: ScenarioConfig):
     theta0 = theta_hat + rng.normal(0.0, np.sqrt(scen.var_theta), size=u)
     omega0 = omega_hat + rng.normal(0.0, np.sqrt(scen.var_omega), size=u)
     alpha = alpha_hat + rng.normal(0.0, np.sqrt(scen.var_alpha), size=u)
-    out = []
-    for i in range(u):
-        kin = UserKinematics(float(theta0[i]), float(omega0[i]), float(alpha[i]))
-        est = KinematicsEstimate(
-            float(theta_hat[i]),
-            float(omega_hat[i]),
-            float(alpha_hat[i]),
-            scen.var_theta,
-            scen.var_omega,
-            scen.var_alpha,
-        )
-        out.append((kin, est))
-    return out
+    return [(UserKinematics(theta0[i], omega0[i], alpha[i]),
+             KinematicsEstimate(theta_hat[i], omega_hat[i], alpha_hat[i],
+                                scen.var_theta, scen.var_omega, scen.var_alpha))
+            for i in range(u)]

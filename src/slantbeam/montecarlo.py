@@ -63,6 +63,15 @@ DEGREE_AXES = {"offset_range": "deg", "mean_velocity": "deg/s"}
 EVAL_MODES = ("offset", "trajectory")
 
 
+def _set_beams(obj) -> tuple:
+    """Store field ``beams`` of the frozen dataclass ``obj`` back as a tuple and return it;
+    a ValueError that starts with ``beams`` for a bare string."""
+    if isinstance(obj.beams, str):
+        raise ValueError(f"beams must be a sequence of beam kinds, got the string {obj.beams!r}")
+    object.__setattr__(obj, "beams", tuple(obj.beams))
+    return obj.beams
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Everything a trial needs besides its random stream, the evaluation
@@ -87,7 +96,7 @@ class TrialConfig:
             raise ValueError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
         _set_floats(self, "non-negative", "max_offset")
         _check_count("offset_count", self.offset_count)
-        if not self.beams:
+        if not _set_beams(self):
             raise ValueError("beams must list at least one beam kind")
         if self.channel_gains is not None:
             if len(self.channel_gains) not in (1, self.scenario.num_users):
@@ -205,7 +214,7 @@ POLICY_BUILDERS = {
     "qpd": lambda config, estimates, assignment: design_qpd(
         _theta_hat(estimates)[0], config.qpd_peak, config.array),
     "stepped_genie": lambda config, estimates, assignment: SteppedGeniePolicy(
-        config.array, config.solver, assignment=assignment),
+        config.array, config.solver),
     "digital_genie": lambda config, estimates, assignment: DigitalGeniePolicy(config.array),
 }
 
@@ -223,8 +232,8 @@ def design_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialD
 
 
 def run_trial(config: TrialConfig, master_seed: int, trial_id: int) -> TrialResult:
-    """Run one seeded trial: check its angle reach, run the design stage, then score
-    every beam by ``capacity_records``, an analog design as a ``FixedBeamPolicy``."""
+    """Run one seeded trial: check its angle reach, run the design stage, then score every
+    beam by ``capacity_records`` under the trial's assignment (a design as a FixedBeamPolicy)."""
     _check_angle_reach(config)
     trial = design_trial(config, master_seed, trial_id)
     policies = {kind: FixedBeamPolicy(beam, config.array) if isinstance(beam, BeamDesign) else beam
@@ -249,6 +258,7 @@ class SweepConfig:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         values = _set_float_tuple(self, "", "values")
+        _set_beams(self)
         if not values:
             raise ValueError("values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):

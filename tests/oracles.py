@@ -134,12 +134,13 @@ def user_capacity(gains, cfg, budget, channel_gain=1.0):
     return float(cfg.subcarrier_spacing * np.sum(np.log2(1.0 + zeta)))
 
 
-def capacity_tolerance(cfg, budget, channel_gain, num_users):
+def capacity_tolerance(cfg, budget, channel_gain, num_users, gain_atol=None):
     """``assert_allclose`` bounds for a user's capacity when its gains move by at
-    most ``steering_gain_atol``: d/dg log2(1 + s*g) <= s/ln 2 for the SNR s times
-    the channel gain, over the user's K/U subcarriers of width W/K (atol), plus the
-    rounding of two sums of K/U logarithms (rtol)."""
+    most ``gain_atol`` (``steering_gain_atol`` when None): d/dg log2(1 + s*g) <= s/ln 2
+    for the SNR s times the channel gain, over the user's K/U subcarriers of width
+    W/K (atol), plus the rounding of two sums of K/U logarithms (rtol)."""
     per = cfg.num_subcarriers // num_users
     slope = budget.snr_linear * channel_gain / np.log(2)
-    atol = cfg.subcarrier_spacing * per * slope * steering_gain_atol(cfg)
+    gain_atol = steering_gain_atol(cfg) if gain_atol is None else gain_atol
+    atol = cfg.subcarrier_spacing * per * slope * gain_atol
     return {"rtol": 2 * (per + 2) * np.finfo(float).eps, "atol": atol}

@@ -10,6 +10,7 @@ from slantbeam.arrays import (
     AnalogWeights,
     ArrayConfig,
     _as_float,
+    _as_int_array,
     _matched_gains,
     _phasor_ramp,
     awv_matrix,
@@ -19,6 +20,8 @@ from slantbeam.arrays import (
     response_matrix,
     wrap_phase,
 )
+from slantbeam.jpta import TargetProfile
+from slantbeam.mobility import AnchorSpec
 
 from oracles import array_response, awv, gain, steering_gain_atol
 
@@ -224,6 +227,25 @@ class TestAnalogWeights:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AnalogWeights(np.zeros(4), np.zeros(3))
+
+
+def test_constructors_freeze_copies_not_the_callers_arrays():
+    # AnchorSpec, AnalogWeights and TargetProfile hold read-only arrays equal to
+    # what they were given, and the caller's own arrays stay writeable;
+    # _as_int_array, which AnchorSpec reads the assignment through, copies too
+    c, a = np.array([0.0, 0.1]), np.array([1, 0])
+    p, d = np.array([0.5, -0.5]), np.array([0.0, 1e-9])
+    g = np.linspace(-0.5, 0.5, 8)
+    spec = AnchorSpec(c, 0.1, a)
+    weights = AnalogWeights(p, d)
+    profile = TargetProfile(g, ArrayConfig(4, 0.5, 60e9, 2e9, 8))
+    for stored, given in ((spec.centers, c), (spec.assignment, a), (weights.phases, p),
+                          (weights.delays, d), (profile.directions, g)):
+        assert given.flags.writeable and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, given)
+    ints = _as_int_array("assignment", a)
+    assert not np.shares_memory(ints, a)
+    np.testing.assert_array_equal(ints, a)
 
 
 class TestGain:

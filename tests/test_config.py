@@ -480,6 +480,23 @@ def test_float_field_rejects_non_scalars(case):
         build()
 
 
+# a (low, high) range with another number of entries; unpacking it used to raise
+# "too many" or "not enough values to unpack", which named no field
+PAIR_LENGTH_ROWS = {
+    "ScenarioConfig.aod_range three entries": (
+        "aod_range", lambda: ScenarioConfig(aod_range=(-0.5, 0.0, 0.5))),
+    "ScenarioConfig.velocity_range one entry": (
+        "velocity_range", lambda: ScenarioConfig(velocity_range=(0.1,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_LENGTH_ROWS))
+def test_range_pair_needs_two_entries(case):
+    field, build = PAIR_LENGTH_ROWS[case]
+    with pytest.raises(ValueError, match=rf"^{field} must hold exactly two entries \(low, high\)$"):
+        build()
+
+
 def test_float_fields_are_builtin_floats():
     arr = ArrayConfig(8, np.float64(0.5), 60_000_000_000, np.float32(2e9), 24)
     assert arr == ArrayConfig(8, 0.5, 60e9, 2e9, 24)

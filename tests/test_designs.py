@@ -280,7 +280,6 @@ class TestPolicies:
         design = design_rainbow(CFG48)
         pol = FixedBeamPolicy(design, CFG48)
         assert pol.kind == "rainbow"
-        assert pol.assignment is None
         b = band_steering(np.array([-5.0, 20.0, -35.0]) * DEG, CFG48)
         first = pol.gains(b, np.array([-5.0, 20.0, -35.0]) * DEG)
         np.testing.assert_array_equal(pol.gains(b, np.zeros(3)), first)
@@ -291,14 +290,14 @@ class TestPolicies:
         # each call re-solves at the directions it is given; nothing is carried
         # from one evaluated instant to the next. The gains are the direct
         # solve's N*|ip|^2 to the bit, and its columns scored against b to the
-        # derived rounding bound
-        assignment = np.array([0, 1, 2])
-        pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+        # derived rounding bound. Under the identity assignment the band order is
+        # the user order
+        pol = SteppedGeniePolicy(CFG48)
         atol = genie_gain_atol(CFG48, CFG48.default_tau_max())
         for deg in ([-5.0, 20.0, -35.0], [30.0, -10.0, 5.0], [-5.0, 20.0, -35.0]):
             angles = np.array(deg) * DEG
             b = band_steering(angles, CFG48)
-            direct = genie_stepped(angles, CFG48, assignment=assignment)
+            direct = genie_stepped(angles, CFG48)
             assert direct.report.objective == float(np.sum(direct.report.alignment))
             gains = pol.gains(b, angles)
             np.testing.assert_array_equal(gains, CFG48.num_antennas * direct.report.alignment**2)
@@ -310,18 +309,18 @@ class TestPolicies:
         # a frozen design's columns are its weights at the subcarrier centers,
         # scored to the bit; the stepped genie scores a direct solve at the true
         # directions from that solve, within the derived bound of its columns
-        angles = np.array([-5.0, 20.0, -35.0]) * DEG
         assignment = np.array([2, 0, 1])
+        angles = (np.array([-5.0, 20.0, -35.0]) * DEG)[np.argsort(assignment)]
         if kind == "rainbow":
             design = design_rainbow(CFG48)
             pol = FixedBeamPolicy(design, CFG48)
             atol = 0.0
         else:
-            design = genie_stepped(angles, CFG48, assignment=assignment)
-            pol = SteppedGeniePolicy(CFG48, assignment=assignment)
+            design = genie_stepped(angles, CFG48)
+            pol = SteppedGeniePolicy(CFG48)
             atol = genie_gain_atol(CFG48, CFG48.default_tau_max())
         assert pol.kind == kind
-        b = band_steering(angles[[1, 2, 0]], CFG48)
+        b = band_steering(angles, CFG48)
         cols = awv_matrix(design.weights, CFG48)
         np.testing.assert_allclose(pol.gains(b, angles), _matched_gains(b, cols), rtol=0, atol=atol)
 
@@ -337,9 +336,10 @@ class TestPolicies:
         for _ in range(3):
             angles = rng.uniform(-1.0, 1.0, 4)
             assignment = rng.permutation(4)
-            b = band_steering(angles[np.argsort(assignment)], cfg)
-            gains = SteppedGeniePolicy(cfg, opts, assignment).gains(b, angles)
-            cols = awv_matrix(genie_stepped(angles, cfg, opts, assignment).weights, cfg)
+            angles = angles[np.argsort(assignment)]
+            b = band_steering(angles, cfg)
+            gains = SteppedGeniePolicy(cfg, opts).gains(b, angles)
+            cols = awv_matrix(genie_stepped(angles, cfg, opts).weights, cfg)
             np.testing.assert_allclose(gains, _matched_gains(b, cols), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("kind", ANALOG_KINDS)

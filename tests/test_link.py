@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from slantbeam.arrays import ArrayConfig, awv_matrix, gain_profile
-from slantbeam.designs import DigitalGeniePolicy, FixedBeamPolicy, design_rainbow, design_stepped
+from slantbeam.designs import (
+    DigitalGeniePolicy,
+    FixedBeamPolicy,
+    SteppedGeniePolicy,
+    design_rainbow,
+    design_stepped,
+    genie_stepped,
+)
 from slantbeam.link import (
     LinkBudget,
     capacity_records,
@@ -15,7 +22,13 @@ from slantbeam.link import (
     subcarrier_snr,
 )
 
-from oracles import capacity_tolerance, matched_filter, matched_gain_rtol, user_capacity
+from oracles import (
+    capacity_tolerance,
+    genie_gain_atol,
+    matched_filter,
+    matched_gain_rtol,
+    user_capacity,
+)
 
 DEG = np.pi / 180.0
 TABLE_CFG = ArrayConfig(32, 0.5, 60e9, 2e9, 1200)
@@ -166,16 +179,6 @@ class TestMinCapacity:
         # user to the other band changes its capacity
         assert ident[0, 0] != pytest.approx(swapped[0, 0], rel=1e-6)
 
-    def test_assignment_from_design_anchor(self):
-        assignment = np.array([1, 0, 2])
-        design = design_stepped(np.array([-25.0, 0.0, 25.0]) * DEG, CFG48, assignment=assignment)
-        pol = FixedBeamPolicy(design, CFG48)
-        np.testing.assert_array_equal(pol.assignment, assignment)
-        aods = np.array([[-25.0, 0.0, 25.0]]) * DEG
-        auto = min_capacity(pol, aods, CFG48, BUDGET)
-        explicit = min_capacity(pol, aods, CFG48, BUDGET, assignment=assignment)
-        np.testing.assert_array_equal(auto, explicit)
-
     def test_bad_assignment_rejected(self):
         pol = DigitalGeniePolicy(CFG48)
         aods = np.zeros((1, 3))
@@ -248,6 +251,22 @@ class TestMinCapacity:
         for kind, pol in policies.items():
             alone = min_capacity(pol, aods, CFG48, BUDGET, assignment, (2.0, 1.0, 0.5))
             np.testing.assert_array_equal(recs[kind], alone)
+
+    def test_stepped_genie_serves_the_sub_bands_under_every_assignment(self):
+        # the genie solves toward the directions b steers at, so under each of the
+        # six assignments its capacities are those of a direct solve at the
+        # band-ordered directions, frozen and scored under that assignment, to the
+        # bound between the solve's own alignment and its weight columns
+        aods = np.array([[-30.0, 0.0, 30.0], [-12.0, 25.0, 4.0]]) * DEG
+        tol = capacity_tolerance(CFG48, BUDGET, 1.0, 3,
+                                 genie_gain_atol(CFG48, CFG48.default_tau_max()))
+        genie = {"stepped_genie": SteppedGeniePolicy(CFG48)}
+        for assignment in itertools.permutations(range(3)):
+            caps = capacity_records(genie, aods, CFG48, BUDGET, assignment)["stepped_genie"]
+            for p, row in enumerate(aods):
+                frozen = FixedBeamPolicy(genie_stepped(row[np.argsort(assignment)], CFG48), CFG48)
+                expected = min_capacity(frozen, row[None], CFG48, BUDGET, assignment)
+                np.testing.assert_allclose(caps[p], expected[0], **tol, err_msg=str(assignment))
 
     def test_digital_genie_capacities_ignore_the_assignment(self):
         # the genie's gain is N on every subcarrier, so each user's capacity

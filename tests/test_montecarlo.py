@@ -156,7 +156,8 @@ class TestRunTrial:
                     gains = np.full(users.size, float(n))
                 else:
                     design = (trial.beams[kind] if kind in ANALOG_KINDS else
-                              genie_stepped(row, cfg.array, cfg.solver, trial.assignment))
+                              genie_stepped(row[np.argsort(trial.assignment)], cfg.array,
+                                            cfg.solver))
                     cols = awv_matrix(design.weights, cfg.array)
                     gains = gain_profile(row[users], cols, cfg.array)
                 for u in range(3):
@@ -230,6 +231,20 @@ class TestRunTrial:
             dataclasses.replace(SMALL, mode="drive")
         with pytest.raises(ValueError, match="^offset_count must be >= 1"):
             dataclasses.replace(SMALL, offset_count=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda beams: TrialConfig(SMALL.array, beams=beams),
+        lambda beams: SweepConfig("offset_range", (0.0,), beams=beams),
+    ], ids=["TrialConfig", "SweepConfig"])
+    def test_beams_are_held_as_a_tuple(self, build):
+        # a list is stored as a tuple, so the config hashes; a bare string is not
+        # split into one-letter kinds
+        cfg = build(["stepped", "rainbow"])
+        assert cfg.beams == ("stepped", "rainbow")
+        assert hash(cfg) == hash(build(("stepped", "rainbow")))
+        with pytest.raises(ValueError, match="^beams must be a sequence of beam kinds, "
+                                             "got the string 'stepped'$"):
+            build("stepped")
 
 
 class TestTrialResult:

@@ -17,9 +17,13 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from slantbeam import designs
+from slantbeam.arrays import ArrayConfig
 from slantbeam.config import RunConfig
+from slantbeam.link import LinkBudget, capacity_records
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
@@ -64,3 +68,21 @@ def test_every_wrap_only_import_sits_in_its_module_and_is_wrapped():
 ])
 def test_run_config_takes_the_keywords_perfbench_passes(method, names):
     assert set(names) <= set(inspect.signature(method).parameters)
+
+
+def test_stepped_genie_solves_through_the_module_global_once_per_point(monkeypatch):
+    # the benchmark's designs.genie_stepped span and genie_stepped_calls count
+    # the policy's calls of the wrapped module attribute, one per evaluation point
+    calls = []
+    solve = designs.genie_stepped
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(designs, "genie_stepped", counted)
+    cfg = ArrayConfig(16, 0.5, 60e9, 2e9, 48)
+    aods = np.deg2rad([[-30.0, 0.0, 30.0], [-25.0, 5.0, 35.0], [-20.0, 10.0, 40.0]])
+    capacity_records({"stepped_genie": designs.SteppedGeniePolicy(cfg)}, aods, cfg,
+                     LinkBudget(), assignment=[2, 0, 1])
+    assert len(calls) == aods.shape[0]
