@@ -55,8 +55,10 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def write_design_json(path, seed, cfg_hash, design):
-    _write_json(path, {**design.to_json_dict(), "seed": int(seed), "config_sha256": cfg_hash})
+def write_design_json(path, seed, cfg_hash, design, assignment):
+    """A design's JSON, its anchor written per user under the trial's ``assignment``."""
+    doc = design.to_json_dict(assignment)
+    _write_json(path, {**doc, "seed": int(seed), "config_sha256": cfg_hash})
 
 
 def write_capacity_csv(path, seed, cfg_hash, results, beams):
@@ -157,20 +159,16 @@ def _emit(out, name, writer, seed, cfg_hash, *payload):
     return name
 
 
-def _analog_designs(cfg: RunConfig, seed):
-    """The base trial and trial 0's analog designs from the design stage alone."""
-    base = cfg.base_trial()
-    return base, design_trial(base, seed, 0).beams
-
-
 def cmd_design(args, cfg, seed, h) -> list:
-    base, designs = _analog_designs(cfg, seed)
-    return [_emit(args.out, f"design_{kind}.json", write_design_json, seed, h, designs[kind])
-            for kind in base.beams]
+    base = cfg.base_trial()
+    trial = design_trial(base, seed, 0)
+    return [_emit(args.out, f"design_{kind}.json", write_design_json, seed, h, trial.beams[kind],
+                  trial.assignment) for kind in base.beams]
 
 
 def cmd_pattern(args, cfg, seed, h) -> list:
-    base, designs = _analog_designs(cfg, seed)
+    base = cfg.base_trial()
+    designs = design_trial(base, seed, 0).beams
     arr = base.array
     thetas_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     grid = np.deg2rad(thetas_deg)

@@ -1,10 +1,11 @@
 """Beam designs: slanted, stepped, rainbow, quadratic-phase, and genies.
 
-Analog designs produce one :class:`BeamDesign` (a phase/delay bank plus
-provenance); the genie baselines are evaluation-time policies that re-point
-using the true user directions at every evaluated instant.  Every policy
-answers ``gains(b, angles)`` for ``angles``, one true direction per sub-band in
-band order, and ``b = band_steering(angles)``, the (N, K) conjugate steering; no
+Analog designs take one estimate per sub-band, in sub-band order, and produce
+one :class:`BeamDesign` (a phase/delay bank plus provenance); the genie
+baselines are evaluation-time policies that re-point using the true user
+directions at every evaluated instant.  Every policy answers ``gains(b,
+angles)`` for ``angles``, one true direction per sub-band in band order, and
+``b = band_steering(angles)``, the (N, K) conjugate steering; no design or
 policy holds an assignment, and analog policies score weight columns against b.
 """
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import TWO_PI, AnalogWeights, ArrayConfig, _matched_gains, awv_matrix, wrap_phase
+from .arrays import (
+    TWO_PI, AnalogWeights, ArrayConfig, _as_float, _matched_gains, awv_matrix, wrap_phase)
 from .arrays import response_matrix  # noqa: F401  perfbench wraps designs.response_matrix
 from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve
 from .link import subband_users
@@ -37,17 +39,21 @@ class BeamDesign:
         if self.kind not in BEAM_KINDS:
             raise ValueError(f"unknown beam kind {self.kind!r}")
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, assignment) -> dict:
+        """The design as JSON values; an anchor is written per user, user u's
+        center being the one of its sub-band ``assignment[u]``, and a ValueError
+        is raised unless ``assignment`` is a permutation of the anchor's users."""
         doc = {
             "kind": self.kind,
             "phases_rad": [float(x) for x in self.weights.phases],
             "delays_s": [float(x) for x in self.weights.delays],
         }
         if self.anchor is not None:
+            subband_users(assignment, self.anchor.num_users, self.anchor.num_users)
             doc["anchor"] = {
-                "centers_deg": [float(np.rad2deg(c)) for c in self.anchor.centers],
+                "centers_deg": [float(np.rad2deg(c)) for c in self.anchor.centers[assignment]],
                 "range_deg": float(np.rad2deg(self.anchor.aod_range)),
-                "assignment": [int(b) for b in self.anchor.assignment],
+                "assignment": [int(b) for b in assignment],
             }
         if self.report is not None:
             doc["solver_objective"] = self.report.objective
@@ -55,20 +61,19 @@ class BeamDesign:
 
 
 def target_directions(anchor: AnchorSpec, cfg: ArrayConfig) -> TargetProfile:
-    """Per-subcarrier target directions from per-user anchors.
+    """Per-subcarrier target directions from anchors in sub-band order.
 
-    Each user's sub-band sweeps linearly from center - r/2 + r*U/K up to
-    center + r/2 (inclusive), so adjacent sub-bands tile disjoint angle
-    intervals when the centers are r apart and all users share the same
+    Sub-band b sweeps linearly from centers[b] - r/2 + r*U/K up to
+    centers[b] + r/2 (inclusive), so adjacent sub-bands tile disjoint angle
+    intervals when the centers are r apart and all sub-bands share the same
     slope in subcarrier index.  Directions are clipped to the visible
     half-plane.
     """
-    users = subband_users(anchor.assignment, cfg.num_subcarriers, anchor.num_users)
-    band = anchor.assignment[users]
+    band = subband_users(None, cfg.num_subcarriers, anchor.num_users)
     r = anchor.aod_range
     slope = r * anchor.num_users / cfg.num_subcarriers
     k_one_based = np.arange(1, cfg.num_subcarriers + 1)
-    g = anchor.centers[users] + r / 2 - r * (band + 1) + slope * k_one_based
+    g = anchor.centers[band] + r / 2 - r * (band + 1) + slope * k_one_based
     return TargetProfile(np.clip(g, -np.pi / 2, np.pi / 2), cfg)
 
 
@@ -84,23 +89,19 @@ def design_slanted(
     cfg: ArrayConfig,
     timing: FrameTiming,
     opts: SolverOptions = None,
-    assignment=None,
     range_override: float = None,
 ) -> BeamDesign:
     """Slanted beams: anchor selection over the predicted coverage intervals,
     then joint phase/delay solving of the linear per-sub-band profile.
 
-    The user -> sub-band assignment defaults to the identity;
+    ``estimates`` hold one user's estimate per sub-band, in sub-band order;
     ``range_override`` (radians) replaces the selected shared range r while
-    keeping the per-user centers.
+    keeping the centers.
     """
-    base = anchor_selection(estimates, p, timing)
-    r = base.aod_range if range_override is None else float(range_override)
-    anchor = AnchorSpec(
-        centers=base.centers,
-        aod_range=r,
-        assignment=assignment,
-    )
+    anchor = anchor_selection(estimates, p, timing)
+    if range_override is not None:
+        r = _as_float("range_override", range_override, "non-negative")
+        anchor = AnchorSpec(anchor.centers, r)
     return _solve_anchor(anchor, cfg, opts, "slanted")
 
 
@@ -109,16 +110,10 @@ def design_slanted_at(anchor: AnchorSpec, cfg: ArrayConfig, opts: SolverOptions 
     return _solve_anchor(anchor, cfg, opts, "slanted")
 
 
-def design_stepped(
-    aod_estimates,
-    cfg: ArrayConfig,
-    opts: SolverOptions = None,
-    assignment=None,
-) -> BeamDesign:
-    """Stepped beams: constant direction per sub-band at the estimated AoDs
-    (a slanted design with the range forced to zero)."""
-    anchor = AnchorSpec(centers=aod_estimates, aod_range=0.0, assignment=assignment)
-    return _solve_anchor(anchor, cfg, opts, "stepped")
+def design_stepped(aod_estimates, cfg: ArrayConfig, opts: SolverOptions = None) -> BeamDesign:
+    """Stepped beams: constant direction per sub-band at the estimated AoDs, one
+    per sub-band in sub-band order (a slanted design with the range forced to zero)."""
+    return _solve_anchor(AnchorSpec(aod_estimates, 0.0), cfg, opts, "stepped")
 
 
 def design_rainbow(cfg: ArrayConfig) -> BeamDesign:
@@ -157,9 +152,8 @@ def design_qpd(theta_first: float, peak_phase: float, cfg: ArrayConfig) -> BeamD
 
 def genie_stepped(aods, cfg: ArrayConfig, opts: SolverOptions = None) -> BeamDesign:
     """Stepped design re-pointed at one instant's true AoDs, one per sub-band in
-    band order (the identity assignment), from an independent (cold-started) solve."""
-    anchor = AnchorSpec(centers=aods, aod_range=0.0)
-    return _solve_anchor(anchor, cfg, opts, "stepped_genie")
+    sub-band order, from an independent (cold-started) solve."""
+    return _solve_anchor(AnchorSpec(aods, 0.0), cfg, opts, "stepped_genie")
 
 
 class FixedBeamPolicy:

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .arrays import _as_int_array, _check_count, _set_float_tuple, _set_floats
+from .arrays import _check_count, _set_float_tuple, _set_floats
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,11 @@ def coverage_halfwidth(p: float) -> float:
 
 @dataclass(frozen=True)
 class AnchorSpec:
-    """Per-user beam anchors: coverage interval midpoints, the shared range
-    width r applied to every user, and the user -> sub-band assignment
-    (0-based permutation; user u transmits on sub-band assignment[u])."""
+    """Beam anchors, one per sub-band in band order: coverage interval
+    midpoints and the shared range width r applied to every sub-band."""
 
     centers: np.ndarray
     aod_range: float
-    assignment: np.ndarray = None
 
     def __post_init__(self):
         centers = np.array(self.centers, dtype=float, ndmin=1)
@@ -108,16 +106,8 @@ class AnchorSpec:
         if not np.all(np.isfinite(centers)):
             raise ValueError(f"centers must be finite, got {centers.tolist()}")
         _set_floats(self, "non-negative", "aod_range")
-        if self.assignment is None:
-            assignment = np.arange(centers.size)
-        else:
-            assignment = _as_int_array("assignment", self.assignment)
-            if sorted(assignment.tolist()) != list(range(centers.size)):
-                raise ValueError("assignment must be a permutation of users")
         centers.setflags(write=False)
-        assignment.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "assignment", assignment)
 
     @property
     def num_users(self) -> int:
@@ -125,12 +115,12 @@ class AnchorSpec:
 
 
 def anchor_selection(estimates, p: float, timing: FrameTiming) -> AnchorSpec:
-    """Coverage-interval anchors for a set of user estimates.
+    """Coverage-interval anchors for a set of estimates, one per sub-band in band order.
 
-    For each user, the predicted mean +/- l*sqrt(variance) band is traced over
-    steps 0..num_steps (l the two-sided quantile for probability p) and the
-    convex hull of the union taken; the hull midpoint becomes the user's
-    center and the widest hull across users becomes the shared range r.
+    For each estimate, the predicted mean +/- l*sqrt(variance) band is traced
+    over steps 0..num_steps (l the two-sided quantile for probability p) and the
+    convex hull of the union taken; the hull midpoint becomes that sub-band's
+    center and the widest hull across estimates becomes the shared range r.
     """
     ell = coverage_halfwidth(p)
     steps = np.arange(timing.num_steps + 1)

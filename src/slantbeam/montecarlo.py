@@ -190,26 +190,32 @@ def _evaluation_points(config: TrialConfig, kins, estimates) -> np.ndarray:
     return np.stack([true_aod(kin, steps, config.timing) for kin in kins], axis=1)
 
 
+def _by_band(estimates, assignment) -> list:
+    """The estimates in sub-band order: entry b is the estimate of sub-band b's user."""
+    return [estimates[u] for u in np.argsort(assignment)]
+
+
 def _build_slanted(config: TrialConfig, estimates, assignment) -> BeamDesign:
     """Offset mode anchors at the estimates with the predicted coverage width
     (or the override); trajectory mode runs the full anchor selection."""
+    estimates = _by_band(estimates, assignment)
     if config.mode != "offset":
         return design_slanted(estimates, config.coverage_p, config.array, config.timing,
-                              config.solver, assignment=assignment,
-                              range_override=config.range_override)
+                              config.solver, range_override=config.range_override)
     r = config.range_override
     if r is None:
         r = 2.0 * coverage_halfwidth(config.coverage_p) * np.sqrt(config.scenario.var_theta)
-    anchor = AnchorSpec(centers=_theta_hat(estimates), aod_range=r, assignment=assignment)
-    return design_slanted_at(anchor, config.array, config.solver)
+    return design_slanted_at(AnchorSpec(_theta_hat(estimates), r), config.array, config.solver)
 
 
 # kind -> builder(config, estimates, assignment), returning a BeamDesign or a
-# policy; every name is looked up in this module when the builder runs.
+# policy; every name is looked up in this module when the builder runs. The
+# estimates and assignment are per user: an analog design takes one estimate per
+# sub-band, in sub-band order, and the qpd design points at user 0.
 POLICY_BUILDERS = {
     "slanted": _build_slanted,
     "stepped": lambda config, estimates, assignment: design_stepped(
-        _theta_hat(estimates), config.array, config.solver, assignment=assignment),
+        _theta_hat(_by_band(estimates, assignment)), config.array, config.solver),
     "rainbow": lambda config, estimates, assignment: design_rainbow(config.array),
     "qpd": lambda config, estimates, assignment: design_qpd(
         _theta_hat(estimates)[0], config.qpd_peak, config.array),

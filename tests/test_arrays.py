@@ -232,15 +232,15 @@ class TestAnalogWeights:
 def test_constructors_freeze_copies_not_the_callers_arrays():
     # AnchorSpec, AnalogWeights and TargetProfile hold read-only arrays equal to
     # what they were given, and the caller's own arrays stay writeable;
-    # _as_int_array, which AnchorSpec reads the assignment through, copies too
+    # _as_int_array, which subband_users reads an assignment through, copies too
     c, a = np.array([0.0, 0.1]), np.array([1, 0])
     p, d = np.array([0.5, -0.5]), np.array([0.0, 1e-9])
     g = np.linspace(-0.5, 0.5, 8)
-    spec = AnchorSpec(c, 0.1, a)
+    spec = AnchorSpec(c, 0.1)
     weights = AnalogWeights(p, d)
     profile = TargetProfile(g, ArrayConfig(4, 0.5, 60e9, 2e9, 8))
-    for stored, given in ((spec.centers, c), (spec.assignment, a), (weights.phases, p),
-                          (weights.delays, d), (profile.directions, g)):
+    for stored, given in ((spec.centers, c), (weights.phases, p), (weights.delays, d),
+                          (profile.directions, g)):
         assert given.flags.writeable and not stored.flags.writeable
         np.testing.assert_array_equal(stored, given)
     ints = _as_int_array("assignment", a)

@@ -17,8 +17,9 @@ from slantbeam.cli import (
     write_heatmap_csv,
     write_sweep_csv,
 )
+from slantbeam.config import parse_config
 from slantbeam.designs import ANALOG_KINDS
-from slantbeam.montecarlo import SweepConfig, SweepResult, TrialResult
+from slantbeam.montecarlo import SweepConfig, SweepResult, TrialResult, design_trial
 
 TINY = [
     "--set", "array.num_subcarriers=48",
@@ -119,6 +120,19 @@ class TestDesignCommand:
         a = json.loads((out_a / "design_stepped.json").read_text())
         b = json.loads((out_b / "design_stepped.json").read_text())
         assert a["anchor"]["centers_deg"] != b["anchor"]["centers_deg"]
+
+    def test_anchor_is_written_per_user(self, tmp_path):
+        # seed 5's trial 0 puts users 0, 1, 2 on sub-bands 1, 2, 0 (a 3-cycle), so
+        # centers in sub-band order would differ from the users' estimates
+        assert main(["design", "--out", str(tmp_path), "--beams", "stepped", "--seed", "5",
+                     *TINY]) == 0
+        doc = json.loads((tmp_path / "design_stepped.json").read_text())
+        base = parse_config(overrides=[*TINY[1::2], "sweep.beams=stepped"], desk=True).base_trial()
+        trial = design_trial(base, 5, 0)
+        assert np.all(trial.assignment != np.arange(3))
+        assert doc["anchor"]["assignment"] == trial.assignment.tolist()
+        theta0_deg = [float(np.rad2deg(est.theta0)) for _, est in trial.scenario]
+        assert doc["anchor"]["centers_deg"] == theta0_deg
 
     @pytest.mark.parametrize("item, named", [
         ("link.snr_db=nan", "[link] snr_db: must be finite, got nan"),

@@ -67,16 +67,6 @@ class TestTargetDirections:
             first = prof.directions[u * per]
             assert first == pytest.approx(centers[u] - 6 * DEG + 12 * DEG * 3 / 60, abs=1e-12)
 
-    def test_assignment_moves_user_between_subbands(self):
-        cfg = ArrayConfig(8, 0.5, 60e9, 2e9, 60)
-        centers = np.array([-20.0, 5.0, 25.0]) * DEG
-        anchor = AnchorSpec(centers=centers, aod_range=0.0, assignment=np.array([2, 0, 1]))
-        prof = target_directions(anchor, cfg)
-        # user 0 now sits on the last sub-band, user 1 on the first
-        np.testing.assert_allclose(prof.directions[40:60], centers[0], atol=1e-12)
-        np.testing.assert_allclose(prof.directions[0:20], centers[1], atol=1e-12)
-        np.testing.assert_allclose(prof.directions[20:40], centers[2], atol=1e-12)
-
     def test_all_users_share_the_slope(self):
         cfg = ArrayConfig(8, 0.5, 60e9, 2e9, 60)
         anchor = AnchorSpec(centers=np.array([-20.0, 5.0, 25.0]) * DEG, aod_range=9 * DEG)
@@ -114,16 +104,10 @@ class TestSlantedDesign:
         assert np.all(np.diff(peaks) >= -0.15)
         assert peaks[-1] - peaks[0] == pytest.approx(10.0 * (1 - 1 / 48), abs=1.0)
 
-    def test_assignment_drawn_from_stream_is_reproducible(self):
-        # callers draw the assignment from their own stream and pass it in
-        ests = [static_estimate(-20.0), static_estimate(0.0), static_estimate(20.0)]
-        cfg = ArrayConfig(32, 0.5, 60e9, 2e9, 48)
-        a = design_slanted(ests, 0.97, cfg, TIMING,
-                           assignment=np.random.default_rng(5).permutation(3))
-        b = design_slanted(ests, 0.97, cfg, TIMING,
-                           assignment=np.random.default_rng(5).permutation(3))
-        np.testing.assert_array_equal(a.anchor.assignment, b.anchor.assignment)
-        np.testing.assert_array_equal(a.weights.delays, b.weights.delays)
+    @pytest.mark.parametrize("bad", [True, "abc", np.array([0.1]), -0.1, np.nan])
+    def test_range_override_must_be_a_non_negative_real(self, bad):
+        with pytest.raises(ValueError, match=r"^range_override"):
+            design_slanted([static_estimate(5.0)], 0.97, CFG48, TIMING, range_override=bad)
 
     def test_solver_trace_attached(self):
         design = design_slanted([static_estimate(5.0)], 0.97, CFG48, TIMING)
@@ -135,9 +119,10 @@ class TestSlantedDesign:
 class TestSteppedDesign:
     def test_bitwise_equal_to_zero_range_slanted(self):
         ests = [static_estimate(-25.0), static_estimate(3.0), static_estimate(30.0)]
-        assignment = np.array([1, 2, 0])
-        slanted = design_slanted(ests, 0.97, CFG48, TIMING, assignment=assignment)
-        stepped = design_stepped([est.theta0 for est in ests], CFG48, assignment=assignment)
+        # the users' estimates handed over in sub-band order under assignment [1, 2, 0]
+        by_band = [ests[u] for u in np.argsort([1, 2, 0])]
+        slanted = design_slanted(by_band, 0.97, CFG48, TIMING)
+        stepped = design_stepped([est.theta0 for est in by_band], CFG48)
         assert slanted.anchor.aod_range == 0.0
         np.testing.assert_array_equal(slanted.weights.phases, stepped.weights.phases)
         np.testing.assert_array_equal(slanted.weights.delays, stepped.weights.delays)
@@ -388,12 +373,19 @@ class TestBeamDesignContainer:
     def test_json_dict_carries_anchor_and_objective(self):
         est = static_estimate(10.0, var_theta=2 * DEG**2)
         design = design_slanted([est], 0.97, CFG48, TIMING, range_override=20 * DEG)
-        doc = design.to_json_dict()
+        doc = design.to_json_dict(np.array([0]))
         assert doc["kind"] == "slanted"
         assert len(doc["phases_rad"]) == 32 and len(doc["delays_s"]) == 32
         assert doc["anchor"]["range_deg"] == pytest.approx(20.0)
         assert doc["anchor"]["assignment"] == [0]
         assert doc["solver_objective"] > 0
+
+    @pytest.mark.parametrize("assignment", [[0], [0, 0, 2], [0.0, 1.0, 2.0]])
+    def test_json_dict_rejects_an_assignment_that_is_not_a_permutation_of_the_users(
+            self, assignment):
+        design = design_stepped(np.array([-20.0, 0.0, 20.0]) * DEG, CFG48)
+        with pytest.raises(ValueError, match=r"^assignment"):
+            design.to_json_dict(assignment)
 
     def test_stepped_targets_helper(self):
         anchor = AnchorSpec(np.array([-10.0, 0.0, 10.0]) * DEG, 0.0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slantbeam.mobility import (
-    AnchorSpec,
     FrameTiming,
     KinematicsEstimate,
     ScenarioConfig,
@@ -239,20 +238,6 @@ class TestAnchorSelection:
         a = anchor_selection([EXAMPLE_EST], 0.90, TABLE_TIMING)
         b = anchor_selection([EXAMPLE_EST], 0.99, TABLE_TIMING)
         assert b.aod_range > a.aod_range
-
-    def test_default_assignment_is_identity(self):
-        spec = anchor_selection([EXAMPLE_EST, EXAMPLE_EST], 0.97, TABLE_TIMING)
-        np.testing.assert_array_equal(spec.assignment, [0, 1])
-
-    def test_bad_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            AnchorSpec(centers=np.zeros(3), aod_range=0.1, assignment=np.array([0, 1, 1]))
-
-    @pytest.mark.parametrize("assignment", [[1.9, 0.2], [1.0, 0.0], [True, False], ["1", "0"]])
-    def test_assignment_that_is_not_integers_rejected(self, assignment):
-        # [1.9, 0.2] would truncate to the valid permutation [1, 0]
-        with pytest.raises(ValueError, match=r"^assignment must hold integers, got "):
-            AnchorSpec(centers=np.zeros(2), aod_range=0.1, assignment=assignment)
 
 
 class TestPerStepCoverage:

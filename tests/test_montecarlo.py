@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -265,24 +266,56 @@ class TestPolicyBuilders:
         original = montecarlo.design_stepped
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["assignment"])
+            calls.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "design_stepped", spy)
         trial = design_trial(dataclasses.replace(SMALL, beams=("stepped",)), 3, 0)
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], trial.assignment)
+        theta_hat = np.array([est.theta0 for _, est in trial.scenario])
+        assert not np.array_equal(trial.assignment, np.arange(3))
+        np.testing.assert_array_equal(calls[0], theta_hat[np.argsort(trial.assignment)])
 
     def test_analog_designs_carry_trial_assignment_and_report(self):
-        # an analog kind holds its BeamDesign, a genie kind its policy
+        # an analog kind holds its BeamDesign, a genie kind its policy; the
+        # offset-mode anchors are the estimates in the trial's sub-band order
         trial = design_trial(SMALL, 5, 1)
         analog = {kind for kind, beam in trial.beams.items() if isinstance(beam, BeamDesign)}
         assert analog == set(ANALOG_KINDS) == {"slanted", "stepped", "rainbow", "qpd"}
         assert isinstance(trial.beams["stepped_genie"], SteppedGeniePolicy)
+        theta_hat = np.array([est.theta0 for _, est in trial.scenario])
         for kind in ("slanted", "stepped"):
             design = trial.beams[kind]
-            np.testing.assert_array_equal(design.anchor.assignment, trial.assignment)
+            np.testing.assert_array_equal(design.anchor.centers,
+                                          theta_hat[np.argsort(trial.assignment)])
             assert design.report.weights is design.weights
+
+
+class TestDesignFollowsAssignment:
+    def test_designs_score_best_under_the_trial_assignment(self):
+        # the slanted and stepped designs point each sub-band at the user that
+        # capacity_records scores on it, so every other user -> sub-band
+        # permutation leaves the worst user strictly worse off
+        cfg = dataclasses.replace(SMALL, offset_count=1, beams=("slanted", "stepped"))
+        cycles = 0
+        for trial_id in range(6):
+            trial = design_trial(cfg, 0, trial_id)
+            cycles += bool(np.all(trial.assignment != np.arange(3)))
+            policies = {kind: FixedBeamPolicy(design, cfg.array)
+                        for kind, design in trial.beams.items()}
+
+            def worst(assignment):
+                records = capacity_records(policies, trial.true_aods, cfg.array, cfg.budget,
+                                           assignment=assignment)
+                return {kind: table.min() for kind, table in records.items()}
+
+            own = worst(trial.assignment)
+            for perm in itertools.permutations(range(3)):
+                if list(perm) != trial.assignment.tolist():
+                    other = worst(perm)
+                    for kind in own:
+                        assert own[kind] > other[kind], (trial_id, perm, kind)
+        assert cycles >= 2  # a 3-cycle tells band order from user order
 
 
 class TestAngleReach:
