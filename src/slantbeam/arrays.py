@@ -9,7 +9,10 @@ Conventions used throughout the package:
   frequency, so wideband squint is part of the model rather than an
   afterthought,
 * every steering or weight matrix is a C-contiguous complex (N, K) array over
-  ``ArrayConfig.subcarrier_centers``: row n is antenna n, column k subcarrier k.
+  ``ArrayConfig.subcarrier_centers``: row n is antenna n, column k subcarrier k,
+* a float input passes one rule, ``_as_float`` for a scalar and
+  ``_as_float_array`` for a 1-D array (held read-only); either raises a
+  ValueError that starts with the field's name.
 
 Phasors over an evenly spaced axis come from ``_phasor_ramp``, which factors
 exp(j(x0 + dx*m)) so that an (R, M) matrix costs about 2*sqrt(M) complex
@@ -70,6 +73,21 @@ def _as_float(name: str, value, sign: str = "") -> float:
     if not (signed and math.isfinite(value)):
         raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
     return value
+
+
+def _as_float_array(name: str, values, sign: str = "") -> np.ndarray:
+    """``values`` as a new read-only 1-D float array (a scalar is one entry), each entry
+    checked as ``_as_float`` does; bool, complex, string and empty input are refused too."""
+    arr = np.array(values, ndmin=1)
+    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D real array, got {arr.dtype} of shape "
+                         f"{arr.shape}")
+    arr = arr.astype(float, copy=False)
+    ok = np.isfinite(arr) & {"": True, "positive": arr > 0, "non-negative": arr >= 0}[sign]
+    if not ok.all():
+        _as_float(name, arr[~ok][0], sign)  # raises: the first bad entry fails the same rule
+    arr.setflags(write=False)
+    return arr
 
 
 def _set_floats(obj, sign: str, *names: str) -> None:
@@ -209,20 +227,12 @@ class AnalogWeights:
     delays: np.ndarray
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=float, ndmin=1)
-        delays = np.array(self.delays, dtype=float, ndmin=1)
-        if phases.shape != delays.shape or phases.ndim != 1:
-            raise ValueError("phases and delays must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(delays))):
-            raise ValueError("phases and delays must be finite")
-        if np.any(np.abs(phases) > np.pi + 1e-9):
+        object.__setattr__(self, "phases", _as_float_array("phases", self.phases))
+        object.__setattr__(self, "delays", _as_float_array("delays", self.delays, "non-negative"))
+        if self.phases.size != self.delays.size:
+            raise ValueError("phases and delays must be of equal length")
+        if np.any(np.abs(self.phases) > np.pi + 1e-9):
             raise ValueError("phases must lie in [-pi, pi]")
-        if np.any(delays < 0):
-            raise ValueError("delays must be non-negative")
-        phases.setflags(write=False)
-        delays.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "delays", delays)
 
     @property
     def num_antennas(self) -> int:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import (
-    TWO_PI, AnalogWeights, ArrayConfig, _as_float, _matched_gains, awv_matrix, wrap_phase)
+    TWO_PI, AnalogWeights, ArrayConfig, _as_float, _checked_angles, _matched_gains, awv_matrix,
+    wrap_phase)
 from .arrays import response_matrix  # noqa: F401  perfbench wraps designs.response_matrix
 from .jpta import SolverOptions, SolverReport, TargetProfile, jpta_solve
 from .link import subband_users
@@ -142,10 +143,11 @@ def design_qpd(theta_first: float, peak_phase: float, cfg: ArrayConfig) -> BeamD
     user's estimated AoD with a quadratic broadening term added.
 
     ``peak_phase`` controls the broadening (0 recovers a conventionally
-    steered phased array).  Only the first user is served.
+    steered phased array).  Only the first user is served, and ``theta_first``
+    must lie in [-pi/2, pi/2].
     """
     n = np.arange(cfg.num_antennas)
-    steer = TWO_PI * cfg.spacing * n * np.sin(theta_first)
+    steer = TWO_PI * cfg.spacing * n * np.sin(_checked_angles(theta_first))
     phases = wrap_phase(steer + qpd_phase_profile(cfg.num_antennas, peak_phase))
     return BeamDesign(kind="qpd", weights=AnalogWeights(phases, np.zeros(cfg.num_antennas)))
 

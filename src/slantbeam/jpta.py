@@ -101,7 +101,9 @@ from .arrays import (
     TWO_PI,
     AnalogWeights,
     ArrayConfig,
+    _as_float_array,
     _check_count,
+    _checked_angles,
     _phasor_ramp,
     _set_floats,
     response_matrix,
@@ -123,17 +125,12 @@ class TargetProfile:
     cfg: ArrayConfig
 
     def __post_init__(self):
-        d = np.array(self.directions, dtype=float, ndmin=1)
-        if d.size == 0:
-            raise ValueError("target profile must contain at least one direction")
+        d = _checked_angles(_as_float_array("directions", self.directions))
         if d.size != self.cfg.num_subcarriers:
             raise ValueError(
                 f"profile has {d.size} directions but the array carries "
                 f"{self.cfg.num_subcarriers} subcarriers"
             )
-        if np.any(np.abs(d) > np.pi / 2) or not np.all(np.isfinite(d)):
-            raise ValueError("target directions must lie in [-pi/2, pi/2]")
-        d.setflags(write=False)
         object.__setattr__(self, "directions", d)
 
 

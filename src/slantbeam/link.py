@@ -12,12 +12,12 @@ evaluation points, reading every beam's gains against one ``band_steering``
 per point; ``min_capacity`` is its one-beam case.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, _as_float, _as_int_array, _check_count, _set_floats, band_steering
+from .arrays import (
+    ArrayConfig, _as_float, _as_float_array, _as_int_array, _check_count, _set_floats, band_steering)
 from .arrays import gain_profile  # noqa: F401  perfbench wraps link.gain_profile
 
 
@@ -90,11 +90,14 @@ def capacity_records(policies, true_aods, cfg: ArrayConfig, budget: LinkBudget,
     the point's index in front; a bad true direction names the first.
     """
     true_aods = np.atleast_2d(np.asarray(true_aods, dtype=float))
+    if true_aods.ndim != 2:
+        raise ValueError(f"true_aods must have shape (P, U), got {true_aods.shape}")
     num_points, num_users = true_aods.shape
     users = subband_users(assignment, cfg.num_subcarriers, num_users)
-    h2 = np.asarray(1.0 if channel_gains is None else channel_gains, dtype=float)
-    if h2.shape not in ((), (1,), (num_users,)) or not np.all((0 < h2) & (h2 < math.inf)):
-        raise ValueError("channel_gains must be positive, one per user, and finite")
+    h2 = _as_float_array("channel_gains", 1.0 if channel_gains is None else channel_gains, "positive")
+    if h2.size not in (1, num_users):
+        raise ValueError(f"channel_gains need one value or one per user ({num_users}), "
+                         f"got {h2.size}")
     h2 = np.broadcast_to(h2, (num_users,))[users]  # one per subcarrier
     band_users = users[::cfg.num_subcarriers // num_users]
     caps = {kind: np.empty((num_points, num_users)) for kind in policies}

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .arrays import _check_count, _set_float_tuple, _set_floats
+from .arrays import _as_float_array, _check_count, _set_float_tuple, _set_floats
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,8 @@ class AnchorSpec:
     aod_range: float
 
     def __post_init__(self):
-        centers = np.array(self.centers, dtype=float, ndmin=1)
-        if centers.ndim != 1 or centers.size == 0:
-            raise ValueError(f"centers must be a non-empty 1-D array, got shape {centers.shape}")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError(f"centers must be finite, got {centers.tolist()}")
+        object.__setattr__(self, "centers", _as_float_array("centers", self.centers))
         _set_floats(self, "non-negative", "aod_range")
-        centers.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
 
     @property
     def num_users(self) -> int:

@@ -344,6 +344,8 @@ def run_sweep(sweep: SweepConfig, base: TrialConfig, workers: int = None) -> Swe
     process per cell; results are indexed by (value, trial id), so the outcome
     is identical for any worker count.
     """
+    if workers is not None:
+        _check_count("workers", workers)
     jobs = [
         (label, config, sweep.master_seed, t)
         for label, config in sweep_cells(sweep, base)

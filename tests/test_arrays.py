@@ -10,6 +10,7 @@ from slantbeam.arrays import (
     AnalogWeights,
     ArrayConfig,
     _as_float,
+    _as_float_array,
     _as_int_array,
     _matched_gains,
     _phasor_ramp,
@@ -21,6 +22,7 @@ from slantbeam.arrays import (
     wrap_phase,
 )
 from slantbeam.jpta import TargetProfile
+from slantbeam.link import LinkBudget, capacity_records
 from slantbeam.mobility import AnchorSpec
 
 from oracles import array_response, awv, gain, steering_gain_atol
@@ -227,6 +229,44 @@ class TestAnalogWeights:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AnalogWeights(np.zeros(4), np.zeros(3))
+
+
+# every float-array field and argument passes arrays._as_float_array: each builder
+# takes two entries where two are valid (K = 2 subcarriers, U = 2 users), and each
+# bad input is refused with a ValueError that starts with the field's name; a
+# negative entry is bad only where the field has a sign
+TWO_CARRIERS = ArrayConfig(4, 0.5, 60e9, 2e9, 2)
+FLOAT_ARRAY_FIELDS = {
+    "centers": ("", lambda v: AnchorSpec(v, 0.1)),
+    "phases": ("", lambda v: AnalogWeights(v, np.zeros(2))),
+    "delays": ("non-negative", lambda v: AnalogWeights(np.zeros(2), v)),
+    "directions": ("", lambda v: TargetProfile(v, TWO_CARRIERS)),
+    "channel_gains": ("positive", lambda v: capacity_records(
+        {}, np.zeros((1, 2)), TWO_CARRIERS, LinkBudget(), channel_gains=v)),
+}
+BAD_FLOAT_ARRAYS = {
+    "bool array": np.array([True, False]),
+    "complex": np.array([0.1 + 0.5j, 0.2]),
+    "string": ["0.1", "0.2"],
+    "2-D": np.full((1, 2), 0.1),
+    "empty": np.zeros(0),
+    "nan": [np.nan, 0.1],
+    "negative": [-1e-12, 0.1],
+}
+
+
+@pytest.mark.parametrize("field, case", [
+    (field, case) for field, (sign, _) in sorted(FLOAT_ARRAY_FIELDS.items())
+    for case in sorted(BAD_FLOAT_ARRAYS) if sign or case != "negative"])
+def test_float_array_rule_names_the_field(field, case):
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        FLOAT_ARRAY_FIELDS[field][1](BAD_FLOAT_ARRAYS[case])
+
+
+def test_float_array_rule_takes_a_scalar_as_one_entry():
+    arr = _as_float_array("x", np.int64(3))
+    assert arr.shape == (1,) and arr.dtype == float and not arr.flags.writeable
+    assert _as_float_array("x", np.float32([0.5, 1.5]), "positive").tolist() == [0.5, 1.5]
 
 
 def test_constructors_freeze_copies_not_the_callers_arrays():

@@ -212,6 +212,12 @@ class TestQpdDesign:
         wide = width_3db(design_qpd(theta, np.pi, CFG48))
         assert wide > narrow
 
+    @pytest.mark.parametrize("theta", [2.0, np.nan])
+    def test_direction_outside_the_half_plane_rejected(self, theta):
+        # sin(2.0) == sin(pi - 2.0): 2.0 rad would steer at 65 degrees unannounced
+        with pytest.raises(ValueError, match=rf"^angle of departure {theta!r} outside"):
+            design_qpd(theta, 0.0, CFG48)
+
 
 class TestGenies:
     def test_digital_genie_is_matched(self):

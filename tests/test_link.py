@@ -228,9 +228,21 @@ class TestMinCapacity:
         shared = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=0.5)
         each = min_capacity(pol, aods, CFG48, BUDGET, channel_gains=(0.5, 0.5, 0.5))
         np.testing.assert_array_equal(shared, each)
-        for bad in ((1.0, 2.0), (1.0, 0.0, 1.0), -1.0, [[1.0, 1.0, 1.0]]):
-            with pytest.raises(ValueError, match="channel_gains must be positive, one per user"):
+        for bad, message in (
+            ((1.0, 2.0), r"need one value or one per user \(3\), got 2$"),
+            ((1.0, 0.0, 1.0), r"must be positive and finite, got 0\.0$"),
+            (-1.0, r"must be positive and finite, got -1\.0$"),
+            ([[1.0, 1.0, 1.0]],
+             r"must be a non-empty 1-D real array, got float64 of shape \(1, 3\)$"),
+        ):
+            with pytest.raises(ValueError, match="^channel_gains " + message):
                 min_capacity(pol, aods, CFG48, BUDGET, channel_gains=bad)
+
+    def test_true_aods_of_more_than_two_dimensions_rejected(self):
+        pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)
+        message = r"^true_aods must have shape \(P, U\), got \(1, 1, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            min_capacity(pol, np.zeros((1, 1, 3)), CFG48, BUDGET)
 
     def test_failure_names_beam_and_eval_index(self):
         pol = FixedBeamPolicy(design_rainbow(CFG48), CFG48)

@@ -450,6 +450,17 @@ class TestRunSweep:
         np.testing.assert_array_equal(pooled.minima("rainbow"),
                                       run_sweep(sweep, SMALL).minima("rainbow"))
 
+    @pytest.mark.parametrize("workers, message", [
+        (-3, "workers must be >= 1"), (0, "workers must be >= 1"),
+        ("2", "workers must be an integer, got '2'"), (2.0, "workers must be an integer, got 2.0"),
+        (True, "workers must be an integer, got True"),
+    ])
+    def test_bad_worker_count_rejected_before_any_cell(self, workers, message, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cell_job", lambda job: pytest.fail("a cell ran"))
+        sweep = SweepConfig(axis="offset_range", values=(0.0,), trials=1, beams=("rainbow",))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(sweep, SMALL, workers=workers)
+
     def test_zero_offset_value_upper_bounds_wider_ones(self):
         # the zero-offset evaluation set {0} is a subset of every odd-count
         # grid, so its per-trial minima dominate exactly
