@@ -77,11 +77,18 @@ def _as_float(name: str, value, sign: str = "") -> float:
 
 def _as_float_array(name: str, values, sign: str = "") -> np.ndarray:
     """``values`` as a new read-only 1-D float array (a scalar is one entry), each entry
-    checked as ``_as_float`` does; bool, complex, string and empty input are refused too."""
-    arr = np.array(values, ndmin=1)
+    checked as ``_as_float`` does; bool (a bool entry of a list too), complex, string, ragged
+    and empty input are refused too."""
+    try:
+        arr = np.array(values, ndmin=1)
+    except ValueError:  # a ragged nesting
+        raise ValueError(f"{name} must be a non-empty 1-D real array, got a ragged nesting") \
+            from None
     if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D real array, got {arr.dtype} of shape "
                          f"{arr.shape}")
+    if isinstance(values, (list, tuple)) and any(np.asarray(v).dtype == bool for v in values):
+        raise ValueError(f"{name} must be a real array, got a bool entry")
     arr = arr.astype(float, copy=False)
     ok = np.isfinite(arr) & {"": True, "positive": arr > 0, "non-negative": arr >= 0}[sign]
     if not ok.all():

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jpta
 from .arrays import pattern_heatmap
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .designs import ANALOG_KINDS
@@ -169,6 +169,7 @@ def cmd_design(args, cfg, seed, h) -> list:
 def cmd_pattern(args, cfg, seed, h) -> list:
     base = cfg.base_trial()
     designs = design_trial(base, seed, 0).beams
+    jpta._plan.cache_clear()  # nothing below solves: free the plan before the CSVs
     arr = base.array
     thetas_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     grid = np.deg2rad(thetas_deg)

@@ -86,8 +86,11 @@ product with u0 into its ramp. One full-scale solve (K = 1200, N = 32, the
 default 256-point grid) that builds its plan peaks at 4.91 MiB traced, 2.34
 MiB of it the complex64 grid matrix; in complex128 that matrix alone would
 take 4.7 MiB. The cached plan keeps the grid matrix resident between solves,
-so a process holds those 2.34 MiB from its first solve on, and a solve on the
-cached plan adds only the rest of the peak.
+so a process holds those 2.34 MiB from its first solve until the cache is
+cleared, and a solve on the cached plan adds only the rest of the peak. The
+``pattern`` command clears it (``_plan.cache_clear()``) once its designs are
+solved, since nothing after that solves; the next solve rebuilds the plan in
+about 1.7 ms at K=1200.
 """
 
 import functools

@@ -252,6 +252,8 @@ BAD_FLOAT_ARRAYS = {
     "empty": np.zeros(0),
     "nan": [np.nan, 0.1],
     "negative": [-1e-12, 0.1],
+    "bool entry": [True, 0.5],
+    "ragged": [0.1, [0.2, 0.3]],
 }
 
 

@@ -74,7 +74,7 @@ def test_summary_without_a_probe_is_unchanged():
         lines = bench_pairs.summarize(_doc(probe_s))
         assert lines[0] == "genie_offset trace 0: 3 pairs"
         assert lines[1] == ("  cell_p50_s: parent 0.08 [0.06, 0.1]  change 0.04 [0.03, 0.05]  "
-                            "median -50.0%  wins 3/3  gap > parent IQR: no")
+                            "median -50.0%  wins 3/3  gap > parent IQR: no  separated: no")
         assert not any("probe" in ln for ln in lines)
 
 
@@ -97,3 +97,22 @@ def test_summary_flags_end_to_end_metrics_worse_beyond_their_bound():
     assert lines[6] == "pattern_full trace 0: 2 pairs"
     assert lines[11] == "  worse beyond bound: none"
     assert len(lines) == 12
+
+
+def test_summary_says_whether_every_change_run_beats_every_parent_run():
+    # cell_p50_s wins every pair, but its change runs overlap its parent runs (0.06 >
+    # 0.04); peak_rss_mb and the higher-is-better objective separate; a tie does not
+    def metrics(cell, rss, objective, calls):
+        return {"cell_p50_s": {"value": cell}, "peak_rss_mb": {"value": rss},
+                "jpta.objective_frac_mean": {"value": objective},
+                "jpta.solve_calls": {"value": calls}}
+
+    runs = [{"workload": "pattern_full", "seed": seed, "trace": 0, "order": 1, "side": side,
+             "result": {"metrics": metrics(*values)}}
+            for seed in (1, 2, 3) for side, values in (
+                ("parent", (0.04 * seed, 49.6 + 0.1 * seed, 0.90, 10)),
+                ("change", (0.02 * seed, 46.7 + 0.1 * seed, 0.95, 10)))]
+    separated = {ln.split(":")[0].strip(): ln.split("separated: ")[1].split()[0]
+                 for ln in bench_pairs.summarize({"runs": runs}) if "separated: " in ln}
+    assert separated == {"cell_p50_s": "no", "peak_rss_mb": "yes",
+                         "jpta.objective_frac_mean": "yes", "jpta.solve_calls": "no"}

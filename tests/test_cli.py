@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import slantbeam
-from slantbeam import montecarlo
+from slantbeam import jpta, montecarlo
 from slantbeam.cli import (
     main,
     write_capacity_csv,
@@ -213,6 +213,23 @@ class TestPatternCommand:
         assert float(first[0]) == -90.0
         # theta-major: 361 angles x 48 subcarriers data rows
         assert len(lines) == 2 + 361 * 48
+
+    def test_gives_back_the_solver_plan_once_its_designs_are_solved(self, tmp_path):
+        assert main(["pattern", "--out", str(tmp_path), "--beams", "stepped", *TINY]) == 0
+        assert jpta._plan.cache_info().currsize == 0
+
+    def test_design_after_pattern_rebuilds_the_same_plan(self, tmp_path):
+        # one process: the design written after a pattern (which cleared the plan)
+        # matches the one written before it, byte for byte
+        args = ["design", "--beams", "stepped,slanted", "--seed", "3", *TINY]
+        assert main([*args, "--out", str(tmp_path / "before")]) == 0
+        assert main(["pattern", "--out", str(tmp_path / "pattern"), "--beams", "stepped",
+                     *TINY]) == 0
+        assert main([*args, "--out", str(tmp_path / "after")]) == 0
+        for kind in ("stepped", "slanted"):
+            name = f"design_{kind}.json"
+            assert (tmp_path / "before" / name).read_bytes() == \
+                   (tmp_path / "after" / name).read_bytes()
 
 
 class TestSweepCommand:

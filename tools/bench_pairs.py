@@ -30,7 +30,9 @@ their probes agree. The header's ``probe_s`` keeps the ``before`` and
 The summary gives the probe timings and, per workload, trace mode and metric:
 the median and quartiles of each side, the change of the medians, how many
 pairs the change wins (by the metric's direction in ``BENCHMARK.json``), and
-whether the gap between the medians exceeds the parent's interquartile range.
+whether the gap between the medians exceeds the parent's interquartile range,
+and whether the runs are ``separated``: every change run better than every
+parent run, the rule to read a metric by when its spread is wider than its bound.
 Each workload and trace mode ends with ``worse beyond bound: …``, the end-to-end
 metrics whose change median is worse than the parent median by more than the
 metric's ``bound`` in ``BENCHMARK.json``, read as a fraction of the parent
@@ -188,9 +190,11 @@ def summarize(doc: dict) -> list:
             c1, cm, c3 = quartiles([c for _, c in values])
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
             resolved = "yes" if abs(cm - pm) > p3 - p1 else "no"
+            separated = "yes" if max(sign * c for _, c in values) < min(
+                sign * p for p, _ in values) else "no"
             line = (f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
                     f"[{c1:.6g}, {c3:.6g}]  median {rel}  wins {wins}/{len(values)}  "
-                    f"gap > parent IQR: {resolved}")
+                    f"gap > parent IQR: {resolved}  separated: {separated}")
             if probe_unit and specs[name]["unit"] == "s":
                 line += (f"  in probe units: parent {pm / probe_unit:.4g}  "
                          f"change {cm / probe_unit:.4g}")
