@@ -218,7 +218,13 @@ def parse_config(path: str = None, overrides=None, desk: bool = False) -> RunCon
         cfg.base_trial()
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{_FIELD_KEYS[field.rstrip(':')]}: {rest}") from exc
+        label = _FIELD_KEYS[field.rstrip(":")]
+        section, key = label[1:].split("] ")
+        detail, got, _ = rest.rpartition(", got ")
+        if got and _SCHEMA[section][key][3] is not None:
+            # the field holds the value in SI units; show it in the key's unit
+            rest = f"{detail}, got {values[section][key]!r}"
+        raise ConfigError(f"{label}: {rest}") from exc
     return cfg
 
 

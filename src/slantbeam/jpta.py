@@ -23,15 +23,16 @@ the objective beyond rounding, which the returned trace records, and the solver
 is deterministic.
 
 Everything a solve reads from the array and the options alone is one private
-plan, built by ``_plan(cfg, opts)``: the resolved tolerance and iteration
-budget, the delay grid (its last point is tau_max) and its (G, K) complex64
-grid matrix, the subcarrier frequencies, the baseband axis with its (K, 3)
-derivative weights, and the moment table below. The private helpers take the
-plan, and a solve adds only the profile's steering matrix and its iterates.
-The plan depends on the two frozen dataclasses alone, so ``_plan`` caches the
-last one it built (``functools.lru_cache(maxsize=1)``), its arrays read-only:
-every solve of a run shares one (cfg, opts) pair, and a stepped genie that
-solves at each evaluated instant builds it once.
+plan, built by ``_plan(cfg, opts)``: the resolved tolerance, the delay grid
+(its last point is tau_max) and its (G, K) complex64 grid matrix, the
+subcarrier frequencies, the baseband axis with its (K, 3) derivative weights,
+and the moment table below. It depends on the two frozen dataclasses alone, so
+``_plan`` caches the last one built (``functools.lru_cache(maxsize=1)``), its
+arrays read-only: the solves of a run, one per stepped-genie instant too, share
+it. A solve is that plan, its start (the steering matrix u0 and the line-fit
+delays) and the loop ``_ascend(plan, u0, delays, max_iters)``, which takes any
+start and the iteration budget as arguments, so that a probe from another
+start shares the run's plan and u0 and the plan holds no budget.
 
 The subcarriers are evenly spaced, so every exp(j 2 pi tau f_k) matrix (grid
 scan, moment expansion, steered product) is a row-wise phasor ramp with start
@@ -217,7 +218,6 @@ class _Plan(NamedTuple):
     """
 
     tol: float
-    max_iters: int
     grid: np.ndarray
     e_grid32: np.ndarray
     freqs: np.ndarray
@@ -268,8 +268,7 @@ def _plan(cfg: ArrayConfig, opts: SolverOptions) -> _Plan:
     centers = TWO_PI * cell * (first + block_len * step * np.arange(num_blocks))
     for array in (grid, e_grid32, freqs, weights, centers, table):
         array.setflags(write=False)
-    return _Plan(tol, opts.max_iters, grid, e_grid32, freqs, start, step, weights, cell,
-                 centers, table)
+    return _Plan(tol, grid, e_grid32, freqs, start, step, weights, cell, centers, table)
 
 
 def _moment_expansion(c_t: np.ndarray, plan: _Plan, tau0: np.ndarray):
@@ -348,29 +347,12 @@ def _refine_delays(c_t: np.ndarray, plan: _Plan, best: np.ndarray):
     return cand, g_cand
 
 
-def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverReport:
-    """Alternating maximization of the per-subcarrier alignment objective.
-
-    Phases start at zero and delays at the line-fit profile.
-
-    Parameters
-    ----------
-    profile : TargetProfile
-    opts : SolverOptions, optional
-
-    Returns
-    -------
-    SolverReport
-        Weights with phases wrapped to [-pi, pi] and delays in [0, tau_max],
-        plus the objective trace, non-decreasing up to rounding.
-    """
-    cfg = profile.cfg
-    plan = _plan(cfg, opts or SolverOptions())
-    num_k = cfg.num_subcarriers
-    u0 = response_matrix(profile.directions, cfg)  # (N, K)
-
-    phases = np.zeros(cfg.num_antennas)
-    delays = line_fit_delays(profile, plan.grid[-1])
+def _ascend(plan: _Plan, u0: np.ndarray, delays: np.ndarray, max_iters: int) -> SolverReport:
+    """The alternating maximization from zero phases and ``delays``, toward the
+    C-contiguous (N, K) steering matrix ``u0``, for at most ``max_iters``
+    iterations; it stops early once an iteration gains less than ``plan.tol``."""
+    num_n, num_k = u0.shape
+    phases = np.zeros(num_n)
 
     def steered(ta):
         """u0[n, k] exp(j 2 pi ta_n f_k) at the full subcarrier frequencies, written
@@ -379,12 +361,14 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         return np.multiply(ramp, u0, out=ramp)
 
     prod = steered(delays)
-    ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
-    alignment = np.abs(ip)
-    trace = [float(np.sum(alignment))]
-    converged = False
-
-    for _ in range(plan.max_iters):
+    trace = []
+    while True:
+        ip = np.exp(-1j * phases) @ prod / num_n
+        alignment = np.abs(ip)
+        trace.append(float(np.sum(alignment)))
+        converged = len(trace) > 1 and trace[-1] - trace[-2] < plan.tol
+        if converged or len(trace) > max_iters:
+            break
         rot = np.exp(-1j * np.angle(ip))  # exp(j psi), psi the auxiliary phases
         # |S_n| at the current delays, at the full frequencies: the baseband
         # sums differ by the phase exp(j 2 pi delays_n f_c) alone
@@ -401,12 +385,28 @@ def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverRepo
         del c_t, prod  # free the buffer before the rebuilt product takes one
         prod = steered(delays)
         phases = wrap_phase(np.angle(prod @ rot))
-        ip = np.exp(-1j * phases) @ prod / cfg.num_antennas
-        alignment = np.abs(ip)
-        trace.append(float(np.sum(alignment)))
-        if trace[-1] - trace[-2] < plan.tol:
-            converged = True
-            break
 
     alignment.setflags(write=False)
     return SolverReport(AnalogWeights(phases, delays), np.asarray(trace), converged, alignment)
+
+
+def jpta_solve(profile: TargetProfile, opts: SolverOptions = None) -> SolverReport:
+    """Alternating maximization of the per-subcarrier alignment objective.
+
+    Phases start at zero and delays at the line-fit profile.
+
+    Parameters
+    ----------
+    profile : TargetProfile
+    opts : SolverOptions, optional
+
+    Returns
+    -------
+    SolverReport
+        Weights with phases wrapped to [-pi, pi] and delays in [0, tau_max],
+        plus the objective trace, non-decreasing up to rounding.
+    """
+    opts = opts or SolverOptions()
+    plan = _plan(profile.cfg, opts)
+    u0 = response_matrix(profile.directions, profile.cfg)  # (N, K)
+    return _ascend(plan, u0, line_fit_delays(profile, plan.grid[-1]), opts.max_iters)

@@ -145,6 +145,22 @@ NON_FINITE_ROWS = [
     ("mobility.accel_mean_deg_s2=inf", r"\[mobility\] accel_mean_deg_s2", "inf"),
 ]
 
+# one nonzero out-of-range value per key whose unit the parser scales to SI,
+# shown in the key's unit; the other scaled keys' range errors show no value
+# (carrier_freq_ghz, aod_*, velocity_*), and accel_mean_deg_s2 has only the
+# finiteness check the parser makes itself
+UNIT_SCALED_ROWS = [
+    ("array.bandwidth_ghz=-2", "positive", "-2.0"),
+    ("mobility.min_spacing_deg=-5", "non-negative", "-5.0"),
+    ("mobility.var_theta_deg2=-2", "non-negative", "-2.0"),
+    ("mobility.var_omega_deg2_s2=-3", "non-negative", "-3.0"),
+    ("mobility.var_alpha_deg2_s4=-4", "non-negative", "-4.0"),
+    ("frame.duration_ms=-160", "positive", "-160.0"),
+    ("design.range_override_deg=-5", "non-negative", "-5.0"),
+    ("design.tau_max_ns=-1.5", "positive", "-1.5"),
+    ("sweep.max_offset_deg=-10", "non-negative", "-10.0"),
+]
+
 
 class TestRejections:
     def test_unknown_key_named(self, tmp_path):
@@ -183,6 +199,21 @@ class TestRejections:
     def test_non_finite_number_named(self, item, named, shown):
         with pytest.raises(ConfigError, match=rf"{named}: must be finite, got {shown}$"):
             parse_config(overrides=[item])
+
+    @pytest.mark.parametrize("item, sign, shown", UNIT_SCALED_ROWS)
+    def test_out_of_range_value_shown_in_its_unit(self, item, sign, shown):
+        section, key = item.partition("=")[0].split(".")
+        message = f"[{section}] {key}: must be {sign} and finite, got {shown}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides=[item])
+
+    def test_every_unit_scaled_key_with_a_shown_value_has_a_row(self):
+        scaled = {f"{section}.{key}" for section, keys in _SCHEMA.items()
+                  for key, row in keys.items() if row[3] is not None}
+        shows_none = {"array.carrier_freq_ghz", "mobility.aod_min_deg", "mobility.aod_max_deg",
+                      "mobility.velocity_min_deg_s", "mobility.velocity_max_deg_s",
+                      "mobility.accel_mean_deg_s2"}
+        assert {item.partition("=")[0] for item, _, _ in UNIT_SCALED_ROWS} == scaled - shows_none
 
     def test_non_finite_number_in_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[frame\] duration_ms: must be finite"):
